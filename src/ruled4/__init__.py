@@ -7,8 +7,9 @@ independent re-derivations, and mesh export.
 """
 
 from .errors import (DegenerateNormal, DirectorConstraintViolated, DomainError,
-                     ExprSyntaxError, InconsistentSeed, NonUnitI, Ruled4Error,
-                     SceneSchemaError, SingularMetric, UnknownIdentifier)
+                     ExprSyntaxError, InconsistentSeed, NonFiniteValue,
+                     NonUnitI, Ruled4Error, SceneSchemaError, SingularMetric,
+                     UnknownIdentifier)
 from .lorentz import (CausalCharacter, Characterization, ModelSpace, Vec4,
                       characterize, cross4, euclid_dot, lorentz_dot,
                       lorentz_norm)
@@ -37,6 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ruled4Error", "InconsistentSeed", "NonUnitI", "DomainError",
+    "NonFiniteValue",
     "ExprSyntaxError", "UnknownIdentifier", "DirectorConstraintViolated",
     "DegenerateNormal", "SingularMetric", "SceneSchemaError",
     "Vec4", "CausalCharacter", "ModelSpace", "Characterization",

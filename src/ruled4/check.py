@@ -24,13 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import crosscheck
-from .errors import DegenerateNormal, DomainError, SingularMetric
-from .hypersurface import (ORTHOGONAL_TOL, RuledHypersurface, SurfaceKind,
-                           curvature_report, eval_point, frame, first_form,
-                           inverse_metric, laplace_beltrami,
-                           lb_closed_orthogonal, second_form_raw)
+from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed,
+                           inverse_metric, second_form_raw)
 from .lorentz import Vec4, lorentz_dot
-from .mesh import Mesh, mesh_document, sample_grid
+from .mesh import grid_mesh, mesh_document, walk_grid
 from .octo import PairCrossCurve, star_point, star_point_dual
 from .scene import SceneConfig, build_hypersurface
 
@@ -89,16 +86,6 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-def _grid_points(cfg: SceneConfig) -> list[tuple[float, float, float]]:
-    def axis(lo: float, hi: float, n: int) -> list[float]:
-        step = (hi - lo) / (n - 1)
-        return [lo + k * step for k in range(n - 1)] + [hi]
-    xs = axis(*cfg.x_interval, cfg.resolution[0])
-    ys = axis(*cfg.y_interval, cfg.resolution[1])
-    zs = axis(*cfg.z_interval, cfg.resolution[2])
-    return [(x, y, z) for x in xs for y in ys for z in zs]
-
-
 def _fmt(value: float) -> str:
     return f"{value:.6e}"
 
@@ -107,19 +94,15 @@ _TYPED = (SurfaceKind.TYPE1, SurfaceKind.TYPE2)
 
 
 class _Session:
-    """One scene's worth of shared evaluation state."""
+    """One scene's worth of shared evaluation state: one walk of its grid."""
 
     def __init__(self, cfg: SceneConfig):
         self.cfg = cfg
         self.surface = build_hypersurface(cfg)
-        self.points = _grid_points(cfg)
-        self.reports = []
-        self.degenerate: list[tuple[tuple[float, float, float], str]] = []
-        for p in self.points:
-            try:
-                self.reports.append((p, curvature_report(self.surface, *p)))
-            except (DegenerateNormal, SingularMetric, DomainError) as exc:
-                self.degenerate.append((p, type(exc).__name__))
+        self.points = walk_grid(self.surface, cfg)
+        self.xs = sorted({pt.params[0] for pt in self.points})
+        self.graded = [pt for pt in self.points if pt.report is not None]
+        self.degenerate = len(self.points) - len(self.graded)
 
     @property
     def kind(self) -> SurfaceKind:
@@ -128,19 +111,19 @@ class _Session:
 
 def _claim_flatness(s: _Session) -> ClaimResult:
     worst = 0.0
-    for _, rep in s.reports:
-        worst = max(worst, abs(rep.gauss_curvature))
+    for pt in s.graded:
+        worst = max(worst, abs(pt.report.gauss_curvature))
     detail = {
         "max_abs_K": worst,
-        "points_checked": len(s.reports),
-        "points_degenerate": len(s.degenerate),
+        "points_checked": len(s.graded),
+        "points_degenerate": s.degenerate,
         "structural": "second form rows 2 and 3 vanish, so det h = 0 identically",
     }
     verdict = "pass" if worst <= FLAT_TOL else "fail"
     return ClaimResult(
         "flatness",
         "every 2-ruled hypersurface has Gauss curvature K = 0",
-        f"max |K| = {_fmt(worst)} over {len(s.reports)} points",
+        f"max |K| = {_fmt(worst)} over {len(s.graded)} points",
         verdict, detail)
 
 
@@ -148,12 +131,12 @@ def _claim_minimality(s: _Session) -> ClaimResult:
     claimed = s.cfg.claims.get("minimal")
     worst_h = 0.0
     samples = []
-    for (p, rep) in s.reports:
-        fr = frame(s.surface, *p)
-        h11_raw, _, _ = second_form_raw(fr, rep.normal.n_raw)
+    for pt in s.graded:
+        rep = pt.report
+        h11_raw, _, _ = second_form_raw(pt.frame, rep.normal.n_raw)
         worst_h = max(worst_h, abs(rep.mean_curvature))
         samples.append({
-            "point": list(p),
+            "point": list(pt.params),
             "H": rep.mean_curvature,
             "h11_raw": h11_raw,
             "minimality_residual": rep.minimality,
@@ -169,7 +152,7 @@ def _claim_minimality(s: _Session) -> ClaimResult:
     else:
         verdict = "pass"
         claim_text = "none (no minimality claim made)"
-    computed = (f"max |H| = {_fmt(worst_h)} over {len(s.reports)} points; "
+    computed = (f"max |H| = {_fmt(worst_h)} over {len(s.graded)} points; "
                 + ("minimal" if is_minimal else "not minimal"))
     return ClaimResult("minimality", claim_text, computed, verdict, detail)
 
@@ -177,8 +160,9 @@ def _claim_minimality(s: _Session) -> ClaimResult:
 def _claim_lb_zero(s: _Session) -> ClaimResult:
     claimed = s.cfg.claims.get("laplace_beltrami_zero")
     worst = 0.0
-    for _, rep in s.reports:
-        worst = max(worst, max(abs(v) for v in rep.laplacian.components()))
+    for pt in s.graded:
+        worst = max(worst,
+                    max(abs(v) for v in pt.report.laplacian.components()))
     is_zero = worst <= ZERO_TOL
     if claimed is True:
         verdict = "pass" if is_zero else "discrepancy"
@@ -197,8 +181,8 @@ def _claim_lb_zero(s: _Session) -> ClaimResult:
 
 def _claim_gauss_consistency(s: _Session) -> ClaimResult:
     worst_exp = worst_orth = worst_lag = 0.0
-    for (p, rep) in s.reports:
-        fr = frame(s.surface, *p)
+    for pt in s.graded:
+        rep, fr = pt.report, pt.frame
         expanded = crosscheck.normal_components_expanded(
             fr.phi_x, fr.phi_y, fr.phi_z)
         scale = max(1.0, max(abs(v) for v in rep.normal.n_raw.components()))
@@ -230,8 +214,8 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
 
 def _claim_metric_consistency(s: _Session) -> ClaimResult:
     worst_det = worst_inv = 0.0
-    for (p, rep) in s.reports:
-        md = rep.metric
+    for pt in s.graded:
+        md = pt.report.metric
         if md.detg_closed is not None:
             worst_det = max(worst_det, abs(md.detg - md.detg_closed)
                             / max(1.0, abs(md.detg)))
@@ -251,7 +235,8 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
 
 def _claim_minimality_linkage(s: _Session) -> ClaimResult:
     worst = 0.0
-    for (p, rep) in s.reports:
+    for pt in s.graded:
+        rep = pt.report
         md = rep.metric
         denominator = 3.0 * md.detg * rep.normal.magnitude
         h_from_residual = rep.minimality / denominator
@@ -266,21 +251,17 @@ def _claim_minimality_linkage(s: _Session) -> ClaimResult:
         {"max_relative_gap": worst})
 
 
-def _orthogonal_everywhere(s: _Session) -> bool:
-    return all(abs(rep.metric.e) <= ORTHOGONAL_TOL for _, rep in s.reports)
-
-
 def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
     """(half-weight gap, full-weight gap) vs the general path, or None."""
-    if s.kind not in _TYPED or not s.reports:
+    if s.kind not in _TYPED or not s.graded:
         return None
-    if not _orthogonal_everywhere(s):
+    if not all(abs(pt.report.metric.e) <= ORTHOGONAL_TOL for pt in s.graded):
         return None
     worst_half = worst_full = 0.0
-    for (p, rep) in s.reports:
-        closed = lb_closed_orthogonal(s.surface, *p)
-        full = crosscheck.lb_closed_full_p(s.surface, *p)
-        general = rep.laplacian
+    for pt in s.graded:
+        closed = pt.report.laplacian_closed
+        full = _lb_closed(s.surface, pt.frame, 1.0)
+        general = pt.report.laplacian
         worst_half = max(worst_half,
                          max(abs(a - b) for a, b in
                              zip(closed.components(), general.components())))
@@ -369,15 +350,17 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
         return None
     worst_vec = 0.0
     worst_scalar = 0.0
-    for p in s.points:
+    for pt in s.points:
+        if pt.frame is None:
+            continue
         if s.cfg.mode == "octonion":
             sp = star_point(s.cfg.curves["u"], s.cfg.curves["v"],
-                            s.cfg.curves["w"], *p, i_vec=s.cfg.i_vec)
+                            s.cfg.curves["w"], *pt.params, i_vec=s.cfg.i_vec)
         else:
             sp = star_point_dual(s.cfg.curves["a"], s.cfg.curves["a_star"],
                                  s.cfg.curves["b"], s.cfg.curves["b_star"],
-                                 *p, i_vec=s.cfg.i_vec)
-        direct = eval_point(s.surface, *p)
+                                 *pt.params, i_vec=s.cfg.i_vec)
+        direct = pt.frame.position
         worst_vec = max(worst_vec,
                         max(abs(a - b) for a, b in
                             zip(sp.vector.components(), direct.components())))
@@ -401,7 +384,6 @@ _REFERENCE_ROLES = {
 def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
     if not s.cfg.reference:
         return None
-    xs = sorted({p[0] for p in s.points})
     curves = {"alpha": s.surface.alpha, "beta": s.surface.beta,
               "gamma": s.surface.gamma}
     per_curve = {}
@@ -412,7 +394,7 @@ def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
             continue
         target = curves[role]
         dev = [0.0, 0.0, 0.0, 0.0]
-        for t in xs:
+        for t in s.xs:
             got, _, _ = target.evaluate(t)
             want, _, _ = ref.evaluate(t)
             for i, (a, b) in enumerate(zip(got.components(),
@@ -429,13 +411,12 @@ def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
            else "(at least one published component deviates)"),
         "pass" if matches else "discrepancy",
         {"per_curve_component_deviation": per_curve,
-         "samples": len(xs)})
+         "samples": len(s.xs)})
 
 
 def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode != "octonion" or "alpha" not in s.cfg.reference:
         return None
-    xs = sorted({p[0] for p in s.points})
     ref = s.cfg.reference["alpha"]
     candidates = {}
     matched = []
@@ -446,7 +427,7 @@ def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
                  (s.cfg.curves["u"], s.cfg.curves["w"])),
                 Vec4.basis(slot) * sign)
             worst = 0.0
-            for t in xs:
+            for t in s.xs:
                 got, _, _ = cand.evaluate(t)
                 want, _, _ = ref.evaluate(t)
                 worst = max(worst, max(abs(a - b) for a, b in
@@ -466,7 +447,10 @@ def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
 
 def check_scene(cfg: SceneConfig) -> CheckReport:
     """Run every applicable claim check for a scene."""
-    session = _Session(cfg)
+    return _grade(_Session(cfg))
+
+
+def _grade(session: _Session) -> CheckReport:
     claims: list[ClaimResult] = [
         _claim_flatness(session),
         _claim_minimality(session),
@@ -485,15 +469,14 @@ def check_scene(cfg: SceneConfig) -> CheckReport:
                   _claim_alpha_probe(session)):
         if maybe is not None:
             claims.append(maybe)
-    return CheckReport(cfg.name, cfg.mode, tuple(claims),
+    return CheckReport(session.cfg.name, session.cfg.mode, tuple(claims),
                        session.surface.warnings)
 
 
 def report_document(cfg: SceneConfig) -> dict:
-    """Full JSON report: claims plus the per-vertex curvature table."""
-    report = check_scene(cfg)
-    surface = build_hypersurface(cfg)
-    mesh = sample_grid(surface, cfg)
-    doc = report.to_dict()
-    doc["mesh"] = mesh_document(mesh)
+    """Full JSON report: claims plus the table of the grid they graded."""
+    session = _Session(cfg)
+    doc = _grade(session).to_dict()
+    doc["mesh"] = mesh_document(
+        grid_mesh(session.surface, cfg, session.points))
     return doc

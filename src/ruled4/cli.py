@@ -8,9 +8,10 @@
 Overrides (--strict/--no-strict, --dual-norm, --i-vector) replace the
 scene file's options for one invocation.  `check` and `report` exit 0
 unless an internal-consistency claim fails; claim discrepancies against
-published statements are findings, not failures.  RULED4_THREADS caps
-grid-evaluation parallelism (default 1); outputs are byte-identical
-regardless of its value.
+published statements are findings, not failures.  `report` grades its
+claims and writes its vertex table from one serial walk of the grid; a
+failing vertex is flagged (DegenerateNormal, SingularMetric, DomainError,
+NonFiniteValue), never fatal.  RULED4_THREADS is accepted and ignored.
 """
 
 from __future__ import annotations

@@ -9,14 +9,12 @@ kept around as a probe.  check.py turns disagreements into report claims.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypersurface import (RuledHypersurface, SurfaceKind, _metric_scalars,
-                           _RULING_DIAGONAL, frame)
+from .hypersurface import RuledHypersurface, _lb_closed, frame
 from .lorentz import Vec4, cross4, lorentz_dot
 
 __all__ = [
@@ -107,31 +105,4 @@ def lb_closed_full_p(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4
     deviates from the general divergence path whenever the metric varies;
     check.py reports the deviation as evidence for the one-half weight.
     """
-    if h.kind not in _RULING_DIAGONAL:
-        raise ValueError("closed form requires a constrained kind")
-    fr = frame(h, x, y, z)
-    (a, b, c, _e, _m, _n), (da, db, dc, _de, _dm, _dn) = _metric_scalars(h, fr)
-    sigma = _RULING_DIAGONAL[h.kind]
-    tau = -sigma
-
-    q_val = a - sigma * (b * b + c * c)
-    p = [da[k] - sigma * (2.0 * b * db[k] + 2.0 * c * dc[k]) for k in range(3)]
-
-    beta, gamma = fr.phi_y, fr.phi_z
-    n1 = fr.phi_x + tau * (b * beta + c * gamma)
-    n2 = tau * b * fr.phi_x + (sigma * a - c * c) * beta + (b * c) * gamma
-    n3 = tau * c * fr.phi_x + (b * c) * beta + (sigma * a - b * b) * gamma
-
-    d1n1 = fr.phi_xx + tau * (db[0] * beta + b * fr.phi_xy
-                              + dc[0] * gamma + c * fr.phi_xz)
-    d2n2 = tau * (db[1] * fr.phi_x + b * fr.phi_xy) \
-        + (sigma * da[1] - 2.0 * c * dc[1]) * beta \
-        + (db[1] * c + b * dc[1]) * gamma
-    d3n3 = tau * (dc[2] * fr.phi_x + c * fr.phi_xz) \
-        + (db[2] * c + b * dc[2]) * beta \
-        + (sigma * da[2] - 2.0 * b * db[2]) * gamma
-
-    total = (d1n1 * q_val - p[0] * n1) \
-        + (d2n2 * q_val - p[1] * n2) \
-        + (d3n3 * q_val - p[2] * n3)
-    return total * (1.0 / (q_val * q_val))
+    return _lb_closed(h, frame(h, x, y, z), 1.0)

@@ -109,6 +109,13 @@ class Jet2:
         return Jet2(q, d1, d2)
 
 
+def _no_overflow(fn: Callable[..., float], *args: float) -> float:
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        raise DomainError(f"{fn.__name__}{args!r} overflows") from exc
+
+
 def _safe_pow(base: float, expo: float, integral: bool) -> float:
     # Restricted real power: rejects the combinations whose real value or
     # derivative does not exist.
@@ -118,7 +125,7 @@ def _safe_pow(base: float, expo: float, integral: bool) -> float:
         raise DomainError("zero raised to a negative power")
     if base < 0.0 and not integral:
         raise DomainError("negative base with a non-integer exponent")
-    return base ** expo
+    return _no_overflow(pow, base, expo)
 
 
 def jet_pow(x: Jet2, p: Fraction) -> Jet2:
@@ -182,12 +189,12 @@ def _dual_sqrt(x: Dual) -> Dual:
 
 
 def _jet_exp(x: Jet2) -> Jet2:
-    u = math.exp(x.f)
+    u = _no_overflow(math.exp, x.f)
     return Jet2(u, u * x.d1, u * x.d2 + u * (x.d1 * x.d1))
 
 
 def _dual_exp(x: Dual) -> Dual:
-    u = math.exp(x.re)
+    u = _no_overflow(math.exp, x.re)
     return Dual(u, u * x.eps)
 
 
@@ -216,26 +223,26 @@ def _dual_cos(x: Dual) -> Dual:
 
 
 def _jet_sinh(x: Jet2) -> Jet2:
-    s = math.sinh(x.f)
-    c = math.cosh(x.f)
+    s = _no_overflow(math.sinh, x.f)
+    c = _no_overflow(math.cosh, x.f)
     return Jet2(s, c * x.d1, c * x.d2 + s * (x.d1 * x.d1))
 
 
 def _dual_sinh(x: Dual) -> Dual:
-    s = math.sinh(x.re)
-    c = math.cosh(x.re)
+    s = _no_overflow(math.sinh, x.re)
+    c = _no_overflow(math.cosh, x.re)
     return Dual(s, c * x.eps)
 
 
 def _jet_cosh(x: Jet2) -> Jet2:
-    s = math.sinh(x.f)
-    c = math.cosh(x.f)
+    s = _no_overflow(math.sinh, x.f)
+    c = _no_overflow(math.cosh, x.f)
     return Jet2(c, s * x.d1, s * x.d2 + c * (x.d1 * x.d1))
 
 
 def _dual_cosh(x: Dual) -> Dual:
-    s = math.sinh(x.re)
-    c = math.cosh(x.re)
+    s = _no_overflow(math.sinh, x.re)
+    c = _no_overflow(math.cosh, x.re)
     return Dual(c, s * x.eps)
 
 

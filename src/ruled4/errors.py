@@ -24,6 +24,10 @@ class DomainError(Ruled4Error):
     """Evaluation left the real domain (sqrt of a negative, 0 to a negative power)."""
 
 
+class NonFiniteValue(DomainError, ValueError):
+    """A vector component or metric determinant is infinite or NaN."""
+
+
 class ExprSyntaxError(Ruled4Error):
     """Malformed curve expression.  `offset` is the character offset of the fault."""
 

@@ -31,7 +31,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .errors import (DegenerateNormal, DirectorConstraintViolated,
-                     SingularMetric)
+                     NonFiniteValue, SingularMetric)
 from .expr import CurveSpec, DirectorReport, validate_director
 from .lorentz import (CausalCharacter, ModelSpace, Vec4, characterize,
                       cross4, lorentz_dot)
@@ -158,9 +158,13 @@ class Frame:
 
 
 def frame(h: RuledHypersurface, x: float, y: float, z: float) -> Frame:
-    a0, a1, a2 = h.alpha.evaluate(x)
-    b0, b1, b2 = h.beta.evaluate(x)
-    g0, g1, g2 = h.gamma.evaluate(x)
+    return _frame_at((h.alpha.evaluate(x), h.beta.evaluate(x),
+                      h.gamma.evaluate(x)), y, z)
+
+
+def _frame_at(curves, y: float, z: float) -> Frame:
+    """The frame at (y, z) from alpha, beta, gamma evaluated at one x."""
+    (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = curves
     y = float(y)
     z = float(z)
     return Frame(
@@ -175,10 +179,7 @@ def frame(h: RuledHypersurface, x: float, y: float, z: float) -> Frame:
 
 
 def eval_point(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:
-    a0, _, _ = h.alpha.evaluate(x)
-    b0, _, _ = h.beta.evaluate(x)
-    g0, _, _ = h.gamma.evaluate(x)
-    return a0 + float(y) * b0 + float(z) * g0
+    return frame(h, x, y, z).position
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,10 @@ def inverse_metric(md: MetricData) -> np.ndarray:
     and for TYPE2
         [[1-e^2, ce+b, be+c], [ce+b, -a-c^2, bc-ae], [be+c, bc-ae, -a-b^2]];
     the unconstrained case uses the general symmetric adjugate.
+    An overflowed determinant raises NonFiniteValue.
     """
+    if not math.isfinite(md.detg):
+        raise NonFiniteValue(f"metric determinant {md.detg!r}")
     if abs(md.detg) <= SINGULAR_METRIC_TOL:
         raise SingularMetric(f"metric determinant {md.detg!r}")
     return _adjugate(md) / md.detg
@@ -390,7 +394,10 @@ def laplace_beltrami(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4
     report (SingularMetric guards it).  All inner derivatives are exact
     (jet-derived), so the only approximation is floating-point rounding.
     """
-    fr = frame(h, x, y, z)
+    return _laplace_beltrami(h, frame(h, x, y, z))
+
+
+def _laplace_beltrami(h: RuledHypersurface, fr: Frame) -> Vec4:
     (a, b, c, e, m22, m33), (da, db, dc, de, dm22, dm33) = _metric_scalars(h, fr)
 
     a11 = m22 * m33 - e * e
@@ -453,9 +460,13 @@ def lb_closed_orthogonal(h: RuledHypersurface, x: float, y: float, z: float) -> 
     forced by the quotient rule; a variant with full weight disagrees with
     the general divergence path (see crosscheck.lb_closed_full_p).
     """
+    return _lb_closed(h, frame(h, x, y, z), 0.5)
+
+
+def _lb_closed(h: RuledHypersurface, fr: Frame, p_weight: float) -> Vec4:
+    """The orthogonal closed form with weight `p_weight` on the P_k terms."""
     if h.kind not in _RULING_DIAGONAL:
         raise ValueError("closed form requires a constrained kind")
-    fr = frame(h, x, y, z)
     (a, b, c, _e, _m, _n), (da, db, dc, _de, _dm, _dn) = _metric_scalars(h, fr)
     sigma = _RULING_DIAGONAL[h.kind]
     tau = -sigma
@@ -479,9 +490,9 @@ def lb_closed_orthogonal(h: RuledHypersurface, x: float, y: float, z: float) -> 
         + (db[2] * c + b * dc[2]) * beta \
         + (sigma * da[2] - 2.0 * b * db[2]) * gamma
 
-    total = (d1n1 * q_val - 0.5 * p[0] * n1) \
-        + (d2n2 * q_val - 0.5 * p[1] * n2) \
-        + (d3n3 * q_val - 0.5 * p[2] * n3)
+    total = (d1n1 * q_val - p_weight * p[0] * n1) \
+        + (d2n2 * q_val - p_weight * p[1] * n2) \
+        + (d3n3 * q_val - p_weight * p[2] * n3)
     return total * (1.0 / (q_val * q_val))
 
 
@@ -511,7 +522,11 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
     Raises DegenerateNormal or SingularMetric where no report exists; grid
     samplers catch those and mark the vertex instead.
     """
-    fr = frame(h, x, y, z)
+    return _report_at(h, x, y, z, frame(h, x, y, z))
+
+
+def _report_at(h: RuledHypersurface, x: float, y: float, z: float,
+               fr: Frame) -> CurvatureReport:
     gm = gauss_map(h, x, y, z, fr)
     md = first_form(h, x, y, z, fr)
     ginv = inverse_metric(md)
@@ -523,10 +538,10 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
     gauss = det_h / md.detg
     mean = float(np.trace(shape)) / 3.0
     residual, corollary = _minimality(md, fr, gm.n_raw)
-    lb = laplace_beltrami(h, x, y, z)
+    lb = _laplace_beltrami(h, fr)
     lb_closed = None
     if h.kind in _RULING_DIAGONAL and abs(md.e) <= ORTHOGONAL_TOL:
-        lb_closed = lb_closed_orthogonal(h, x, y, z)
+        lb_closed = _lb_closed(h, fr, 0.5)
     return CurvatureReport(
         point=(float(x), float(y), float(z)),
         position=fr.position,

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .errors import NonFiniteValue
+
 __all__ = [
     "CausalCharacter",
     "ModelSpace",
@@ -72,7 +74,7 @@ class Vec4:
             value = getattr(self, name)
             value = float(value)
             if not math.isfinite(value):
-                raise ValueError(f"Vec4 component {name} must be finite, got {value!r}")
+                raise NonFiniteValue(f"Vec4 component {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
     @staticmethod

@@ -1,10 +1,13 @@
 """Grid sampling of a surface and file export (OBJ, CSV, JSON).
 
 The grid is the closed parameter box sampled uniformly, stored row-major
-with x slowest.  Every vertex carries the curvature pipeline's scalar
-fields; a vertex where the pipeline degenerates (no unit normal, singular
-metric, expression domain fault) keeps its slot with NaN fields and a flag
-naming the failure, so one bad point never aborts a grid.
+with x slowest.  `walk_grid`, the one serial grid walker behind check, mesh
+and report, evaluates each curve once per x sample and runs the curvature
+pipeline on every (y, z) frame of that slice.  Every vertex carries the
+pipeline's scalar fields; a vertex where the pipeline degenerates keeps its
+slot with NaN fields and a flag naming the failure (DegenerateNormal,
+SingularMetric, DomainError, or NonFiniteValue on overflow), so one bad
+point never aborts a grid.
 
 Exports are deterministic byte for byte: fixed field order, fixed float
 formatting (repr for CSV, %.17g for OBJ), newline "\\n", no timestamps.
@@ -15,20 +18,30 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegenerateNormal, DomainError, SingularMetric
-from .hypersurface import RuledHypersurface, curvature_report, eval_point
+from .hypersurface import (CurvatureReport, Frame, RuledHypersurface,
+                           _frame_at, _report_at)
 from .scene import SceneConfig
 
-__all__ = ["VertexData", "Mesh", "sample_grid", "thread_count",
-           "export_obj", "export_csv", "export_json", "mesh_document"]
+__all__ = ["GridPoint", "walk_grid", "grid_mesh", "VertexData", "Mesh",
+           "sample_grid", "export_obj", "export_csv", "export_json",
+           "mesh_document"]
 
 _NAN = float("nan")
 _NAN4 = (_NAN, _NAN, _NAN, _NAN)
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One vertex: its frame (None if not evaluable) and report, or a flag."""
+
+    params: tuple[float, float, float]
+    frame: Optional[Frame]
+    report: Optional[CurvatureReport]
+    flag: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -62,16 +75,6 @@ class Mesh:
     warnings: tuple[str, ...]
 
 
-def thread_count() -> int:
-    """Worker cap from RULED4_THREADS (>=1); defaults to 1."""
-    raw = os.environ.get("RULED4_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:
     if n < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {n}")
@@ -81,25 +84,54 @@ def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _vertex(h: RuledHypersurface, x: float, y: float, z: float) -> VertexData:
-    flags: list[str] = []
+def _axes(cfg: SceneConfig):
+    nx, ny, nz = cfg.resolution
+    return (_axis(cfg.x_interval[0], cfg.x_interval[1], nx),
+            _axis(cfg.y_interval[0], cfg.y_interval[1], ny),
+            _axis(cfg.z_interval[0], cfg.z_interval[1], nz))
+
+
+def _grid_point(h: RuledHypersurface, curves, x: float, y: float,
+                z: float) -> GridPoint:
+    fr = None
     try:
-        pos = eval_point(h, x, y, z).components()
-    except DomainError:
-        return VertexData((x, y, z), _NAN4, _NAN4, _NAN4, _NAN, None,
-                          _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
-                          _NAN4, _NAN, ("DomainError",))
-    try:
-        rep = curvature_report(h, x, y, z)
+        fr = _frame_at(curves, y, z)
+        return GridPoint((x, y, z), fr, _report_at(h, x, y, z, fr), None)
     except (DegenerateNormal, SingularMetric, DomainError) as exc:
-        flags.append(type(exc).__name__)
-        return VertexData((x, y, z), pos, _NAN4, _NAN4, _NAN, None,
+        return GridPoint((x, y, z), fr, None, type(exc).__name__)
+
+
+def walk_grid(h: RuledHypersurface, cfg: SceneConfig) -> list[GridPoint]:
+    """Every vertex of the scene's grid, row-major, x slowest.
+
+    alpha, beta and gamma are evaluated once per x sample; a failure there
+    flags the whole slice.
+    """
+    xs, ys, zs = _axes(cfg)
+    points: list[GridPoint] = []
+    for x in xs:
+        try:
+            curves = (h.alpha.evaluate(x), h.beta.evaluate(x),
+                      h.gamma.evaluate(x))
+        except DomainError as exc:
+            points += [GridPoint((x, y, z), None, None, type(exc).__name__)
+                       for y in ys for z in zs]
+            continue
+        points += [_grid_point(h, curves, x, y, z) for y in ys for z in zs]
+    return points
+
+
+def _vertex(pt: GridPoint) -> VertexData:
+    rep = pt.report
+    if rep is None:
+        pos = _NAN4 if pt.frame is None else pt.frame.position.components()
+        return VertexData(pt.params, pos, _NAN4, _NAN4, _NAN, None,
                           _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
-                          _NAN4, _NAN, tuple(flags))
+                          _NAN4, _NAN, (pt.flag,))
     lb = rep.laplacian.components()
     return VertexData(
-        params=(x, y, z),
-        position=pos,
+        params=pt.params,
+        position=rep.position.components(),
         n_raw=rep.normal.n_raw.components(),
         n_unit=rep.normal.unit.components(),
         n_magnitude=rep.normal.magnitude,
@@ -114,30 +146,23 @@ def _vertex(h: RuledHypersurface, x: float, y: float, z: float) -> VertexData:
         minimality=rep.minimality,
         lb=lb,
         lb_norm=math.sqrt(sum(v * v for v in lb)),
-        flags=tuple(flags),
+        flags=(),
     )
+
+
+def grid_mesh(h: RuledHypersurface, cfg: SceneConfig,
+              points: list[GridPoint]) -> Mesh:
+    """The Mesh of a grid that walk_grid(h, cfg) sampled."""
+    return Mesh(cfg.name, cfg.mode, tuple(cfg.resolution), _axes(cfg),
+                tuple(_vertex(pt) for pt in points), h.warnings)
 
 
 def sample_grid(h: RuledHypersurface, cfg: SceneConfig) -> Mesh:
     """Evaluate the pipeline over the scene's grid, row-major, x slowest.
 
-    Parallel over vertices up to thread_count() workers; output order and
-    content are independent of the worker count.
+    One serial walk_grid pass; RULED4_THREADS is accepted and ignored.
     """
-    nx, ny, nz = cfg.resolution
-    xs = _axis(cfg.x_interval[0], cfg.x_interval[1], nx)
-    ys = _axis(cfg.y_interval[0], cfg.y_interval[1], ny)
-    zs = _axis(cfg.z_interval[0], cfg.z_interval[1], nz)
-    points = [(x, y, z) for x in xs for y in ys for z in zs]
-
-    workers = thread_count()
-    if workers == 1:
-        vertices = [_vertex(h, *p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vertices = list(pool.map(lambda p: _vertex(h, *p), points))
-    return Mesh(cfg.name, cfg.mode, (nx, ny, nz), (xs, ys, zs),
-                tuple(vertices), h.warnings)
+    return grid_mesh(h, cfg, walk_grid(h, cfg))
 
 
 # ---------------------------------------------------------------------------

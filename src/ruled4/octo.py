@@ -22,11 +22,12 @@ returned surface, never errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import NonUnitI
-from .hypersurface import Curve, RuledHypersurface, SurfaceKind, make_ruled
+from .hypersurface import (Curve, RuledHypersurface, SurfaceKind,
+                           _director_grid, make_ruled)
 from .lorentz import Vec4, cross4, euclid_dot, lorentz_dot
 from .octonion import DEFAULT_I, UNIT_I_TOL, ParticularOctonion, particular_product
 
@@ -67,14 +68,6 @@ class PairCrossCurve:
 def _require_unit_i(i_vec: Vec4) -> None:
     if abs(abs(lorentz_dot(i_vec, i_vec)) - 1.0) > UNIT_I_TOL:
         raise NonUnitI(f"reference vector {i_vec} is not unit")
-
-
-def _grid(interval: tuple[float, float], n: int = 33) -> list[float]:
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi == lo:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + k * step for k in range(n)]
 
 
 def _advisory_checks(named_curves: list[tuple[str, Curve]],
@@ -132,7 +125,7 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                              ) -> RuledHypersurface:
     """Surface alpha(t) + y*w(t) + z*v(t) with alpha = u x v + u x w."""
     _require_unit_i(i_vec)
-    grid = _grid(x_interval)
+    grid = _director_grid(x_interval)
     alpha = PairCrossCurve(((u, v), (u, w)), i_vec)
     base = make_ruled(alpha, w, v, SurfaceKind.UNCONSTRAINED,
                       x_interval=x_interval, y_interval=y_interval,
@@ -145,9 +138,7 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
     degenerate = _degenerate_ruling(v, w, grid)
     if degenerate:
         warnings.append(degenerate)
-    return RuledHypersurface(base.alpha, base.beta, base.gamma, base.kind,
-                             base.x_interval, base.y_interval, base.z_interval,
-                             tuple(warnings), base.director_reports)
+    return replace(base, warnings=tuple(warnings))
 
 
 def construct_from_dual_curves(a: Curve, a_star: Curve,
@@ -167,7 +158,7 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     product 0.
     """
     _require_unit_i(i_vec)
-    grid = _grid(x_interval)
+    grid = _director_grid(x_interval)
     alpha = PairCrossCurve(((a, a_star), (b, b_star)), i_vec)
     base = make_ruled(alpha, a, b, SurfaceKind.UNCONSTRAINED,
                       x_interval=x_interval, y_interval=y_interval,
@@ -188,9 +179,7 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     degenerate = _degenerate_ruling(a, b, grid)
     if degenerate:
         warnings.append(degenerate)
-    return RuledHypersurface(base.alpha, base.beta, base.gamma, base.kind,
-                             base.x_interval, base.y_interval, base.z_interval,
-                             tuple(warnings), base.director_reports)
+    return replace(base, warnings=tuple(warnings))
 
 
 def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,

@@ -10,6 +10,7 @@ jets, so agreement is evidence rather than tautology.
 
 import math
 import random
+from dataclasses import dataclass, field, replace
 
 from ruled4.errors import DegenerateNormal, DomainError, SingularMetric
 from ruled4.expr import CurveSpec
@@ -24,6 +25,24 @@ from ruled4.hypersurface import (
 from ruled4.lorentz import Vec4
 
 DEGENERACY_ERRORS = (DegenerateNormal, SingularMetric, DomainError)
+
+
+@dataclass(frozen=True)
+class CountingCurve(CurveSpec):
+    """A CurveSpec that adds one to a shared counter per evaluate call."""
+
+    counter: list = field(default=None, compare=False, repr=False)
+
+    def evaluate(self, t):
+        self.counter[0] += 1
+        return super().evaluate(t)
+
+
+def counting_scene(cfg):
+    """(cfg with every curve counted, the shared one-slot counter)."""
+    counter = [0]
+    curves = {k: CountingCurve(v.comps, counter) for k, v in cfg.curves.items()}
+    return replace(cfg, curves=curves), counter
 
 
 def max_comp_diff(u: Vec4, v: Vec4) -> float:

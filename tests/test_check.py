@@ -12,7 +12,12 @@ from ruled4.check import (
     report_document,
 )
 from ruled4.errors import DirectorConstraintViolated
-from ruled4.scene import load_scene
+from ruled4.mesh import mesh_document, sample_grid
+from ruled4.scene import build_hypersurface, load_scene
+from support import counting_scene
+
+SHIPPED = ["example1.json", "exampleE1.json", "exampleEx3.json",
+           "dualsphere.json"]
 
 
 def shipped(name):
@@ -142,11 +147,24 @@ def test_report_wire_format(example1_report):
 
 
 def test_report_document_includes_mesh():
-    cfg = shipped("example1.json")
-    doc = report_document(cfg)
-    assert set(doc) == {"scene", "mode", "warnings", "claims", "exit_code",
-                        "mesh"}
-    nx, ny, nz = cfg.resolution
-    assert len(doc["mesh"]["vertices"]) == nx * ny * nz
-    text = json.dumps(doc, allow_nan=False)
-    assert json.loads(text)["mesh"]["resolution"] == list(cfg.resolution)
+    for name in SHIPPED:
+        cfg = shipped(name)
+        doc = report_document(cfg)
+        assert set(doc) == {"scene", "mode", "warnings", "claims",
+                            "exit_code", "mesh"}
+        nx, ny, nz = cfg.resolution
+        assert len(doc["mesh"]["vertices"]) == nx * ny * nz
+        text = json.dumps(doc, allow_nan=False)
+        assert json.loads(text)["mesh"]["resolution"] == list(cfg.resolution)
+        assert doc["mesh"] == mesh_document(
+            sample_grid(build_hypersurface(cfg), cfg)), name
+        assert doc["claims"] == check_scene(cfg).to_dict()["claims"], name
+
+
+def test_report_document_evaluates_curves_as_often_as_check():
+    for name in SHIPPED:
+        counted, counter = counting_scene(shipped(name))
+        check_scene(counted)
+        check_evals, counter[0] = counter[0], 0
+        report_document(counted)
+        assert counter[0] == check_evals, name

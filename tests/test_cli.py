@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from ruled4.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def scene(name):
@@ -138,7 +141,34 @@ def test_determinism_across_threads(tmp_path):
         proc = run_cli(["mesh", scene("exampleEx3.json"), "--format", "json",
                         "--out", str(out)],
                        env={"RULED4_THREADS": threads, "PATH": "/usr/bin:/bin",
-                            "PYTHONPATH": ""})
+                            "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_overflowing_curve_flags_vertices(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "exp-overflow", "mode": "type1",
+        "curves": {"alpha": ["exp(t)", "t", "0", "0"],
+                   "beta": ["0", "0", "1", "0"],
+                   "gamma": ["0", "0", "0", "1"]},
+        "intervals": {"x": [0, 800]}, "resolution": [5, 2, 2]}))
+    out = tmp_path / "m.json"
+    proc = run_cli(["mesh", str(path), "--format", "json", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    flags_by_x = {}
+    for v in json.loads(out.read_text())["vertices"]:
+        flags_by_x.setdefault(v["params"][0], set()).add(tuple(v["flags"]))
+    assert flags_by_x[200.0] == {()}
+    assert flags_by_x[400.0] == flags_by_x[600.0] == {("NonFiniteValue",)}
+    assert flags_by_x[800.0] == {("DomainError",)}
+
+    proc = run_cli(["check", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    flatness = json.loads(proc.stdout)["claims"][0]
+    # x = 0 is lightlike (DegenerateNormal); x >= 400 overflows
+    assert flatness["details"]["points_degenerate"] == 16

@@ -16,9 +16,9 @@ from ruled4.mesh import (
     export_obj,
     mesh_document,
     sample_grid,
-    thread_count,
 )
 from ruled4.scene import SceneConfig, build_hypersurface, load_scene, scene_from_dict
+from support import counting_scene
 
 
 SHIPPED = ["example1.json", "exampleE1.json", "exampleEx3.json",
@@ -214,15 +214,13 @@ def test_sample_grid_records_failures_as_flags():
     assert all(v.flags == () for v in good)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("RULED4_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("RULED4_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("RULED4_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("RULED4_THREADS", "soup")
-    assert thread_count() == 1
+def test_sample_grid_evaluates_each_curve_once_per_x():
+    for cfg in (small_cfg(), load_scene(shipped_path("exampleE1.json"))):
+        counted, counter = counting_scene(cfg)
+        h = build_hypersurface(counted)
+        counter[0] = 0
+        sample_grid(h, counted)
+        assert counter[0] == 3 * cfg.resolution[0]
 
 
 def test_sample_grid_threaded_is_identical(monkeypatch):
