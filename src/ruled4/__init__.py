@@ -13,11 +13,9 @@ from .errors import (DegenerateNormal, DirectorConstraintViolated, DomainError,
 from .lorentz import (CausalCharacter, Characterization, ModelSpace, Vec4,
                       characterize, cross4, euclid_dot, lorentz_dot,
                       lorentz_norm)
-from .dual import (Dual, DualVec4, DualVectorAlgebra, Jet2, dual_arith,
-                   dual_vector_algebra)
-from .expr import (CurveSpec, DirectorReport, curve_eval, evaluate_dual,
-                   evaluate_float, evaluate_jet, jet_chain, parse_expr,
-                   to_text, validate_director)
+from .dual import Dual, DualVec4, DualVectorAlgebra, Jet2, dual_vector_algebra
+from .expr import (CurveSpec, DirectorReport, evaluate_dual, evaluate_float,
+                   evaluate_jet, parse_expr, to_text, validate_director)
 from .octonion import (DEFAULT_I, MulTable, Octonion, ParticularOctonion,
                        build_mul_table, default_table, oct_mul,
                        particular_product, table_to_csv)
@@ -43,11 +41,9 @@ __all__ = [
     "DegenerateNormal", "SingularMetric", "SceneSchemaError",
     "Vec4", "CausalCharacter", "ModelSpace", "Characterization",
     "lorentz_dot", "euclid_dot", "lorentz_norm", "cross4", "characterize",
-    "Dual", "Jet2", "DualVec4", "DualVectorAlgebra", "dual_arith",
-    "dual_vector_algebra",
+    "Dual", "Jet2", "DualVec4", "DualVectorAlgebra", "dual_vector_algebra",
     "parse_expr", "to_text", "evaluate_jet", "evaluate_dual",
-    "evaluate_float", "jet_chain", "CurveSpec", "curve_eval",
-    "DirectorReport", "validate_director",
+    "evaluate_float", "CurveSpec", "DirectorReport", "validate_director",
     "Octonion", "ParticularOctonion", "MulTable", "build_mul_table",
     "default_table", "oct_mul", "particular_product", "table_to_csv",
     "DEFAULT_I",

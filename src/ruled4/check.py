@@ -2,33 +2,36 @@
 
 Every check produces a ClaimResult with a verdict:
 
-    pass         computation agrees with the claim (or records a plain fact)
-    discrepancy  the published claim contradicts the computation; both
-                 internal computation paths agree, so this is a finding
-                 about the claim, not an implementation fault
-    fail         two internal computation paths disagree with each other;
-                 the implementation, not the claim, is suspect
+    pass          computation agrees with the claim (or records a plain fact)
+    discrepancy   the published claim contradicts the computation; both
+                  internal computation paths agree, so this is a finding
+                  about the claim, not an implementation fault
+    fail          two internal computation paths disagree with each other;
+                  the implementation, not the claim, is suspect
+    inconclusive  the claim is graded over grid points and none could be
+                  evaluated (every vertex flagged), so there is no evidence
+                  either way
 
-The process exit code reflects only `fail`: discrepancies are reported,
-never fatal.  The JSON wire format is
+The process exit code is 1 if any claim is `fail` or `inconclusive`, else
+0: discrepancies are reported, never fatal.  The JSON wire format is
 {"claims": [{name, paper_claim, computed, verdict, details}]}.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from . import crosscheck
 from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed,
-                           inverse_metric, second_form_raw)
-from .lorentz import Vec4, lorentz_dot
+                           _metric_gradients, inverse_metric, second_form_raw)
+from .lorentz import Vec4, cross4, lorentz_dot
 from .mesh import grid_mesh, mesh_document, walk_grid
-from .octo import PairCrossCurve, star_point, star_point_dual
+from .octo import _star, _star_dual
 from .scene import SceneConfig, build_hypersurface
 
 __all__ = ["ClaimResult", "CheckReport", "check_scene", "report_document",
@@ -71,7 +74,8 @@ class CheckReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if any(c.verdict == "fail" for c in self.claims) else 0
+        return 1 if any(c.verdict in ("fail", "inconclusive")
+                        for c in self.claims) else 0
 
     def to_dict(self) -> dict:
         return {
@@ -88,6 +92,25 @@ class CheckReport:
 
 def _fmt(value: float) -> str:
     return f"{value:.6e}"
+
+
+def _gap(u: Vec4, v: Vec4) -> float:
+    """Largest component-wise absolute difference of two 4-vectors."""
+    return max(abs(a - b) for a, b in zip(u.components(), v.components()))
+
+
+def _over(points: int, verdict: str) -> str:
+    """`verdict`, or inconclusive for a claim graded over zero points."""
+    return verdict if points else "inconclusive"
+
+
+def _claimed(claimed: Optional[bool], holds: bool,
+             texts: tuple[str, str, str]) -> tuple[str, str]:
+    """(verdict, paper_claim); texts phrase a True, False, absent claim."""
+    if claimed is None:
+        return "pass", texts[2]
+    verdict = "pass" if claimed == holds else "discrepancy"
+    return verdict, texts[0] if claimed else texts[1]
 
 
 _TYPED = (SurfaceKind.TYPE1, SurfaceKind.TYPE2)
@@ -119,7 +142,7 @@ def _claim_flatness(s: _Session) -> ClaimResult:
         "points_degenerate": s.degenerate,
         "structural": "second form rows 2 and 3 vanish, so det h = 0 identically",
     }
-    verdict = "pass" if worst <= FLAT_TOL else "fail"
+    verdict = _over(len(s.graded), "pass" if worst <= FLAT_TOL else "fail")
     return ClaimResult(
         "flatness",
         "every 2-ruled hypersurface has Gauss curvature K = 0",
@@ -143,18 +166,15 @@ def _claim_minimality(s: _Session) -> ClaimResult:
         })
     detail = {"max_abs_H": worst_h, "samples": samples}
     is_minimal = worst_h <= ZERO_TOL
-    if claimed is True:
-        verdict = "pass" if is_minimal else "discrepancy"
-        claim_text = "the surface is minimal (H = 0 everywhere)"
-    elif claimed is False:
-        verdict = "pass" if not is_minimal else "discrepancy"
-        claim_text = "the surface is not minimal"
-    else:
-        verdict = "pass"
-        claim_text = "none (no minimality claim made)"
+    verdict, claim_text = _claimed(
+        claimed, is_minimal,
+        ("the surface is minimal (H = 0 everywhere)",
+         "the surface is not minimal",
+         "none (no minimality claim made)"))
     computed = (f"max |H| = {_fmt(worst_h)} over {len(s.graded)} points; "
                 + ("minimal" if is_minimal else "not minimal"))
-    return ClaimResult("minimality", claim_text, computed, verdict, detail)
+    return ClaimResult("minimality", claim_text, computed,
+                       _over(len(s.graded), verdict), detail)
 
 
 def _claim_lb_zero(s: _Session) -> ClaimResult:
@@ -164,18 +184,15 @@ def _claim_lb_zero(s: _Session) -> ClaimResult:
         worst = max(worst,
                     max(abs(v) for v in pt.report.laplacian.components()))
     is_zero = worst <= ZERO_TOL
-    if claimed is True:
-        verdict = "pass" if is_zero else "discrepancy"
-        claim_text = "the position map is harmonic (Laplacian = 0)"
-    elif claimed is False:
-        verdict = "pass" if not is_zero else "discrepancy"
-        claim_text = "the position map is not harmonic"
-    else:
-        verdict = "pass"
-        claim_text = "none (no harmonicity claim made)"
+    verdict, claim_text = _claimed(
+        claimed, is_zero,
+        ("the position map is harmonic (Laplacian = 0)",
+         "the position map is not harmonic",
+         "none (no harmonicity claim made)"))
     computed = (f"max |Laplacian component| = {_fmt(worst)}; "
                 + ("zero" if is_zero else "nonzero"))
-    return ClaimResult("laplace_beltrami_zero", claim_text, computed, verdict,
+    return ClaimResult("laplace_beltrami_zero", claim_text, computed,
+                       _over(len(s.graded), verdict),
                        {"max_abs_component": worst})
 
 
@@ -186,10 +203,7 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
         expanded = crosscheck.normal_components_expanded(
             fr.phi_x, fr.phi_y, fr.phi_z)
         scale = max(1.0, max(abs(v) for v in rep.normal.n_raw.components()))
-        worst_exp = max(worst_exp,
-                        max(abs(a - b) for a, b in
-                            zip(expanded.components(),
-                                rep.normal.n_raw.components())) / scale)
+        worst_exp = max(worst_exp, _gap(expanded, rep.normal.n_raw) / scale)
         for tangent in (fr.phi_x, fr.phi_y, fr.phi_z):
             worst_orth = max(worst_orth,
                              abs(lorentz_dot(rep.normal.unit, tangent))
@@ -207,7 +221,7 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
         "-det(Gram)",
         f"max deviations: expanded {_fmt(worst_exp)}, orthogonality "
         f"{_fmt(worst_orth)}, Gram linkage {_fmt(worst_lag)}",
-        "fail" if bad else "pass",
+        _over(len(s.graded), "fail" if bad else "pass"),
         {"expanded_vs_direct": worst_exp, "orthogonality": worst_orth,
          "gram_linkage": worst_lag})
 
@@ -229,7 +243,7 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
         "3x3 computations",
         f"max deviations: determinant {_fmt(worst_det)}, "
         f"inverse product {_fmt(worst_inv)}",
-        "fail" if bad else "pass",
+        _over(len(s.graded), "fail" if bad else "pass"),
         {"det_closed_vs_direct": worst_det, "inverse_identity": worst_inv})
 
 
@@ -247,7 +261,7 @@ def _claim_minimality_linkage(s: _Session) -> ClaimResult:
         "the adjugate-weighted residual equals 3 H detg |n| (two "
         "independent mean-curvature paths)",
         f"max relative gap = {_fmt(worst)}",
-        "fail" if worst > LINKAGE_REL_TOL else "pass",
+        _over(len(s.graded), "fail" if worst > LINKAGE_REL_TOL else "pass"),
         {"max_relative_gap": worst})
 
 
@@ -259,15 +273,11 @@ def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
         return None
     worst_half = worst_full = 0.0
     for pt in s.graded:
-        closed = pt.report.laplacian_closed
-        full = _lb_closed(s.surface, pt.frame, 1.0)
-        general = pt.report.laplacian
-        worst_half = max(worst_half,
-                         max(abs(a - b) for a, b in
-                             zip(closed.components(), general.components())))
-        worst_full = max(worst_full,
-                         max(abs(a - b) for a, b in
-                             zip(full.components(), general.components())))
+        rep = pt.report
+        grads = _metric_gradients(rep.metric.kind, pt.frame)
+        full = _lb_closed(rep.metric, grads, pt.frame, 1.0)
+        worst_half = max(worst_half, _gap(rep.laplacian_closed, rep.laplacian))
+        worst_full = max(worst_full, _gap(full, rep.laplacian))
     return worst_half, worst_full
 
 
@@ -348,30 +358,31 @@ def _claim_construction_hypotheses(s: _Session) -> Optional[ClaimResult]:
 def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode not in ("octonion", "dual-octonion"):
         return None
+    if s.cfg.mode == "octonion":
+        star, names = _star, ("u", "v", "w")
+    else:
+        star, names = _star_dual, ("a", "a_star", "b", "b_star")
+    curves = [s.cfg.curves[name] for name in names]
     worst_vec = 0.0
     worst_scalar = 0.0
-    for pt in s.points:
-        if pt.frame is None:
+    graded = 0
+    for x, pts in groupby(s.points, key=lambda pt: pt.params[0]):
+        framed = [pt for pt in pts if pt.frame is not None]
+        if not framed:
             continue
-        if s.cfg.mode == "octonion":
-            sp = star_point(s.cfg.curves["u"], s.cfg.curves["v"],
-                            s.cfg.curves["w"], *pt.params, i_vec=s.cfg.i_vec)
-        else:
-            sp = star_point_dual(s.cfg.curves["a"], s.cfg.curves["a_star"],
-                                 s.cfg.curves["b"], s.cfg.curves["b_star"],
-                                 *pt.params, i_vec=s.cfg.i_vec)
-        direct = pt.frame.position
-        worst_vec = max(worst_vec,
-                        max(abs(a - b) for a, b in
-                            zip(sp.vector.components(), direct.components())))
-        worst_scalar = max(worst_scalar, abs(sp.scalar))
+        positions = [curve.evaluate(x)[0] for curve in curves]
+        for pt in framed:
+            sp = star(*positions, pt.params[1], pt.params[2], s.cfg.i_vec)
+            worst_vec = max(worst_vec, _gap(sp.vector, pt.frame.position))
+            worst_scalar = max(worst_scalar, abs(sp.scalar))
+        graded += len(framed)
     return ClaimResult(
         "construction_equivalence",
         "the star-product path and the direct base-plus-ruling path give "
         "the same points",
         f"max vector gap {_fmt(worst_vec)}; max scalar defect "
         f"{_fmt(worst_scalar)} (zero only under orthogonality)",
-        "fail" if worst_vec > INTERNAL_REL_TOL else "pass",
+        _over(graded, "fail" if worst_vec > INTERNAL_REL_TOL else "pass"),
         {"vector_gap": worst_vec, "scalar_defect": worst_scalar})
 
 
@@ -418,24 +429,19 @@ def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode != "octonion" or "alpha" not in s.cfg.reference:
         return None
     ref = s.cfg.reference["alpha"]
-    candidates = {}
-    matched = []
-    for slot in range(4):
-        for sign, label in ((1.0, f"+e{slot + 1}"), (-1.0, f"-e{slot + 1}")):
-            cand = PairCrossCurve(
-                ((s.cfg.curves["u"], s.cfg.curves["v"]),
-                 (s.cfg.curves["u"], s.cfg.curves["w"])),
-                Vec4.basis(slot) * sign)
-            worst = 0.0
-            for t in s.xs:
-                got, _, _ = cand.evaluate(t)
-                want, _, _ = ref.evaluate(t)
-                worst = max(worst, max(abs(a - b) for a, b in
-                                       zip(got.components(),
-                                           want.components())))
-            candidates[label] = worst
-            if worst <= REFERENCE_TOL:
-                matched.append(label)
+    u, v, w = (s.cfg.curves[name] for name in ("u", "v", "w"))
+    axes = {f"{label}e{slot + 1}": Vec4.basis(slot) * sign
+            for slot in range(4)
+            for sign, label in ((1.0, "+"), (-1.0, "-"))}
+    candidates = dict.fromkeys(axes, 0.0)
+    for t in s.xs:
+        pu, pv, pw = (curve.evaluate(t)[0] for curve in (u, v, w))
+        want, _, _ = ref.evaluate(t)
+        for label, axis in axes.items():
+            got = cross4(pu, pv, axis) + cross4(pu, pw, axis)
+            candidates[label] = max(candidates[label], _gap(got, want))
+    matched = [label for label, worst in candidates.items()
+               if worst <= REFERENCE_TOL]
     return ClaimResult(
         "alpha_probe",
         "the published base curve arises from the ternary-product "

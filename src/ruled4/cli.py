@@ -6,8 +6,9 @@
     ruled4 octtable --out table.csv [--seed 1,2,4]
 
 Overrides (--strict/--no-strict, --dual-norm, --i-vector) replace the
-scene file's options for one invocation.  `check` and `report` exit 0
-unless an internal-consistency claim fails; claim discrepancies against
+scene file's options for one invocation.  `check` and `report` exit 1
+when an internal-consistency claim fails or a claim is inconclusive (graded
+over zero evaluable points), else 0; claim discrepancies against
 published statements are findings, not failures.  `report` grades its
 claims and writes its vertex table from one serial walk of the grid; a
 failing vertex is flagged (DegenerateNormal, SingularMetric, DomainError,

@@ -2,9 +2,11 @@
 
 Everything here recomputes a quantity the core modules already produce, by
 a deliberately different route: expanded per-component cofactor formulas
-for the ruling normal, Gram-matrix identities for the ternary product, and
-an intentionally wrong variant of the orthogonal Laplacian closed form
-kept around as a probe.  check.py turns disagreements into report claims.
+for the ruling normal, and Gram-matrix identities for the ternary product.
+lb_closed_full_p is an intentionally wrong variant of the orthogonal
+Laplacian closed form, kept as a probe: lb_closed_orthogonal's kernel with
+full weight on the P_k terms.  check.py turns disagreements into report
+claims, running these probes on each sampled frame and metric.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypersurface import RuledHypersurface, _lb_closed, frame
+from .hypersurface import RuledHypersurface, _lb_closed_at, frame
 from .lorentz import Vec4, cross4, lorentz_dot
 
 __all__ = [
@@ -105,4 +107,4 @@ def lb_closed_full_p(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4
     deviates from the general divergence path whenever the metric varies;
     check.py reports the deviation as evidence for the one-half weight.
     """
-    return _lb_closed(h, frame(h, x, y, z), 1.0)
+    return _lb_closed_at(h, x, y, z, 1.0)

@@ -26,7 +26,6 @@ __all__ = [
     "Jet2",
     "DualVec4",
     "DualVectorAlgebra",
-    "dual_arith",
     "dual_vector_algebra",
     "UNIT_SPHERE_TOL",
 ]
@@ -263,11 +262,6 @@ DUAL_FUNCTIONS: dict[str, Callable[[Dual], Dual]] = {
     "sinh": _dual_sinh,
     "cosh": _dual_cosh,
 }
-
-
-def dual_arith(a: Dual, b: Dual) -> tuple[Dual, Dual]:
-    """Sum and product of two dual numbers, as one bundle."""
-    return a + b, a * b
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from .lorentz import MEMBERSHIP_TOL, ModelSpace, Vec4, lorentz_dot
 __all__ = [
     "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call",
     "ExprAst", "parse_expr", "to_text",
-    "evaluate_float", "evaluate_dual", "evaluate_jet", "jet_chain",
-    "CurveSpec", "curve_eval", "DirectorReport", "validate_director",
+    "evaluate_float", "evaluate_dual", "evaluate_jet",
+    "CurveSpec", "DirectorReport", "validate_director",
 ]
 
 _FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "sqrt")
@@ -451,13 +451,6 @@ def evaluate_float(node: ExprAst, t: float) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def jet_chain(expr: "ExprAst | str", t: float) -> Jet2:
-    """(value, first, second derivative) of an expression at t."""
-    if isinstance(expr, str):
-        expr = parse_expr(expr)
-    return evaluate_jet(expr, t)
-
-
 # ---------------------------------------------------------------------------
 # Curves
 
@@ -483,11 +476,6 @@ class CurveSpec:
 
     def to_texts(self) -> tuple[str, str, str, str]:
         return tuple(to_text(c) for c in self.comps)
-
-
-def curve_eval(curve: CurveSpec, t: float) -> tuple[Vec4, Vec4, Vec4]:
-    """Position and first two derivatives of a curve at t."""
-    return curve.evaluate(t)
 
 
 @dataclass(frozen=True)

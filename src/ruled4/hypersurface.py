@@ -101,21 +101,20 @@ def make_ruled(alpha: Curve, beta: Curve, gamma: Curve, kind: SurfaceKind,
                strict: bool = False,
                x_interval: tuple[float, float] = (-1.0, 1.0),
                y_interval: tuple[float, float] = (-1.0, 1.0),
-               z_interval: tuple[float, float] = (-1.0, 1.0),
-               validation_samples: int = 33) -> RuledHypersurface:
+               z_interval: tuple[float, float] = (-1.0, 1.0)) -> RuledHypersurface:
     """Assemble a ruled hypersurface, checking director constraints.
 
-    For the constrained kinds, both directors are sampled on the x interval
-    and tested for membership in their model space (tolerance 1e-9 on the
-    quadratic form, exact sign conditions).  Violations raise
-    DirectorConstraintViolated in strict mode and are recorded as warnings
-    otherwise.  UNCONSTRAINED surfaces skip the check.
+    For the constrained kinds, both directors are sampled at 33 points of
+    the x interval and tested for membership in their model space
+    (tolerance 1e-9 on the quadratic form, exact sign conditions).
+    Violations raise DirectorConstraintViolated in strict mode and are
+    recorded as warnings otherwise.  UNCONSTRAINED surfaces skip the check.
     """
     warnings: list[str] = []
     reports: list[DirectorReport] = []
     space = _DIRECTOR_SPACE.get(kind)
     if space is not None:
-        grid = _director_grid(x_interval, validation_samples)
+        grid = _director_grid(x_interval)
         for name, director in (("beta", beta), ("gamma", gamma)):
             if not isinstance(director, CurveSpec):
                 warnings.append(f"director {name} is not expression-backed; "
@@ -222,7 +221,8 @@ class MetricData:
     a = <phi_x, phi_x>, b = <phi_y, phi_x>, c = <phi_z, phi_x>,
     e = <phi_y, phi_z>.  For constrained kinds the ruling diagonal (m22,
     m33) is the constraint value; otherwise the actual director norms.
-    detg is the cofactor-expansion determinant; detg_closed is the
+    adj holds the adjugate entries (a11, a12, a13, a22, a23, a33); detg is
+    its cofactor expansion along the first row; detg_closed is the
     polynomial closed form available for the constrained kinds.
     """
 
@@ -235,6 +235,7 @@ class MetricData:
     m33: float
     detg: float
     detg_closed: Optional[float]
+    adj: tuple[float, float, float, float, float, float]
 
     @property
     def g(self) -> np.ndarray:
@@ -264,25 +265,25 @@ def first_form(h: RuledHypersurface, x: float, y: float, z: float,
             closed = -b * b + 2.0 * c * b * e - c * c - a * e * e + a
         else:
             closed = b * b + 2.0 * c * b * e + c * c - a * e * e + a
-    detg = a * (m22 * m33 - e * e) + b * (c * e - b * m33) \
-        + c * (b * e - c * m22)
-    return MetricData(h.kind, a, b, c, e, m22, m33, detg, closed)
+    adj = _adjugate(a, b, c, e, m22, m33)
+    detg = a * adj[0] + b * adj[1] + c * adj[2]
+    return MetricData(h.kind, a, b, c, e, m22, m33, detg, closed, adj)
 
 
-def _adjugate(md: MetricData) -> np.ndarray:
-    a, b, c, e = md.a, md.b, md.c, md.e
-    m22, m33 = md.m22, md.m33
-    a11 = m22 * m33 - e * e
-    a12 = c * e - b * m33
-    a13 = b * e - c * m22
-    a22 = a * m33 - c * c
-    a23 = b * c - a * e
-    a33 = a * m22 - b * b
-    return np.array([
-        [a11, a12, a13],
-        [a12, a22, a23],
-        [a13, a23, a33],
-    ])
+def _adjugate(a: float, b: float, c: float, e: float, m22: float,
+              m33: float) -> tuple[float, float, float, float, float, float]:
+    """(a11, a12, a13, a22, a23, a33) of the symmetric metric's adjugate."""
+    return (m22 * m33 - e * e, c * e - b * m33, b * e - c * m22,
+            a * m33 - c * c, b * c - a * e, a * m22 - b * b)
+
+
+def _regular(md: MetricData) -> MetricData:
+    """md itself, if its determinant is finite and away from zero."""
+    if not math.isfinite(md.detg):
+        raise NonFiniteValue(f"metric determinant {md.detg!r}")
+    if abs(md.detg) <= SINGULAR_METRIC_TOL:
+        raise SingularMetric(f"metric determinant {md.detg!r}")
+    return md
 
 
 def inverse_metric(md: MetricData) -> np.ndarray:
@@ -293,13 +294,15 @@ def inverse_metric(md: MetricData) -> np.ndarray:
     and for TYPE2
         [[1-e^2, ce+b, be+c], [ce+b, -a-c^2, bc-ae], [be+c, bc-ae, -a-b^2]];
     the unconstrained case uses the general symmetric adjugate.
-    An overflowed determinant raises NonFiniteValue.
+    An overflowed determinant raises NonFiniteValue, a vanishing one
+    SingularMetric.
     """
-    if not math.isfinite(md.detg):
-        raise NonFiniteValue(f"metric determinant {md.detg!r}")
-    if abs(md.detg) <= SINGULAR_METRIC_TOL:
-        raise SingularMetric(f"metric determinant {md.detg!r}")
-    return _adjugate(md) / md.detg
+    a11, a12, a13, a22, a23, a33 = _regular(md).adj
+    return np.array([
+        [a11, a12, a13],
+        [a12, a22, a23],
+        [a13, a23, a33],
+    ]) / md.detg
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +334,9 @@ def second_form(h: RuledHypersurface, x: float, y: float, z: float,
 
 
 def _minimality(md: MetricData, fr: Frame, n_raw: Vec4) -> tuple[float, Optional[float]]:
-    adj = _adjugate(md)
+    a11, a12, a13 = md.adj[:3]
     rn11, rn12, rn13 = second_form_raw(fr, n_raw)
-    residual = adj[0, 0] * rn11 + 2.0 * adj[0, 1] * rn12 + 2.0 * adj[0, 2] * rn13
+    residual = a11 * rn11 + 2.0 * a12 * rn12 + 2.0 * a13 * rn13
     corollary = None
     if abs(md.e) <= ORTHOGONAL_TOL and md.kind in _RULING_DIAGONAL:
         tau = -_RULING_DIAGONAL[md.kind]
@@ -350,21 +353,15 @@ def minimality_residual(h: RuledHypersurface, x: float, y: float, z: float) -> f
     """
     fr = frame(h, x, y, z)
     n = cross4(fr.phi_x, fr.phi_y, fr.phi_z)
-    md = first_form(h, x, y, z, fr)
-    residual, _ = _minimality(md, fr, n)
-    return residual
+    return _minimality(first_form(h, x, y, z, fr), fr, n)[0]
 
 
 # ---------------------------------------------------------------------------
 # Laplace-Beltrami
 
-def _metric_scalars(h: RuledHypersurface, fr: Frame):
-    """Metric coefficients and their exact (x, y, z) gradients at a point."""
+def _metric_gradients(kind: SurfaceKind, fr: Frame):
+    """Exact (x, y, z) gradients of a, b, c, e, m22 and m33 at a frame."""
     d = lorentz_dot
-    a = d(fr.phi_x, fr.phi_x)
-    b = d(fr.phi_y, fr.phi_x)
-    c = d(fr.phi_z, fr.phi_x)
-    e = d(fr.phi_y, fr.phi_z)
     da = (2.0 * d(fr.phi_x, fr.phi_xx), 2.0 * d(fr.phi_x, fr.phi_xy),
           2.0 * d(fr.phi_x, fr.phi_xz))
     db = (d(fr.phi_xy, fr.phi_x) + d(fr.phi_y, fr.phi_xx),
@@ -372,47 +369,42 @@ def _metric_scalars(h: RuledHypersurface, fr: Frame):
     dc = (d(fr.phi_xz, fr.phi_x) + d(fr.phi_z, fr.phi_xx),
           d(fr.phi_z, fr.phi_xy), d(fr.phi_z, fr.phi_xz))
     de = (d(fr.phi_xy, fr.phi_z) + d(fr.phi_y, fr.phi_xz), 0.0, 0.0)
-    sigma = _RULING_DIAGONAL.get(h.kind)
-    if sigma is None:
-        m22 = d(fr.phi_y, fr.phi_y)
-        m33 = d(fr.phi_z, fr.phi_z)
+    if kind in _RULING_DIAGONAL:
+        dm22 = dm33 = (0.0, 0.0, 0.0)
+    else:
         dm22 = (2.0 * d(fr.phi_y, fr.phi_xy), 0.0, 0.0)
         dm33 = (2.0 * d(fr.phi_z, fr.phi_xz), 0.0, 0.0)
-    else:
-        m22 = m33 = sigma
-        dm22 = dm33 = (0.0, 0.0, 0.0)
-    return (a, b, c, e, m22, m33), (da, db, dc, de, dm22, dm33)
+    return da, db, dc, de, dm22, dm33
 
 
 def laplace_beltrami(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:
     """Divergence-form Laplacian of the position map, component-wise.
 
+    Raises SingularMetric (or NonFiniteValue) where the metric has no
+    inverse; see _laplace_beltrami for the formula.
+    """
+    fr = frame(h, x, y, z)
+    md = _regular(first_form(h, x, y, z, fr))
+    return _laplace_beltrami(md, _metric_gradients(h.kind, fr), fr)
+
+
+def _laplace_beltrami(md: MetricData, grads, fr: Frame) -> Vec4:
+    """The Laplacian from a regular metric, its gradients and the frame.
+
     Evaluates (1/w) * sum_i d_i ( w * ginv_ij * T_j ) with w the square
     root of |detg| and T the tangent triple (phi_x, phi_y, phi_z).  Since
     ginv = adj/detg and detg = sign * w^2, the flux is sign * adj_ij T_j / w;
-    the sign rides along as a constant because detg cannot cross zero on a
-    report (SingularMetric guards it).  All inner derivatives are exact
-    (jet-derived), so the only approximation is floating-point rounding.
+    the sign rides along as a constant because detg cannot cross zero once
+    the caller has checked md (inverse_metric or _regular).  adj and detg
+    are md's; their derivatives come from the exact (jet-derived) metric
+    gradients, so the only approximation is floating-point rounding.
     """
-    return _laplace_beltrami(h, frame(h, x, y, z))
-
-
-def _laplace_beltrami(h: RuledHypersurface, fr: Frame) -> Vec4:
-    (a, b, c, e, m22, m33), (da, db, dc, de, dm22, dm33) = _metric_scalars(h, fr)
-
-    a11 = m22 * m33 - e * e
-    a12 = c * e - b * m33
-    a13 = b * e - c * m22
-    a22 = a * m33 - c * c
-    a23 = b * c - a * e
-    a33 = a * m22 - b * b
+    a, b, c, e, m22, m33 = md.a, md.b, md.c, md.e, md.m22, md.m33
+    da, db, dc, de, dm22, dm33 = grads
+    a11, a12, a13, a22, a23, a33 = md.adj
     adj = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
-
-    detg = a * a11 + b * a12 + c * a13
-    if abs(detg) <= SINGULAR_METRIC_TOL:
-        raise SingularMetric(f"metric determinant {detg!r}")
-    sign = 1.0 if detg > 0.0 else -1.0
-    w = math.sqrt(sign * detg)
+    sign = 1.0 if md.detg > 0.0 else -1.0
+    w = math.sqrt(sign * md.detg)
 
     d_adj = []
     d_detg = []
@@ -460,15 +452,24 @@ def lb_closed_orthogonal(h: RuledHypersurface, x: float, y: float, z: float) -> 
     forced by the quotient rule; a variant with full weight disagrees with
     the general divergence path (see crosscheck.lb_closed_full_p).
     """
-    return _lb_closed(h, frame(h, x, y, z), 0.5)
+    return _lb_closed_at(h, x, y, z, 0.5)
 
 
-def _lb_closed(h: RuledHypersurface, fr: Frame, p_weight: float) -> Vec4:
+def _lb_closed_at(h: RuledHypersurface, x: float, y: float, z: float,
+                  p_weight: float) -> Vec4:
+    """The closed form at one point, computed from scratch."""
+    fr = frame(h, x, y, z)
+    md = first_form(h, x, y, z, fr)
+    return _lb_closed(md, _metric_gradients(h.kind, fr), fr, p_weight)
+
+
+def _lb_closed(md: MetricData, grads, fr: Frame, p_weight: float) -> Vec4:
     """The orthogonal closed form with weight `p_weight` on the P_k terms."""
-    if h.kind not in _RULING_DIAGONAL:
+    if md.kind not in _RULING_DIAGONAL:
         raise ValueError("closed form requires a constrained kind")
-    (a, b, c, _e, _m, _n), (da, db, dc, _de, _dm, _dn) = _metric_scalars(h, fr)
-    sigma = _RULING_DIAGONAL[h.kind]
+    a, b, c = md.a, md.b, md.c
+    da, db, dc = grads[:3]
+    sigma = _RULING_DIAGONAL[md.kind]
     tau = -sigma
 
     q_val = a - sigma * (b * b + c * c)
@@ -538,10 +539,11 @@ def _report_at(h: RuledHypersurface, x: float, y: float, z: float,
     gauss = det_h / md.detg
     mean = float(np.trace(shape)) / 3.0
     residual, corollary = _minimality(md, fr, gm.n_raw)
-    lb = _laplace_beltrami(h, fr)
+    grads = _metric_gradients(h.kind, fr)
+    lb = _laplace_beltrami(md, grads, fr)
     lb_closed = None
     if h.kind in _RULING_DIAGONAL and abs(md.e) <= ORTHOGONAL_TOL:
-        lb_closed = _lb_closed(h, fr, 0.5)
+        lb_closed = _lb_closed(md, grads, fr, 0.5)
     return CurvatureReport(
         point=(float(x), float(y), float(z)),
         position=fr.position,

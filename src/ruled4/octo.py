@@ -70,25 +70,28 @@ def _require_unit_i(i_vec: Vec4) -> None:
         raise NonUnitI(f"reference vector {i_vec} is not unit")
 
 
-def _advisory_checks(named_curves: list[tuple[str, Curve]],
-                     ortho_pairs: list[tuple[str, Curve, str, Curve]],
-                     grid: list[float],
+def _positions(curves: dict[str, Curve],
+               grid: list[float]) -> dict[str, list[Vec4]]:
+    """Each curve's position at every grid point, one evaluation apiece."""
+    return {name: [curve.evaluate(t)[0] for t in grid]
+            for name, curve in curves.items()}
+
+
+def _advisory_checks(pos: dict[str, list[Vec4]], units: list[str],
+                     ortho_pairs: list[tuple[str, str]],
                      dual_norm: str) -> list[str]:
     dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     warnings: list[str] = []
-    for name, curve in named_curves:
+    for name in units:
         worst = 0.0
-        for t in grid:
-            pos, _, _ = curve.evaluate(t)
-            worst = max(worst, abs(abs(dot(pos, pos)) - 1.0))
+        for p in pos[name]:
+            worst = max(worst, abs(abs(dot(p, p)) - 1.0))
         if worst > ADVISORY_TOL:
             warnings.append(f"curve {name} is not unit under the {dual_norm} "
                             f"product: max deviation {worst:.6g}")
-    for name_a, ca, name_b, cb in ortho_pairs:
+    for name_a, name_b in ortho_pairs:
         worst = 0.0
-        for t in grid:
-            pa, _, _ = ca.evaluate(t)
-            pb, _, _ = cb.evaluate(t)
+        for pa, pb in zip(pos[name_a], pos[name_b]):
             worst = max(worst, abs(dot(pa, pb)))
         if worst > ADVISORY_TOL:
             warnings.append(f"curves {name_a} and {name_b} are not orthogonal "
@@ -97,12 +100,10 @@ def _advisory_checks(named_curves: list[tuple[str, Curve]],
     return warnings
 
 
-def _degenerate_ruling(v: Curve, w: Curve, grid: list[float]) -> Optional[str]:
+def _degenerate_ruling(pos_v: list[Vec4], pos_w: list[Vec4]) -> Optional[str]:
     worst_minus = 0.0
     worst_plus = 0.0
-    for t in grid:
-        pv, _, _ = v.evaluate(t)
-        pw, _, _ = w.evaluate(t)
+    for pv, pw in zip(pos_v, pos_w):
         worst_minus = max(worst_minus,
                           max(abs(c) for c in (pv - pw).components()))
         worst_plus = max(worst_plus,
@@ -125,17 +126,15 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                              ) -> RuledHypersurface:
     """Surface alpha(t) + y*w(t) + z*v(t) with alpha = u x v + u x w."""
     _require_unit_i(i_vec)
-    grid = _director_grid(x_interval)
+    pos = _positions({"u": u, "v": v, "w": w}, _director_grid(x_interval))
     alpha = PairCrossCurve(((u, v), (u, w)), i_vec)
     base = make_ruled(alpha, w, v, SurfaceKind.UNCONSTRAINED,
                       x_interval=x_interval, y_interval=y_interval,
                       z_interval=z_interval)
     warnings = list(base.warnings)
-    warnings += _advisory_checks(
-        [("u", u), ("v", v), ("w", w)],
-        [("u", u, "v", v), ("u", u, "w", w)],
-        grid, dual_norm)
-    degenerate = _degenerate_ruling(v, w, grid)
+    warnings += _advisory_checks(pos, ["u", "v", "w"],
+                                 [("u", "v"), ("u", "w")], dual_norm)
+    degenerate = _degenerate_ruling(pos["v"], pos["w"])
     if degenerate:
         warnings.append(degenerate)
     return replace(base, warnings=tuple(warnings))
@@ -158,25 +157,23 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     product 0.
     """
     _require_unit_i(i_vec)
-    grid = _director_grid(x_interval)
+    pos = _positions({"a": a, "a_star": a_star, "b": b, "b_star": b_star},
+                     _director_grid(x_interval))
     alpha = PairCrossCurve(((a, a_star), (b, b_star)), i_vec)
     base = make_ruled(alpha, a, b, SurfaceKind.UNCONSTRAINED,
                       x_interval=x_interval, y_interval=y_interval,
                       z_interval=z_interval)
     dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     warnings = list(base.warnings)
-    warnings += _advisory_checks(
-        [("a", a), ("b", b)], [], grid, dual_norm)
-    for name, re_curve, eps_curve in (("a", a, a_star), ("b", b, b_star)):
+    warnings += _advisory_checks(pos, ["a", "b"], [], dual_norm)
+    for name in ("a", "b"):
         worst = 0.0
-        for t in grid:
-            pr, _, _ = re_curve.evaluate(t)
-            pe, _, _ = eps_curve.evaluate(t)
+        for pr, pe in zip(pos[name], pos[f"{name}_star"]):
             worst = max(worst, abs(2.0 * dot(pr, pe)))
         if worst > ADVISORY_TOL:
             warnings.append(f"dual curve {name} leaves the dual unit sphere: "
                             f"max dual-part norm deviation {worst:.6g}")
-    degenerate = _degenerate_ruling(a, b, grid)
+    degenerate = _degenerate_ruling(pos["a"], pos["b"])
     if degenerate:
         warnings.append(degenerate)
     return replace(base, warnings=tuple(warnings))
@@ -192,9 +189,13 @@ def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,
     -(<u, w> + <u, v>), zero precisely when u is Lorentz-orthogonal to
     both ruling directions.
     """
-    pu, _, _ = u.evaluate(t)
-    pv, _, _ = v.evaluate(t)
-    pw, _, _ = w.evaluate(t)
+    return _star(u.evaluate(t)[0], v.evaluate(t)[0], w.evaluate(t)[0],
+                 y, z, i_vec)
+
+
+def _star(pu: Vec4, pv: Vec4, pw: Vec4, y: float, z: float,
+          i_vec: Vec4) -> ParticularOctonion:
+    """star_point from the positions of u, v and w at one t."""
     left = particular_product(ParticularOctonion(float(y), pu),
                               ParticularOctonion.pure(pw), i_vec=i_vec)
     right = particular_product(ParticularOctonion(float(z), pu),
@@ -211,10 +212,13 @@ def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
     equals eval_point on the dual construction identically; the scalar
     part -(<a, a*> + <b, b*>) vanishes exactly on the dual unit sphere.
     """
-    pa, _, _ = a.evaluate(t)
-    pas, _, _ = a_star.evaluate(t)
-    pb, _, _ = b.evaluate(t)
-    pbs, _, _ = b_star.evaluate(t)
+    return _star_dual(a.evaluate(t)[0], a_star.evaluate(t)[0],
+                      b.evaluate(t)[0], b_star.evaluate(t)[0], y, z, i_vec)
+
+
+def _star_dual(pa: Vec4, pas: Vec4, pb: Vec4, pbs: Vec4, y: float, z: float,
+               i_vec: Vec4) -> ParticularOctonion:
+    """star_point_dual from the positions of a, a*, b and b* at one t."""
     left = particular_product(ParticularOctonion.pure(pa),
                               ParticularOctonion(float(y), pas), i_vec=i_vec)
     right = particular_product(ParticularOctonion.pure(pb),

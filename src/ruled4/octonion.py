@@ -250,18 +250,17 @@ class ParticularOctonion:
 
 
 def particular_product(q: ParticularOctonion, p: ParticularOctonion,
-                       i_vec: Vec4 = DEFAULT_I,
-                       tol: float = UNIT_I_TOL) -> ParticularOctonion:
+                       i_vec: Vec4 = DEFAULT_I) -> ParticularOctonion:
     """Ternary star product of particular octonions around the axis i_vec.
 
     scalar part: S(q)S(p) - <V(q), V(p)>;
     vector part: S(q)V(p) + S(p)V(q) + cross4(V(q), V(p), i_vec).
 
     Both the scalar product and the ternary cross are Lorentzian.  The axis
-    must be unit in the sense |<i,i>| == 1 within `tol`, else NonUnitI.
+    must be unit in the sense |<i,i>| == 1 within UNIT_I_TOL, else NonUnitI.
     """
     q_ii = lorentz_dot(i_vec, i_vec)
-    if abs(abs(q_ii) - 1.0) > tol:
+    if abs(abs(q_ii) - 1.0) > UNIT_I_TOL:
         raise NonUnitI(f"axis vector has |<i,i>| = {abs(q_ii)!r}, expected 1")
     scalar = q.scalar * p.scalar - lorentz_dot(q.vector, p.vector)
     vector = q.scalar * p.vector + p.scalar * q.vector \

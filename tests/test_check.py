@@ -1,6 +1,7 @@
 """Claim grading: pass / discrepancy / fail verdicts on the shipped scenes."""
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -11,9 +12,10 @@ from ruled4.check import (
     check_scene,
     report_document,
 )
+from ruled4.cli import main
 from ruled4.errors import DirectorConstraintViolated
 from ruled4.mesh import mesh_document, sample_grid
-from ruled4.scene import build_hypersurface, load_scene
+from ruled4.scene import build_hypersurface, load_scene, scene_from_dict
 from support import counting_scene
 
 SHIPPED = ["example1.json", "exampleE1.json", "exampleEx3.json",
@@ -134,6 +136,37 @@ def test_exit_code_reflects_only_fail():
     bad = ClaimResult("c", "claim", "computed", "fail")
     assert CheckReport("s", "type1", (ok, disc), ()).exit_code == 0
     assert CheckReport("s", "type1", (ok, disc, bad), ()).exit_code == 1
+    vague = ClaimResult("d", "claim", "computed", "inconclusive")
+    assert CheckReport("s", "type1", (ok, disc, vague), ()).exit_code == 1
+
+
+GRID_CLAIMS = ["flatness", "minimality", "laplace_beltrami_zero",
+               "gauss_map_consistency", "metric_consistency",
+               "minimality_linkage"]
+
+
+def test_claims_over_zero_points_are_inconclusive(tmp_path):
+    # example1 with alpha scaled by 1e-7 is still a regular flat plane, but
+    # det g ~ 1e-14 falls under the absolute SingularMetric tolerance, so
+    # every vertex is flagged and the grid claims have nothing to grade.
+    raw = json.loads((resources.files("ruled4.scenes")
+                      / "example1.json").read_text())
+    raw["curves"]["alpha"] = [f"({c})*1e-7" for c in raw["curves"]["alpha"]]
+    cfg = scene_from_dict(raw)
+    mesh = sample_grid(build_hypersurface(cfg), cfg)
+    assert {v.flags for v in mesh.vertices} == {("SingularMetric",)}
+
+    report = check_scene(cfg)
+    claims = by_name(report)
+    for name in GRID_CLAIMS:
+        assert claims[name].verdict == "inconclusive", name
+    assert "over 0 points" in claims["flatness"].computed
+    assert claims["director_membership"].verdict == "pass"
+    assert report.exit_code == 1
+
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path), "--out", str(tmp_path / "c.json")]) == 1
 
 
 def test_report_wire_format(example1_report):
@@ -159,6 +192,19 @@ def test_report_document_includes_mesh():
         assert doc["mesh"] == mesh_document(
             sample_grid(build_hypersurface(cfg), cfg)), name
         assert doc["claims"] == check_scene(cfg).to_dict()["claims"], name
+
+
+@pytest.mark.parametrize("name", ["exampleEx3.json", "dualsphere.json"])
+def test_check_evaluations_do_not_grow_with_the_ruling_grid(name):
+    # every claim evaluates the curves per x sample, never per vertex
+    cfg = shipped(name)
+    nx, ny, nz = cfg.resolution
+    counts = []
+    for resolution in ((nx, ny, nz), (nx, ny + 2, nz + 2)):
+        counted, counter = counting_scene(replace(cfg, resolution=resolution))
+        check_scene(counted)
+        counts.append(counter[0])
+    assert counts[0] == counts[1]
 
 
 def test_report_document_evaluates_curves_as_often_as_check():

@@ -13,7 +13,6 @@ from ruled4.dual import (
     Dual,
     DualVec4,
     Jet2,
-    dual_arith,
     dual_pow,
     dual_vector_algebra,
     jet_pow,
@@ -42,8 +41,7 @@ def test_dual_commutativity_exact(a, b):
 
 @given(duals, duals)
 def test_dual_product_rule(a, b):
-    s, p = dual_arith(a, b)
-    assert s == a + b
+    p = a * b
     assert p.re == a.re * b.re
     assert p.eps == a.eps * b.re + a.re * b.eps
 

@@ -16,11 +16,9 @@ from ruled4.expr import (
     Neg,
     Pow,
     Var,
-    curve_eval,
     evaluate_dual,
     evaluate_float,
     evaluate_jet,
-    jet_chain,
     parse_expr,
     to_text,
     validate_director,
@@ -194,9 +192,19 @@ def test_domain_errors_surface():
         evaluate_jet(parse_expr("t^(1/2)"), -4.0)
 
 
-def test_jet_chain_accepts_text():
-    j = jet_chain("t^3", 2.0)
+def test_jet_of_parsed_text():
+    j = evaluate_jet(parse_expr("t^3"), 2.0)
     assert (j.f, j.d1, j.d2) == (8.0, 12.0, 12.0)
+
+
+def test_float_evaluator_defined_where_jet_is_not():
+    # evaluate_float is not the f slot of evaluate_jet: at t = 0 the value
+    # of sqrt(t) and t^(3/2) exists while a derivative is singular.
+    for text in ("sqrt(t)", "t^(3/2)"):
+        node = parse_expr(text)
+        assert evaluate_float(node, 0.0) == 0.0
+        with pytest.raises(DomainError):
+            evaluate_jet(node, 0.0)
 
 
 def test_curve_spec_basics():
@@ -208,7 +216,6 @@ def test_curve_spec_basics():
         (1.0, math.cos(0.5), 0.0, 1.0), abs=1e-15)
     assert a.components() == pytest.approx(
         (2.0, -math.sin(0.5), 0.0, 0.0), abs=1e-15)
-    assert curve_eval(curve, 0.5) == curve.evaluate(0.5)
     texts = curve.to_texts()
     assert CurveSpec.from_strings(texts).comps == curve.comps
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ membership constraints (K = 0 structurally, H nonzero, Laplacian nonzero).
 
 import math
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from ruled4.hypersurface import (
     second_form_raw,
 )
 from ruled4.lorentz import CausalCharacter, Vec4, cross4, lorentz_dot
+from ruled4.mesh import walk_grid
+from ruled4.scene import build_hypersurface, load_scene
 
 from support import lb_fd, max_comp_diff, rand_strict_surface
 
@@ -372,6 +375,27 @@ def test_minimality_residual_function_matches_report():
     h = quartic_fixture()
     rep = curvature_report(h, 1.0, 0.4, -0.2)
     assert minimality_residual(h, 1.0, 0.4, -0.2) == rep.minimality
+
+
+def test_scalar_api_equals_report_on_shipped_scenes():
+    # the (h, x, y, z) functions and the report share one metric pass, so
+    # they agree bit for bit on every graded vertex
+    closed = 0
+    for name in ("example1", "exampleE1", "exampleEx3", "dualsphere"):
+        cfg = load_scene(str(resources.files("ruled4.scenes")
+                             / f"{name}.json"))
+        h = build_hypersurface(cfg)
+        graded = [pt.params for pt in walk_grid(h, cfg) if pt.report]
+        assert graded, name
+        for x, y, z in graded:
+            rep = curvature_report(h, x, y, z)
+            assert first_form(h, x, y, z) == rep.metric
+            assert laplace_beltrami(h, x, y, z) == rep.laplacian
+            assert minimality_residual(h, x, y, z) == rep.minimality
+            if rep.laplacian_closed is not None:
+                assert lb_closed_orthogonal(h, x, y, z) == rep.laplacian_closed
+                closed += 1
+    assert closed > 0
 
 
 # ---------------------------------------------------------------------------

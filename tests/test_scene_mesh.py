@@ -29,6 +29,15 @@ def shipped_path(name):
     return str(resources.files("ruled4.scenes") / name)
 
 
+def test_build_evaluates_each_curve_once_per_director_sample():
+    # the advisories sample 33 x values: 3 curves (u, v, w) for octonion
+    # scenes, 4 (a, a*, b, b*) for dual-octonion ones
+    for name, want in (("exampleEx3.json", 3 * 33), ("dualsphere.json", 4 * 33)):
+        counted, counter = counting_scene(load_scene(shipped_path(name)))
+        build_hypersurface(counted)
+        assert counter[0] == want, name
+
+
 def minimal_raw(**overrides):
     raw = {
         "name": "tiny-plane",
