@@ -67,7 +67,7 @@ def main():
     rep = curvature_report(surf, 0.2, -0.4, 0.7)
     print("\nThe ruling block of the second fundamental form is exactly zero")
     print("(position is affine in the ruling parameters):")
-    print(f"  h = {rep.second.tolist()}")
+    print(f"  h = {rep.second}")
 
     print("done.")
 

@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Optional
 
-import numpy as np
-
 from . import crosscheck
-from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed,
+from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed, _matmul,
                            _metric_gradients, inverse_metric, second_form_raw)
 from .lorentz import Vec4, cross4, lorentz_dot
 from .mesh import grid_mesh, mesh_document, walk_grid
@@ -209,7 +207,7 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
                              abs(lorentz_dot(rep.normal.unit, tangent))
                              / max(1.0, abs(lorentz_dot(tangent, tangent))))
         gram = crosscheck.lorentz_gram((fr.phi_x, fr.phi_y, fr.phi_z))
-        det_gram = float(np.linalg.det(gram))
+        det_gram = crosscheck._det(gram)
         nn = lorentz_dot(rep.normal.n_raw, rep.normal.n_raw)
         worst_lag = max(worst_lag, abs(nn + det_gram) / max(1.0, abs(nn)))
     bad = (worst_exp > EXPANDED_NORMAL_TOL or worst_orth > INTERNAL_REL_TOL
@@ -233,9 +231,11 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
         if md.detg_closed is not None:
             worst_det = max(worst_det, abs(md.detg - md.detg_closed)
                             / max(1.0, abs(md.detg)))
-        ginv = inverse_metric(md)
-        ident = ginv @ md.g
-        worst_inv = max(worst_inv, float(np.abs(ident - np.eye(3)).max()))
+        ident = _matmul(inverse_metric(md), md.g)
+        for i in range(3):
+            for j in range(3):
+                unit = 1.0 if i == j else 0.0
+                worst_inv = max(worst_inv, abs(ident[i][j] - unit))
     bad = worst_det > INTERNAL_REL_TOL or worst_inv > INTERNAL_REL_TOL
     return ClaimResult(
         "metric_consistency",

@@ -2,19 +2,20 @@
 
 Everything here recomputes a quantity the core modules already produce, by
 a deliberately different route: expanded per-component cofactor formulas
-for the ruling normal, and Gram-matrix identities for the ternary product.
-lb_closed_full_p is an intentionally wrong variant of the orthogonal
-Laplacian closed form, kept as a probe: lb_closed_orthogonal's kernel with
-full weight on the P_k terms.  check.py turns disagreements into report
-claims, running these probes on each sampled frame and metric.
+for the ruling normal, and Gram-matrix identities for the ternary product
+whose determinants are Leibniz permutation sums (_det), not the cofactor
+expansion behind cross4.  lb_closed_full_p is an intentionally wrong
+variant of the orthogonal Laplacian closed form, kept as a probe:
+lb_closed_orthogonal's kernel with full weight on the P_k terms.  check.py
+turns disagreements into report claims, running these probes on each
+sampled frame and metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .hypersurface import RuledHypersurface, _lb_closed_at, frame
 from .lorentz import Vec4, cross4, lorentz_dot
@@ -76,27 +77,34 @@ def compare_normal_formulas(h: RuledHypersurface,
     return out
 
 
-def lorentz_gram(vectors: Sequence[Vec4]) -> np.ndarray:
-    n = len(vectors)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = lorentz_dot(vectors[i], vectors[j])
-    return g
+def lorentz_gram(vectors: Sequence[Vec4]) -> tuple[tuple[float, ...], ...]:
+    """Pairwise Lorentzian products, as a tuple of row tuples."""
+    return tuple(tuple(lorentz_dot(u, v) for v in vectors) for u in vectors)
+
+
+def _det(rows: Sequence[Sequence[float]]) -> float:
+    """Determinant as the Leibniz sum of signed products over permutations."""
+    total = 0.0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(p > q for k, p in enumerate(perm) for q in perm[k + 1:])
+        term = -1.0 if inversions % 2 else 1.0
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
 
 
 def lagrange_defect(x: Vec4, y: Vec4, z: Vec4) -> float:
     """<c, c> + det(Gram(x, y, z)) for c = cross4(x, y, z); zero in theory."""
     c = cross4(x, y, z)
-    return lorentz_dot(c, c) + float(np.linalg.det(lorentz_gram((x, y, z))))
+    return lorentz_dot(c, c) + _det(lorentz_gram((x, y, z)))
 
 
 def contraction_defect(x: Vec4, y: Vec4, z: Vec4, w: Vec4) -> float:
     """<cross4(x,y,z), w> - det[w; x; y; z]; zero in theory."""
     c = cross4(x, y, z)
-    m = np.array([w.components(), x.components(),
-                  y.components(), z.components()])
-    return lorentz_dot(c, w) - float(np.linalg.det(m))
+    return lorentz_dot(c, w) - _det((w.components(), x.components(),
+                                     y.components(), z.components()))
 
 
 def lb_closed_full_p(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:

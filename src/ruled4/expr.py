@@ -499,13 +499,13 @@ _TARGETS = {
 
 
 def validate_director(curve: CurveSpec, constraint: ModelSpace,
-                      grid: Sequence[float],
-                      tol: float = MEMBERSHIP_TOL) -> DirectorReport:
+                      grid: Sequence[float]) -> DirectorReport:
     """Check <c(t), c(t)> against the constraint target on a sample grid.
 
     The quadratic-form violation is reported as a max over samples; the sign
     condition (positive time slot on the hyperbolic sheet, nonzero time slot
-    on the light cone) is a separate boolean.  `passed` requires both.
+    on the light cone) is a separate boolean.  `passed` requires both, the
+    violation within MEMBERSHIP_TOL.
     """
     target = _TARGETS[constraint]
     worst = -1.0
@@ -522,6 +522,6 @@ def validate_director(curve: CurveSpec, constraint: ModelSpace,
             sign_ok = False
         if constraint is ModelSpace.LIGHT_CONE and p.c0 == 0.0:
             sign_ok = False
-    passed = worst <= tol and sign_ok
+    passed = worst <= MEMBERSHIP_TOL and sign_ok
     return DirectorReport(constraint, target, worst, worst_t, sign_ok,
                           passed, len(grid))

@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Protocol, Sequence
-
-import numpy as np
+from typing import Optional, Protocol
 
 from .errors import (DegenerateNormal, DirectorConstraintViolated,
                      NonFiniteValue, SingularMetric)
 from .expr import CurveSpec, DirectorReport, validate_director
-from .lorentz import (CausalCharacter, ModelSpace, Vec4, characterize,
+from .lorentz import (CausalCharacter, ModelSpace, Vec4, _det3, characterize,
                       cross4, lorentz_dot)
 
 __all__ = [
@@ -50,6 +48,9 @@ __all__ = [
 DEGENERATE_NORMAL_TOL = 1e-12
 SINGULAR_METRIC_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-9
+
+# A 3x3 matrix as a tuple of three row tuples.
+Mat3 = tuple[tuple[float, float, float], ...]
 
 
 class SurfaceKind(Enum):
@@ -88,12 +89,13 @@ class RuledHypersurface:
     director_reports: tuple[DirectorReport, ...] = ()
 
 
-def _director_grid(interval: tuple[float, float], n: int = 33) -> list[float]:
+def _director_grid(interval: tuple[float, float]) -> list[float]:
+    """33 evenly spaced samples of the interval; one if it is a point."""
     lo, hi = float(interval[0]), float(interval[1])
-    if n < 2 or hi == lo:
+    if hi == lo:
         return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + k * step for k in range(n)]
+    step = (hi - lo) / 32
+    return [lo + k * step for k in range(33)]
 
 
 def make_ruled(alpha: Curve, beta: Curve, gamma: Curve, kind: SurfaceKind,
@@ -238,12 +240,10 @@ class MetricData:
     adj: tuple[float, float, float, float, float, float]
 
     @property
-    def g(self) -> np.ndarray:
-        return np.array([
-            [self.a, self.b, self.c],
-            [self.b, self.m22, self.e],
-            [self.c, self.e, self.m33],
-        ])
+    def g(self) -> Mat3:
+        return ((self.a, self.b, self.c),
+                (self.b, self.m22, self.e),
+                (self.c, self.e, self.m33))
 
 
 def first_form(h: RuledHypersurface, x: float, y: float, z: float,
@@ -286,7 +286,7 @@ def _regular(md: MetricData) -> MetricData:
     return md
 
 
-def inverse_metric(md: MetricData) -> np.ndarray:
+def inverse_metric(md: MetricData) -> Mat3:
     """Closed-form inverse: adjugate over determinant.
 
     For TYPE1 the adjugate is
@@ -298,11 +298,16 @@ def inverse_metric(md: MetricData) -> np.ndarray:
     SingularMetric.
     """
     a11, a12, a13, a22, a23, a33 = _regular(md).adj
-    return np.array([
-        [a11, a12, a13],
-        [a12, a22, a23],
-        [a13, a23, a33],
-    ]) / md.detg
+    d = md.detg
+    return ((a11 / d, a12 / d, a13 / d),
+            (a12 / d, a22 / d, a23 / d),
+            (a13 / d, a23 / d, a33 / d))
+
+
+def _matmul(p: Mat3, q: Mat3) -> Mat3:
+    """Row-by-column product of two 3x3 matrices."""
+    return tuple(tuple(r[0] * q[0][j] + r[1] * q[1][j] + r[2] * q[2][j]
+                       for j in range(3)) for r in p)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +322,7 @@ def second_form_raw(fr: Frame, n_raw: Vec4) -> tuple[float, float, float]:
 
 def second_form(h: RuledHypersurface, x: float, y: float, z: float,
                 fr: Optional[Frame] = None,
-                gm: Optional[GaussMapData] = None) -> np.ndarray:
+                gm: Optional[GaussMapData] = None) -> Mat3:
     """Second fundamental form; only the first row/column can be nonzero."""
     if fr is None:
         fr = frame(h, x, y, z)
@@ -326,11 +331,9 @@ def second_form(h: RuledHypersurface, x: float, y: float, z: float,
     h11 = lorentz_dot(fr.phi_xx, gm.unit)
     h12 = lorentz_dot(fr.phi_xy, gm.unit)
     h13 = lorentz_dot(fr.phi_xz, gm.unit)
-    return np.array([
-        [h11, h12, h13],
-        [h12, 0.0, 0.0],
-        [h13, 0.0, 0.0],
-    ])
+    return ((h11, h12, h13),
+            (h12, 0.0, 0.0),
+            (h13, 0.0, 0.0))
 
 
 def _minimality(md: MetricData, fr: Frame, n_raw: Vec4) -> tuple[float, Optional[float]]:
@@ -506,8 +509,8 @@ class CurvatureReport:
     position: Vec4
     metric: MetricData
     normal: GaussMapData
-    shape_operator: np.ndarray
-    second: np.ndarray
+    shape_operator: Mat3
+    second: Mat3
     gauss_curvature: float
     mean_curvature: float
     minimality: float
@@ -530,14 +533,13 @@ def _report_at(h: RuledHypersurface, x: float, y: float, z: float,
                fr: Frame) -> CurvatureReport:
     gm = gauss_map(h, x, y, z, fr)
     md = first_form(h, x, y, z, fr)
-    ginv = inverse_metric(md)
     hmat = second_form(h, x, y, z, fr, gm)
-    shape = ginv @ hmat
-    # det(hmat) vanishes because rows 2 and 3 are proportional; the numeric
-    # determinant is recorded rather than asserted.
-    det_h = float(np.linalg.det(hmat))
-    gauss = det_h / md.detg
-    mean = float(np.trace(shape)) / 3.0
+    shape = _matmul(inverse_metric(md), hmat)
+    # The ruling block of hmat is literal zeros, so every term of the
+    # cofactor expansion is a product with 0.0: det h, and with it K, is
+    # exactly +-0.0 rather than rounding noise.
+    gauss = _det3(*hmat[0], *hmat[1], *hmat[2]) / md.detg
+    mean = (shape[0][0] + shape[1][1] + shape[2][2]) / 3.0
     residual, corollary = _minimality(md, fr, gm.n_raw)
     grads = _metric_gradients(h.kind, fr)
     lb = _laplace_beltrami(md, grads, fr)

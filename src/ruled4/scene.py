@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
-
-import jsonschema
+from typing import Mapping, NoReturn, Optional
 
 from .errors import ExprSyntaxError, SceneSchemaError
 from .expr import CurveSpec
@@ -29,7 +27,7 @@ from .lorentz import Vec4
 from .octo import construct_from_dual_curves, construct_from_octonions
 
 __all__ = ["SceneConfig", "load_scene", "scene_from_dict",
-           "build_hypersurface", "SCENE_SCHEMA"]
+           "build_hypersurface"]
 
 _CURVE_KEYS = {
     "type1": ("alpha", "beta", "gamma"),
@@ -39,69 +37,10 @@ _CURVE_KEYS = {
 }
 
 _AXIS_ALIASES = (("x", "t"), ("y", "s"), ("z", "r"))
-
-_EXPR_QUAD = {
-    "type": "array",
-    "items": {"type": "string"},
-    "minItems": 4,
-    "maxItems": 4,
-}
-
-_INTERVAL = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-SCENE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "mode": {"enum": sorted(_CURVE_KEYS)},
-        "curves": {
-            "type": "object",
-            "additionalProperties": _EXPR_QUAD,
-        },
-        "intervals": {
-            "type": "object",
-            "properties": {axis: _INTERVAL for pair in _AXIS_ALIASES
-                           for axis in pair},
-            "additionalProperties": False,
-        },
-        "resolution": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 2},
-            "minItems": 3,
-            "maxItems": 3,
-        },
-        "strict": {"type": "boolean"},
-        "dual_norm": {"enum": ["lorentz", "euclid"]},
-        "i_vector": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 4,
-            "maxItems": 4,
-        },
-        "projection_axis": {"type": "integer", "minimum": 0, "maximum": 3},
-        "claims": {
-            "type": "object",
-            "properties": {
-                "flat": {"type": "boolean"},
-                "minimal": {"type": "boolean"},
-                "laplace_beltrami_zero": {"type": "boolean"},
-            },
-            "additionalProperties": False,
-        },
-        "reference": {
-            "type": "object",
-            "additionalProperties": _EXPR_QUAD,
-        },
-    },
-    "required": ["name", "mode", "curves"],
-    "additionalProperties": False,
-}
-
+_CLAIM_KEYS = ("flat", "minimal", "laplace_beltrami_zero")
+_OPTIONAL = {"intervals": {}, "resolution": [9, 5, 5], "strict": False,
+             "dual_norm": "lorentz", "i_vector": [0.0, 0.0, 0.0, 1.0],
+             "projection_axis": 0, "claims": {}, "reference": {}}
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -122,23 +61,113 @@ class SceneConfig:
 
     def with_overrides(self, *, strict: Optional[bool] = None,
                        dual_norm: Optional[str] = None,
-                       i_vec: Optional[Vec4] = None,
-                       projection_axis: Optional[int] = None) -> "SceneConfig":
-        cfg = self
-        if strict is not None:
-            cfg = replace(cfg, strict=strict)
-        if dual_norm is not None:
-            cfg = replace(cfg, dual_norm=dual_norm)
-        if i_vec is not None:
-            cfg = replace(cfg, i_vec=i_vec)
-        if projection_axis is not None:
-            cfg = replace(cfg, projection_axis=projection_axis)
-        return cfg
+                       i_vec: Optional[Vec4] = None) -> "SceneConfig":
+        given = dict(strict=strict, dual_norm=dual_norm, i_vec=i_vec)
+        return replace(self, **{k: v for k, v in given.items() if v is not None})
 
 
-def _schema_error(err: jsonschema.ValidationError) -> SceneSchemaError:
-    pointer = "/" + "/".join(str(part) for part in err.absolute_path)
-    return SceneSchemaError(err.message, pointer)
+def _fail(message: str, *path) -> NoReturn:
+    raise SceneSchemaError(message, "/" + "/".join(str(p) for p in path))
+
+
+# JSON Schema's type rules: a bool is neither a number nor an integer, and
+# a number with no fractional part, such as 5.0, is an integer.
+_TYPES = {
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: _TYPES["number"](v) and (isinstance(v, int)
+                                                  or v.is_integer()),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _check_type(value, name: str, *path) -> None:
+    if not _TYPES[name](value):
+        _fail(f"{value!r} is not of type {name!r}", *path)
+
+
+def _check_array(value, length: int, item_type: str, *path) -> None:
+    _check_type(value, "array", *path)
+    if len(value) != length:
+        _fail(f"{value!r} is too {'short' if len(value) < length else 'long'}",
+              *path)
+    for k, item in enumerate(value):
+        _check_type(item, item_type, *path, k)
+
+
+def _check_object(value, allowed, *path) -> None:
+    """value is an object; unless `allowed` is None, it has no other keys."""
+    _check_type(value, "object", *path)
+    extra = [key for key in value if allowed is not None and key not in allowed]
+    if extra:
+        _fail(f"additional properties {extra!r} are not allowed", *path)
+
+
+def _check_quads(value, *path) -> None:
+    """value is an object whose values are four expression strings each."""
+    _check_object(value, None, *path)
+    for key, exprs in value.items():
+        _check_array(exprs, 4, "string", *path, key)
+
+
+def _check_enum(value, allowed, *path) -> None:
+    if value not in allowed:
+        _fail(f"{value!r} is not one of {list(allowed)!r}", *path)
+
+
+def _validate(raw) -> dict:
+    """Check a scene document's shape; return it with its defaults filled in.
+
+    Raises SceneSchemaError at the first fault, reporting a fault nearer
+    the root before one inside it.  Beyond shape, the curves must be
+    exactly those of the mode, an axis may not be given under both of its
+    names, and every interval has lo < hi.
+    """
+    if not isinstance(raw, dict):
+        _fail("scene document must be a JSON object")
+    _check_object(raw, ("name", "mode", "curves", *_OPTIONAL))
+    for key in ("name", "mode", "curves"):
+        if key not in raw:
+            _fail(f"{key!r} is a required property")
+    raw = {**_OPTIONAL, **raw}
+    _check_type(raw["name"], "string", "name")
+    if not raw["name"]:
+        _fail("'' should be non-empty", "name")
+    _check_enum(raw["mode"], sorted(_CURVE_KEYS), "mode")
+    _check_quads(raw["curves"], "curves")
+    needed = _CURVE_KEYS[raw["mode"]]
+    if set(raw["curves"]) != set(needed):
+        missing = [k for k in needed if k not in raw["curves"]]
+        extra = sorted(set(raw["curves"]) - set(needed))
+        _fail(f"mode {raw['mode']} requires curves {list(needed)}: "
+              f"missing {missing}, unexpected {extra}", "curves")
+    intervals = raw["intervals"]
+    _check_object(intervals, [a for pair in _AXIS_ALIASES for a in pair],
+                  "intervals")
+    for canonical, alias in _AXIS_ALIASES:
+        if canonical in intervals and alias in intervals:
+            _fail(f"intervals give both {canonical} and its alias {alias}",
+                  "intervals")
+    for axis, bounds in intervals.items():
+        _check_array(bounds, 2, "number", "intervals", axis)
+        if not bounds[1] > bounds[0]:
+            _fail(f"interval {axis} must have lo < hi", "intervals", axis)
+    _check_array(raw["resolution"], 3, "integer", "resolution")
+    for k, n in enumerate(raw["resolution"]):
+        if n < 2:
+            _fail(f"{n!r} is less than the minimum of 2", "resolution", k)
+    _check_type(raw["strict"], "boolean", "strict")
+    _check_enum(raw["dual_norm"], ("lorentz", "euclid"), "dual_norm")
+    _check_array(raw["i_vector"], 4, "number", "i_vector")
+    _check_type(raw["projection_axis"], "integer", "projection_axis")
+    _check_enum(raw["projection_axis"], range(4), "projection_axis")
+    _check_object(raw["claims"], _CLAIM_KEYS, "claims")
+    for key, value in raw["claims"].items():
+        _check_type(value, "boolean", "claims", key)
+    _check_quads(raw["reference"], "reference")
+    return raw
 
 
 def _parse_curve(key: str, exprs: list[str]) -> CurveSpec:
@@ -149,69 +178,27 @@ def _parse_curve(key: str, exprs: list[str]) -> CurveSpec:
                               exc.offset) from exc
 
 
-def _interval(raw: Mapping, canonical: str, alias: str,
-              default: tuple[float, float]) -> tuple[float, float]:
-    present = [axis for axis in (canonical, alias) if axis in raw]
-    if len(present) == 2:
-        raise SceneSchemaError(
-            f"intervals give both {canonical} and its alias {alias}",
-            "/intervals")
-    if not present:
-        return default
-    lo, hi = raw[present[0]]
-    if not hi > lo:
-        raise SceneSchemaError(f"interval {present[0]} must have lo < hi",
-                               f"/intervals/{present[0]}")
-    return (float(lo), float(hi))
-
-
 def scene_from_dict(raw: dict, source_path: Optional[str] = None) -> SceneConfig:
-    try:
-        jsonschema.validate(raw, SCENE_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise _schema_error(err) from err
-
-    mode = raw["mode"]
-    needed = _CURVE_KEYS[mode]
-    given = set(raw["curves"])
-    missing = [k for k in needed if k not in given]
-    extra = sorted(given - set(needed))
-    if missing or extra:
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if extra:
-            detail.append(f"unexpected {extra}")
-        raise SceneSchemaError(
-            f"mode {mode} requires curves {list(needed)}: {', '.join(detail)}",
-            "/curves")
-
-    curves = {key: _parse_curve(key, raw["curves"][key]) for key in needed}
-    reference = {key: _parse_curve(f"reference.{key}", exprs)
-                 for key, exprs in sorted(raw.get("reference", {}).items())}
-
-    intervals = raw.get("intervals", {})
-    x_iv = _interval(intervals, "x", "t", (-1.0, 1.0))
-    y_iv = _interval(intervals, "y", "s", (-1.0, 1.0))
-    z_iv = _interval(intervals, "z", "r", (-1.0, 1.0))
-
-    resolution = tuple(int(n) for n in raw.get("resolution", (9, 5, 5)))
-    i_raw = raw.get("i_vector", (0.0, 0.0, 0.0, 1.0))
-
+    raw = _validate(raw)
+    box = {}
+    for canonical, alias in _AXIS_ALIASES:
+        lo, hi = raw["intervals"].get(canonical,
+                                      raw["intervals"].get(alias, (-1.0, 1.0)))
+        box[f"{canonical}_interval"] = (float(lo), float(hi))
     return SceneConfig(
         name=raw["name"],
-        mode=mode,
-        curves=curves,
-        x_interval=x_iv,
-        y_interval=y_iv,
-        z_interval=z_iv,
-        resolution=resolution,  # type: ignore[arg-type]
-        strict=bool(raw.get("strict", False)),
-        dual_norm=raw.get("dual_norm", "lorentz"),
-        i_vec=Vec4(*i_raw),
-        projection_axis=int(raw.get("projection_axis", 0)),
-        claims=dict(raw.get("claims", {})),
-        reference=reference,
+        mode=raw["mode"],
+        curves={key: _parse_curve(key, raw["curves"][key])
+                for key in _CURVE_KEYS[raw["mode"]]},
+        **box,
+        resolution=tuple(int(n) for n in raw["resolution"]),  # type: ignore[arg-type]
+        strict=raw["strict"],
+        dual_norm=raw["dual_norm"],
+        i_vec=Vec4(*raw["i_vector"]),
+        projection_axis=int(raw["projection_axis"]),
+        claims=dict(raw["claims"]),
+        reference={key: _parse_curve(f"reference.{key}", exprs)
+                   for key, exprs in sorted(raw["reference"].items())},
         source_path=source_path,
     )
 
@@ -228,8 +215,6 @@ def load_scene(path: str) -> SceneConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SceneSchemaError(f"not valid JSON: {exc}", "/") from exc
-    if not isinstance(raw, dict):
-        raise SceneSchemaError("scene document must be a JSON object", "/")
     return scene_from_dict(raw, source_path=path)
 
 

@@ -202,7 +202,7 @@ def lb_fd(h, x: float, y: float, z: float, step: float = 1e-4) -> Vec4:
         tangents = (fr.phi_x, fr.phi_y, fr.phi_z)
         acc = Vec4.zero()
         for j in range(3):
-            acc = acc + (w * float(gi[i, j])) * tangents[j]
+            acc = acc + (w * gi[i][j]) * tangents[j]
         return acc
 
     total = Vec4.zero()

@@ -83,7 +83,7 @@ def test_criterion_01_flatness_of_random_strict_instances():
             h, reps = _strict_instance(rng, kind)
             for rep in reps:
                 worst = max(worst, abs(rep.gauss_curvature))
-            mat = second_form(h, 0.25, -0.5, 0.5)
+            mat = np.array(second_form(h, 0.25, -0.5, 0.5))
             assert np.all(mat[1:, 1:] == 0.0)  # det h = 0 structurally
     assert worst <= 1e-9
     print(f"criterion 1: PASS - max |K| {worst:.3e} over 200 strict "
@@ -207,9 +207,9 @@ def test_criterion_05_metric_closed_forms_on_200_instances():
                 worst_det = max(worst_det,
                                 abs(md.detg_closed - direct)
                                 / max(1.0, abs(direct)))
-                ginv = inverse_metric(md)
+                ginv = np.array(inverse_metric(md))
                 worst_inv = max(worst_inv,
-                                float(np.abs(ginv @ md.g
+                                float(np.abs(ginv @ np.array(md.g)
                                              - np.eye(3)).max()))
             count += 1
     assert count == 200

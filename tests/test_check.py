@@ -14,7 +14,7 @@ from ruled4.check import (
 )
 from ruled4.cli import main
 from ruled4.errors import DirectorConstraintViolated
-from ruled4.mesh import mesh_document, sample_grid
+from ruled4.mesh import mesh_document, sample_grid, walk_grid
 from ruled4.scene import build_hypersurface, load_scene, scene_from_dict
 from support import counting_scene
 
@@ -192,6 +192,18 @@ def test_report_document_includes_mesh():
         assert doc["mesh"] == mesh_document(
             sample_grid(build_hypersurface(cfg), cfg)), name
         assert doc["claims"] == check_scene(cfg).to_dict()["claims"], name
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_flatness_is_structural(name):
+    # the ruling block of the second form is literal zeros, so det h and K
+    # are exactly zero, not rounding noise under FLAT_TOL
+    cfg = shipped(name)
+    graded = [pt.report for pt in walk_grid(build_hypersurface(cfg), cfg)
+              if pt.report]
+    assert graded
+    assert all(rep.gauss_curvature == 0.0 for rep in graded)
+    assert by_name(check_scene(cfg))["flatness"].details["max_abs_K"] == 0.0
 
 
 @pytest.mark.parametrize("name", ["exampleEx3.json", "dualsphere.json"])

@@ -147,6 +147,16 @@ def test_determinism_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_import_loads_neither_numpy_nor_jsonschema():
+    probe = ("import sys, ruled4, ruled4.cli; print(sorted("
+             "m for m in ('numpy', 'jsonschema') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={"PATH": "/usr/bin:/bin",
+                                          "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_overflowing_curve_flags_vertices(tmp_path):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({

@@ -96,12 +96,39 @@ def test_interval_aliases():
                          "v": ["0", "1", "0", "0"],
                          "w": ["0", "0", "1", "0"]}), "/curves"),
     (minimal_raw(mode="octonion"), "/curves"),                   # wrong keys
+    (minimal_raw(name=""), "/name"),                             # empty name
+    (minimal_raw(name=3), "/name"),
+    (minimal_raw(curves={"alpha": ["t", 1, "0", "0"],
+                         "beta": ["0", "1", "0", "0"],
+                         "gamma": ["0", "0", "1", "0"]}), "/curves/alpha/1"),
+    (minimal_raw(curves=[1]), "/curves"),
+    (minimal_raw(intervals={"x": [0, 1, 2]}), "/intervals/x"),
+    (minimal_raw(intervals={"x": [False, 1]}), "/intervals/x/0"),  # bool
+    (minimal_raw(intervals={"w": [0, 1]}), "/intervals"),        # no axis w
+    (minimal_raw(resolution=[True, 5, 5]), "/resolution/0"),
+    (minimal_raw(resolution=[5.5, 5, 5]), "/resolution/0"),
+    (minimal_raw(strict="yes"), "/strict"),
+    (minimal_raw(dual_norm="taxicab"), "/dual_norm"),
+    (minimal_raw(i_vector=[0, 0, 0, True]), "/i_vector/3"),
+    (minimal_raw(i_vector=[0, 0, 1]), "/i_vector"),
+    (minimal_raw(projection_axis=4), "/projection_axis"),
+    (minimal_raw(claims={"round": True}), "/claims"),
+    (minimal_raw(claims={"flat": 1}), "/claims/flat"),
+    (minimal_raw(reference={"alpha": ["t"]}), "/reference/alpha"),
+    ([minimal_raw()], "/"),                                      # not an object
 ])
 def test_schema_errors_carry_pointers(raw, pointer):
     with pytest.raises(SceneSchemaError) as exc:
         scene_from_dict(raw)
     assert exc.value.pointer == pointer
     assert f"at {pointer}" in str(exc.value)
+
+
+def test_integral_floats_count_as_integers():
+    cfg = scene_from_dict(minimal_raw(resolution=[5.0, 5, 5],
+                                      projection_axis=2.0))
+    assert cfg.resolution == (5, 5, 5)
+    assert cfg.projection_axis == 2
 
 
 def test_curve_syntax_error_names_the_curve():
@@ -135,11 +162,9 @@ def test_load_scene_missing_file_raises_oserror(tmp_path):
 def test_with_overrides():
     cfg = scene_from_dict(minimal_raw())
     out = cfg.with_overrides(strict=True, dual_norm="euclid",
-                             i_vec=Vec4(1.0, 0.0, 0.0, 0.0),
-                             projection_axis=2)
+                             i_vec=Vec4(1.0, 0.0, 0.0, 0.0))
     assert out.strict and out.dual_norm == "euclid"
     assert out.i_vec == Vec4(1.0, 0.0, 0.0, 0.0)
-    assert out.projection_axis == 2
     assert cfg.strict is False  # original untouched
     assert cfg.with_overrides() == cfg
 
