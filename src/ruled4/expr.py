@@ -12,7 +12,8 @@ Grammar (whitespace insignificant, radians everywhere):
 Binary operators associate left; '^' binds tighter than unary minus, so
 -t^2 is -(t^2).  FUNC is one of sin, cos, sinh, cosh, exp, sqrt.  Any other
 identifier raises UnknownIdentifier; any other malformation raises
-ExprSyntaxError carrying the character offset.
+ExprSyntaxError carrying the character offset, as does nesting deeper than
+_MAX_DEPTH levels (operators, calls, negations and groups count one each).
 
 Parsed expressions are immutable trees.  `to_text` prints a tree so that
 parsing the output reproduces an equal tree.  Evaluation runs over plain
@@ -99,12 +100,14 @@ class Call:
 
 
 ExprAst = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow, Call]
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 
 _OPS = "+-*/^()"
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.level = 0  # calls, negations and groups open at the cursor
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -181,44 +185,62 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", tok.pos)
         return self.advance()
 
+    def deeper(self, height: int, tok: _Token) -> int:
+        """height + 1, unless that passes _MAX_DEPTH levels at tok."""
+        if height >= _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", tok.pos)
+        return height + 1
+
+    def nested(self, tok: _Token, parse) -> tuple[ExprAst, int]:
+        """parse() one level below tok, refused before recursing too deep.
+
+        Like every grammar rule below, it returns (tree, nesting height).
+        """
+        self.level = self.deeper(self.level, tok)
+        node, height = parse()
+        self.level -= 1
+        return node, self.deeper(height, tok)
+
     def parse(self) -> ExprAst:
-        node = self.expr()
+        node, _ = self.expr()
         tail = self.peek()
         if tail.kind != "END":
             raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+    def expr(self) -> tuple[ExprAst, int]:
+        return self.chain("+-", self.term)
 
-    def term(self) -> ExprAst:
-        node = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+    def term(self) -> tuple[ExprAst, int]:
+        return self.chain("*/", self.unary)
 
-    def unary(self) -> ExprAst:
+    def chain(self, ops: str, operand) -> tuple[ExprAst, int]:
+        """operand (op operand)* for op in ops, associating left."""
+        node, height = operand()
+        while self.peek().kind == "OP" and self.peek().text in ops:
+            op = self.advance()
+            rhs, rhs_height = operand()
+            node = _BINARY[op.text](node, rhs)
+            height = self.deeper(max(height, rhs_height), op)
+        return node, height
+
+    def unary(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
+            arg, height = self.nested(tok, self.unary)
+            return Neg(arg), height
         return self.power()
 
-    def power(self) -> ExprAst:
-        base = self.atom()
+    def power(self) -> tuple[ExprAst, int]:
+        base, height = self.atom()
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
             self.advance()
             expo = self.exponent_literal()
-            return Pow(base, expo)
-        return base
+            return Pow(base, expo), self.deeper(height, tok)
+        return base, height
 
     def exponent_literal(self) -> Fraction:
         sign = 1
@@ -255,32 +277,32 @@ class _Parser:
             return sign * inner_sign * _number_fraction(num) / den_frac
         raise ExprSyntaxError("expected a literal exponent after '^'", tok.pos)
 
-    def atom(self) -> ExprAst:
+    def atom(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "IDENT":
             self.advance()
             name = tok.text
             if name in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, height = self.nested(tok, self.expr)
                 self.expect_op(")")
-                return Call(name, arg)
+                return Call(name, arg), height
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "(":
                 raise ExprSyntaxError(f"{name!r} is not a function", nxt.pos)
             if name == "t":
-                return Var()
+                return Var(), 1
             if name in _CONSTANTS:
-                return Const(_CONSTANTS[name])
+                return Const(_CONSTANTS[name]), 1
             raise UnknownIdentifier(name, tok.pos)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            node, height = self.nested(tok, self.expr)
             self.expect_op(")")
-            return node
+            return node, height
         raise ExprSyntaxError(
             "expected a number, identifier, or parenthesis"
             if tok.kind != "END" else "unexpected end of input", tok.pos)
@@ -302,23 +324,13 @@ def parse_expr(text: str) -> ExprAst:
 # Pretty printer (parse(to_text(ast)) == ast)
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node: ExprAst) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+_PREC = {Add: _PREC_ADD, Sub: _PREC_ADD, Mul: _PREC_MUL, Div: _PREC_MUL,
+         Neg: _PREC_NEG, Pow: _PREC_POW}
 
 
 def _wrap(node: ExprAst, parent_prec: int, strict: bool) -> str:
     text = to_text(node)
-    p = _prec(node)
+    p = _PREC.get(type(node), _PREC_ATOM)
     if p < parent_prec or (strict and p == parent_prec):
         return f"({text})"
     return text
@@ -343,13 +355,9 @@ def to_text(node: ExprAst) -> str:
     if isinstance(node, Pow):
         base = _wrap(node.base, _PREC_ATOM, False)
         e = node.expo
-        if e.denominator == 1:
-            expo = str(e.numerator) if e >= 0 else f"({e.numerator}/1)"
-            # negative integer exponents print inline: t^-2
-            if e < 0:
-                expo = str(e.numerator)
-        else:
-            expo = f"({e.numerator}/{e.denominator})"
+        # integer exponents print inline, negative ones too: t^-2
+        expo = (str(e.numerator) if e.denominator == 1
+                else f"({e.numerator}/{e.denominator})")
         return f"{base}^{expo}"
     if isinstance(node, Call):
         return f"{node.fn}({to_text(node.arg)})"

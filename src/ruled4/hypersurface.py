@@ -166,17 +166,31 @@ def frame(h: RuledHypersurface, x: float, y: float, z: float) -> Frame:
 def _frame_at(curves, y: float, z: float) -> Frame:
     """The frame at (y, z) from alpha, beta, gamma evaluated at one x."""
     (a0, a1, a2), (b0, b1, b2), (g0, g1, g2) = curves
-    y = float(y)
-    z = float(z)
-    return Frame(
-        position=a0 + y * b0 + z * g0,
-        phi_x=a1 + y * b1 + z * g1,
-        phi_y=b0,
-        phi_z=g0,
-        phi_xx=a2 + y * b2 + z * g2,
-        phi_xy=b1,
-        phi_xz=g1,
-    )
+    k = (1.0, float(y), float(z))
+    return Frame(position=_lincomb(k, (a0, b0, g0)),
+                 phi_x=_lincomb(k, (a1, b1, g1)), phi_y=b0, phi_z=g0,
+                 phi_xx=_lincomb(k, (a2, b2, g2)), phi_xy=b1, phi_xz=g1)
+
+
+def _lincomb(coeffs, vectors) -> Vec4:
+    """sum_k coeffs[k] * vectors[k], summed one component at a time.
+
+    Each sum starts from its first product, not from 0.0, so signed zeros
+    survive and (1, y, z) on (a, b, g) is bit-identical to a + y*b + z*g.
+    """
+    (k, v), *rest = zip(coeffs, vectors)
+    s0, s1, s2, s3 = k * v.c0, k * v.c1, k * v.c2, k * v.c3
+    for k, v in rest:
+        s0 += k * v.c0
+        s1 += k * v.c1
+        s2 += k * v.c2
+        s3 += k * v.c3
+    return Vec4(s0, s1, s2, s3)
+
+
+def _derivs(fr: Frame) -> tuple[Vec4, ...]:
+    """(phi_x, phi_y, phi_z, phi_xx, phi_xy, phi_xz), the Laplacians' basis."""
+    return (fr.phi_x, fr.phi_y, fr.phi_z, fr.phi_xx, fr.phi_xy, fr.phi_xz)
 
 
 def eval_point(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:
@@ -328,12 +342,8 @@ def second_form(h: RuledHypersurface, x: float, y: float, z: float,
         fr = frame(h, x, y, z)
     if gm is None:
         gm = gauss_map(h, x, y, z, fr)
-    h11 = lorentz_dot(fr.phi_xx, gm.unit)
-    h12 = lorentz_dot(fr.phi_xy, gm.unit)
-    h13 = lorentz_dot(fr.phi_xz, gm.unit)
-    return ((h11, h12, h13),
-            (h12, 0.0, 0.0),
-            (h13, 0.0, 0.0))
+    h11, h12, h13 = second_form_raw(fr, gm.unit)
+    return ((h11, h12, h13), (h12, 0.0, 0.0), (h13, 0.0, 0.0))
 
 
 def _minimality(md: MetricData, fr: Frame, n_raw: Vec4) -> tuple[float, Optional[float]]:
@@ -398,51 +408,34 @@ def _laplace_beltrami(md: MetricData, grads, fr: Frame) -> Vec4:
     root of |detg| and T the tangent triple (phi_x, phi_y, phi_z).  Since
     ginv = adj/detg and detg = sign * w^2, the flux is sign * adj_ij T_j / w;
     the sign rides along as a constant because detg cannot cross zero once
-    the caller has checked md (inverse_metric or _regular).  adj and detg
-    are md's; their derivatives come from the exact (jet-derived) metric
-    gradients, so the only approximation is floating-point rounding.
+    the caller has checked md (inverse_metric or _regular).  The result is
+    sign/w times six coefficients on _derivs(fr): T_j gets sum_i (d_i adj_ij
+    / w - adj_ij d_i w / w^2); phi is affine in (y, z), so phi_xx, phi_xy,
+    phi_xz get adj_11/w, 2 adj_12/w, 2 adj_13/w.  Only d_i of adjugate row i
+    enters, and d_i detg is Jacobi's sum_jk adj_jk d_i g_jk.
     """
-    a, b, c, e, m22, m33 = md.a, md.b, md.c, md.e, md.m22, md.m33
+    b, c, e, m22, m33 = md.b, md.c, md.e, md.m22, md.m33
     da, db, dc, de, dm22, dm33 = grads
     a11, a12, a13, a22, a23, a33 = md.adj
     adj = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
+    d_rows = ((dm22[0] * m33 + m22 * dm33[0] - 2.0 * e * de[0],
+               dc[0] * e + c * de[0] - db[0] * m33 - b * dm33[0],
+               db[0] * e + b * de[0] - dc[0] * m22 - c * dm22[0]),
+              # e, m22 and m33 depend on x alone
+              (dc[1] * e - db[1] * m33, da[1] * m33 - 2.0 * c * dc[1],
+               db[1] * c + b * dc[1] - da[1] * e),
+              (db[2] * e - dc[2] * m22, db[2] * c + b * dc[2] - da[2] * e,
+               da[2] * m22 - 2.0 * b * db[2]))
     sign = 1.0 if md.detg > 0.0 else -1.0
     w = math.sqrt(sign * md.detg)
-
-    d_adj = []
-    d_detg = []
-    for k in range(3):
-        dk_a11 = dm22[k] * m33 + m22 * dm33[k] - 2.0 * e * de[k]
-        dk_a12 = dc[k] * e + c * de[k] - db[k] * m33 - b * dm33[k]
-        dk_a13 = db[k] * e + b * de[k] - dc[k] * m22 - c * dm22[k]
-        dk_a22 = da[k] * m33 + a * dm33[k] - 2.0 * c * dc[k]
-        dk_a23 = db[k] * c + b * dc[k] - da[k] * e - a * de[k]
-        dk_a33 = da[k] * m22 + a * dm22[k] - 2.0 * b * db[k]
-        d_adj.append(((dk_a11, dk_a12, dk_a13),
-                      (dk_a12, dk_a22, dk_a23),
-                      (dk_a13, dk_a23, dk_a33)))
-        d_detg.append(da[k] * a11 + a * dk_a11 + db[k] * a12 + b * dk_a12
-                      + dc[k] * a13 + c * dk_a13)
-
-    tangents = (fr.phi_x, fr.phi_y, fr.phi_z)
-    zero = Vec4.zero()
-    d_tangents = (
-        (fr.phi_xx, fr.phi_xy, fr.phi_xz),  # d/dx
-        (fr.phi_xy, zero, zero),            # d/dy
-        (fr.phi_xz, zero, zero),            # d/dz
-    )
-
-    acc = Vec4.zero()
-    for i in range(3):
-        num = Vec4.zero()
-        d_num = Vec4.zero()
-        for j in range(3):
-            num = num + adj[i][j] * tangents[j]
-            d_num = d_num + d_adj[i][i][j] * tangents[j] \
-                + adj[i][j] * d_tangents[i][j]
-        dw = sign * d_detg[i] / (2.0 * w)
-        acc = acc + d_num * (1.0 / w) - num * (dw / (w * w))
-    return acc * (sign / w)
+    s = sign / w
+    dw = [sign * (a11 * da[i] + a22 * dm22[i] + a33 * dm33[i]
+                  + 2.0 * (a12 * db[i] + a13 * dc[i] + a23 * de[i])) / (2.0 * w)
+          for i in range(3)]
+    t = [s * sum(d_rows[i][j] / w - adj[i][j] * dw[i] / (w * w) for i in range(3))
+         for j in range(3)]
+    return _lincomb((*t, s * a11 / w, s * 2.0 * a12 / w, s * 2.0 * a13 / w),
+                    _derivs(fr))
 
 
 def lb_closed_orthogonal(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:
@@ -467,37 +460,33 @@ def _lb_closed_at(h: RuledHypersurface, x: float, y: float, z: float,
 
 
 def _lb_closed(md: MetricData, grads, fr: Frame, p_weight: float) -> Vec4:
-    """The orthogonal closed form with weight `p_weight` on the P_k terms."""
+    """lb_closed_orthogonal's form with weight `p_weight` on the P_k terms.
+
+    (Q sum_k d_k N_k - p_weight sum_k P_k N_k) / Q^2 as coefficients on
+    _derivs(fr), with N_1 = phi_x + tau (b beta + c gamma), N_2 = tau b phi_x
+    + (sigma a - c^2) beta + b c gamma, N_3 = tau c phi_x + b c beta + (sigma
+    a - b^2) gamma.  The quotient rule forces p_weight = 1/2.
+    """
     if md.kind not in _RULING_DIAGONAL:
         raise ValueError("closed form requires a constrained kind")
     a, b, c = md.a, md.b, md.c
     da, db, dc = grads[:3]
     sigma = _RULING_DIAGONAL[md.kind]
     tau = -sigma
-
     q_val = a - sigma * (b * b + c * c)
     if abs(q_val) <= SINGULAR_METRIC_TOL:
         raise SingularMetric(f"orthogonal-form determinant {q_val!r}")
     p = [da[k] - sigma * (2.0 * b * db[k] + 2.0 * c * dc[k]) for k in range(3)]
-
-    beta, gamma = fr.phi_y, fr.phi_z
-    n1 = fr.phi_x + tau * (b * beta + c * gamma)
-    n2 = tau * b * fr.phi_x + (sigma * a - c * c) * beta + (b * c) * gamma
-    n3 = tau * c * fr.phi_x + (b * c) * beta + (sigma * a - b * b) * gamma
-
-    d1n1 = fr.phi_xx + tau * (db[0] * beta + b * fr.phi_xy
-                              + dc[0] * gamma + c * fr.phi_xz)
-    d2n2 = tau * (db[1] * fr.phi_x + b * fr.phi_xy) \
-        + (sigma * da[1] - 2.0 * c * dc[1]) * beta \
-        + (db[1] * c + b * dc[1]) * gamma
-    d3n3 = tau * (dc[2] * fr.phi_x + c * fr.phi_xz) \
-        + (db[2] * c + b * dc[2]) * beta \
-        + (sigma * da[2] - 2.0 * b * db[2]) * gamma
-
-    total = (d1n1 * q_val - p_weight * p[0] * n1) \
-        + (d2n2 * q_val - p_weight * p[1] * n2) \
-        + (d3n3 * q_val - p_weight * p[2] * n3)
-    return total * (1.0 / (q_val * q_val))
+    div_n = (tau * (db[1] + dc[2]),
+             tau * db[0] + sigma * da[1] - 2.0 * c * dc[1] + db[2] * c + b * dc[2],
+             tau * dc[0] + db[1] * c + b * dc[1] + sigma * da[2] - 2.0 * b * db[2],
+             1.0, 2.0 * tau * b, 2.0 * tau * c)
+    pn = (p[0] + tau * (b * p[1] + c * p[2]),
+          tau * b * p[0] + (sigma * a - c * c) * p[1] + b * c * p[2],
+          tau * c * p[0] + b * c * p[1] + (sigma * a - b * b) * p[2], 0.0, 0.0, 0.0)
+    scale = 1.0 / (q_val * q_val)
+    return _lincomb([(q_val * d - p_weight * m) * scale
+                     for d, m in zip(div_n, pn)], _derivs(fr))
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +524,10 @@ def _report_at(h: RuledHypersurface, x: float, y: float, z: float,
     md = first_form(h, x, y, z, fr)
     hmat = second_form(h, x, y, z, fr, gm)
     shape = _matmul(inverse_metric(md), hmat)
-    # The ruling block of hmat is literal zeros, so every term of the
-    # cofactor expansion is a product with 0.0: det h, and with it K, is
-    # exactly +-0.0 rather than rounding noise.
-    gauss = _det3(*hmat[0], *hmat[1], *hmat[2]) / md.detg
+    # The ruling block of hmat is literal zeros, so det h is exactly +-0.0,
+    # not rounding noise.  0.0 is added after the division, since a negative
+    # det g turns +0.0 into -0.0; K then reads 0.0, never -0.0.
+    gauss = _det3(*hmat[0], *hmat[1], *hmat[2]) / md.detg + 0.0
     mean = (shape[0][0] + shape[1][1] + shape[2][2]) / 3.0
     residual, corollary = _minimality(md, fr, gm.n_raw)
     grads = _metric_gradients(h.kind, fr)

@@ -182,3 +182,19 @@ def test_overflowing_curve_flags_vertices(tmp_path):
     flatness = json.loads(proc.stdout)["claims"][0]
     # x = 0 is lightlike (DegenerateNormal); x >= 400 overflows
     assert flatness["details"]["points_degenerate"] == 16
+
+
+@pytest.mark.parametrize("deep", ["(" * 3000 + "t" + ")" * 3000,
+                                  "+".join(["t"] * 5000)],
+                         ids=["groups", "chain"])
+def test_too_deep_curve_is_one_error_line(capsys, tmp_path, deep):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "name": "deep", "mode": "type1",
+        "curves": {"alpha": [deep, "t", "0", "0"],
+                   "beta": ["0", "0", "1", "0"],
+                   "gamma": ["0", "0", "0", "1"]}}))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ruled4: error:") and "nested deeper" in err
+    assert len(err.splitlines()) == 1

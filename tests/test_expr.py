@@ -261,3 +261,21 @@ def test_validate_director_reports_worst_sample():
     assert report.worst_t == -1.0
     assert report.max_violation == pytest.approx(3.0)
     assert not report.passed
+
+
+DEEP_TEXTS = ["(" * 3000 + "t" + ")" * 3000,    # overflows a recursive parser
+              "+".join(["t"] * 5000)]           # left-deep tree, deep to evaluate
+
+
+@pytest.mark.parametrize("text", DEEP_TEXTS, ids=["groups", "chain"])
+def test_too_deep_expression_is_syntax_error(text):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(text)
+    assert 0 < info.value.offset < len(text)
+    assert "nested deeper" in info.value.bare_message
+
+
+def test_depth_bound_admits_a_hundred_levels():
+    # 99 groups around t, and a 99-operator chain, are 100 levels each
+    assert evaluate_float(parse_expr("(" * 99 + "t" + ")" * 99), 2.0) == 2.0
+    assert evaluate_jet(parse_expr("+".join(["t"] * 100)), 2.0).f == 200.0
