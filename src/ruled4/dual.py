@@ -8,7 +8,9 @@ jets yields exact derivatives with no finite differencing.
 The derivative slot of every operation here is written with the identical
 expression shape in Dual and Jet2 (same operands, same order), so evaluating
 one expression both ways produces bit-identical first derivatives.  Tests
-rely on that equality being exact, not approximate.
+rely on that equality being exact, not approximate.  Each smooth function
+is stated once, as its value and two derivatives at a float, and the chain
+rule lifts that triple to both types.
 """
 
 from __future__ import annotations
@@ -162,10 +164,14 @@ def dual_pow(x: Dual, p: Fraction) -> Dual:
     return Dual(value, pf * u1 * x.eps)
 
 
-def _jet_sqrt(x: Jet2) -> Jet2:
-    if x.f < 0.0:
+def _sqrt(v: float) -> float:
+    if v < 0.0:
         raise DomainError("sqrt of a negative value")
-    u = math.sqrt(x.f)
+    return math.sqrt(v)
+
+
+def _jet_sqrt(x: Jet2) -> Jet2:
+    u = _sqrt(x.f)
     if u == 0.0:
         if x.d1 == 0.0 and x.d2 == 0.0:
             return Jet2(0.0, 0.0, 0.0)
@@ -177,9 +183,7 @@ def _jet_sqrt(x: Jet2) -> Jet2:
 
 
 def _dual_sqrt(x: Dual) -> Dual:
-    if x.re < 0.0:
-        raise DomainError("sqrt of a negative value")
-    u = math.sqrt(x.re)
+    u = _sqrt(x.re)
     if u == 0.0:
         if x.eps == 0.0:
             return Dual(0.0, 0.0)
@@ -187,81 +191,56 @@ def _dual_sqrt(x: Dual) -> Dual:
     return Dual(u, x.eps / (2.0 * u))
 
 
-def _jet_exp(x: Jet2) -> Jet2:
-    u = _no_overflow(math.exp, x.f)
-    return Jet2(u, u * x.d1, u * x.d2 + u * (x.d1 * x.d1))
+def _exp(v: float) -> tuple[float, float, float]:
+    u = _no_overflow(math.exp, v)
+    return u, u, u
 
 
-def _dual_exp(x: Dual) -> Dual:
-    u = _no_overflow(math.exp, x.re)
-    return Dual(u, u * x.eps)
+def _sin(v: float) -> tuple[float, float, float]:
+    s, c = math.sin(v), math.cos(v)
+    return s, c, -s
 
 
-def _jet_sin(x: Jet2) -> Jet2:
-    s = math.sin(x.f)
-    c = math.cos(x.f)
-    return Jet2(s, c * x.d1, c * x.d2 - s * (x.d1 * x.d1))
+def _cos(v: float) -> tuple[float, float, float]:
+    s, c = math.sin(v), math.cos(v)
+    return c, -s, -c
 
 
-def _dual_sin(x: Dual) -> Dual:
-    s = math.sin(x.re)
-    c = math.cos(x.re)
-    return Dual(s, c * x.eps)
+def _sinh(v: float) -> tuple[float, float, float]:
+    s, c = _no_overflow(math.sinh, v), _no_overflow(math.cosh, v)
+    return s, c, s
 
 
-def _jet_cos(x: Jet2) -> Jet2:
-    s = math.sin(x.f)
-    c = math.cos(x.f)
-    return Jet2(c, -(s * x.d1), -(s * x.d2) - c * (x.d1 * x.d1))
+def _cosh(v: float) -> tuple[float, float, float]:
+    s, c = _no_overflow(math.sinh, v), _no_overflow(math.cosh, v)
+    return c, s, c
 
 
-def _dual_cos(x: Dual) -> Dual:
-    s = math.sin(x.re)
-    c = math.cos(x.re)
-    return Dual(c, -(s * x.eps))
+# Each smooth function as (value, first, second derivative) at a float.  The
+# chain rule below lifts it to jets and duals with matching shapes; u * x
+# with u = -s is bit-identical to -(s * x), and a + (-b) to a - b.
+_DERIVATIVES = {"exp": _exp, "sin": _sin, "cos": _cos, "sinh": _sinh, "cosh": _cosh}
 
 
-def _jet_sinh(x: Jet2) -> Jet2:
-    s = _no_overflow(math.sinh, x.f)
-    c = _no_overflow(math.cosh, x.f)
-    return Jet2(s, c * x.d1, c * x.d2 + s * (x.d1 * x.d1))
+def _on_jet(fn: Callable[[float], tuple[float, float, float]]):
+    def apply(x: Jet2) -> Jet2:
+        u0, u1, u2 = fn(x.f)
+        return Jet2(u0, u1 * x.d1, u1 * x.d2 + u2 * (x.d1 * x.d1))
+    return apply
 
 
-def _dual_sinh(x: Dual) -> Dual:
-    s = _no_overflow(math.sinh, x.re)
-    c = _no_overflow(math.cosh, x.re)
-    return Dual(s, c * x.eps)
-
-
-def _jet_cosh(x: Jet2) -> Jet2:
-    s = _no_overflow(math.sinh, x.f)
-    c = _no_overflow(math.cosh, x.f)
-    return Jet2(c, s * x.d1, s * x.d2 + c * (x.d1 * x.d1))
-
-
-def _dual_cosh(x: Dual) -> Dual:
-    s = _no_overflow(math.sinh, x.re)
-    c = _no_overflow(math.cosh, x.re)
-    return Dual(c, s * x.eps)
+def _on_dual(fn: Callable[[float], tuple[float, float, float]]):
+    def apply(x: Dual) -> Dual:
+        u0, u1, _ = fn(x.re)
+        return Dual(u0, u1 * x.eps)
+    return apply
 
 
 JET_FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
-    "sqrt": _jet_sqrt,
-    "exp": _jet_exp,
-    "sin": _jet_sin,
-    "cos": _jet_cos,
-    "sinh": _jet_sinh,
-    "cosh": _jet_cosh,
-}
+    "sqrt": _jet_sqrt, **{name: _on_jet(fn) for name, fn in _DERIVATIVES.items()}}
 
 DUAL_FUNCTIONS: dict[str, Callable[[Dual], Dual]] = {
-    "sqrt": _dual_sqrt,
-    "exp": _dual_exp,
-    "sin": _dual_sin,
-    "cos": _dual_cos,
-    "sinh": _dual_sinh,
-    "cosh": _dual_cosh,
-}
+    "sqrt": _dual_sqrt, **{name: _on_dual(fn) for name, fn in _DERIVATIVES.items()}}
 
 
 @dataclass(frozen=True)

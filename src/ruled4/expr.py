@@ -16,20 +16,25 @@ ExprSyntaxError carrying the character offset, as does nesting deeper than
 _MAX_DEPTH levels (operators, calls, negations and groups count one each).
 
 Parsed expressions are immutable trees.  `to_text` prints a tree so that
-parsing the output reproduces an equal tree.  Evaluation runs over plain
-floats, dual numbers, or order-2 jets; the jet and dual evaluators share
-operation shapes, making the dual eps slot bit-identical to the jet d1.
+parsing the output reproduces an equal tree.  _BINOPS holds each binary
+operator's symbol, precedence and arithmetic for parser, printer and walk.
+One walk evaluates a tree over floats, dual numbers or order-2 jets, each
+type bringing a kit of constants, power, functions and division.  The dual
+eps slot is bit-identical to the jet d1, the float to the jet f wherever
+the jet exists, and a domain failure, overflow included, is a DomainError
+in all three.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
-from .dual import (DUAL_FUNCTIONS, JET_FUNCTIONS, Dual, Jet2, dual_pow,
-                   jet_pow)
+from .dual import (_DERIVATIVES, DUAL_FUNCTIONS, JET_FUNCTIONS, Dual, Jet2,
+                   _safe_pow, _sqrt, dual_pow, jet_pow)
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .lorentz import MEMBERSHIP_TOL, ModelSpace, Vec4, lorentz_dot
 
@@ -100,7 +105,23 @@ class Call:
 
 
 ExprAst = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow, Call]
-_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+class _BinOp(NamedTuple):
+    symbol: str
+    prec: int
+    arith: Callable  # (kit, left, right) -> the result in the kit's numbers
+
+
+_BINOPS = {
+    Add: _BinOp("+", _PREC_ADD, lambda kit, a, b: a + b),
+    Sub: _BinOp("-", _PREC_ADD, lambda kit, a, b: a - b),
+    Mul: _BinOp("*", _PREC_MUL, lambda kit, a, b: a * b),
+    Div: _BinOp("/", _PREC_MUL, lambda kit, a, b: kit.div(a, b)),
+}
+_BINARY = {op.symbol: cls for cls, op in _BINOPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +231,23 @@ class _Parser:
         return node
 
     def expr(self) -> tuple[ExprAst, int]:
-        return self.chain("+-", self.term)
+        return self.chain(_PREC_ADD, self.term)
 
     def term(self) -> tuple[ExprAst, int]:
-        return self.chain("*/", self.unary)
+        return self.chain(_PREC_MUL, self.unary)
 
-    def chain(self, ops: str, operand) -> tuple[ExprAst, int]:
-        """operand (op operand)* for op in ops, associating left."""
+    def chain(self, prec: int, operand) -> tuple[ExprAst, int]:
+        """operand (op operand)* for the binary ops of prec, associating left."""
         node, height = operand()
-        while self.peek().kind == "OP" and self.peek().text in ops:
-            op = self.advance()
+        while True:
+            tok = self.peek()
+            cls = _BINARY.get(tok.text) if tok.kind == "OP" else None
+            if cls is None or _BINOPS[cls].prec != prec:
+                return node, height
+            self.advance()
             rhs, rhs_height = operand()
-            node = _BINARY[op.text](node, rhs)
-            height = self.deeper(max(height, rhs_height), op)
-        return node, height
+            node = cls(node, rhs)
+            height = self.deeper(max(height, rhs_height), tok)
 
     def unary(self) -> tuple[ExprAst, int]:
         tok = self.peek()
@@ -242,39 +266,37 @@ class _Parser:
             return Pow(base, expo), self.deeper(height, tok)
         return base, height
 
-    def exponent_literal(self) -> Fraction:
-        sign = 1
+    def sign(self) -> int:
+        """-1 after consuming a '-', 1 after a '+' or no sign."""
         tok = self.peek()
         if tok.kind == "OP" and tok.text in "+-":
             self.advance()
-            if tok.text == "-":
-                sign = -1
-            tok = self.peek()
+            return -1 if tok.text == "-" else 1
+        return 1
+
+    def expect_num(self, message: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != "NUM":
+            raise ExprSyntaxError(message, tok.pos)
+        return self.advance()
+
+    def exponent_literal(self) -> Fraction:
+        sign = self.sign()
+        tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
             return sign * _number_fraction(tok)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
-            inner_sign = 1
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.advance()
-                if tok.text == "-":
-                    inner_sign = -1
-            num = self.peek()
-            if num.kind != "NUM":
-                raise ExprSyntaxError("expected a number in exponent", num.pos)
-            self.advance()
+            sign *= self.sign()
+            num = self.expect_num("expected a number in exponent")
             self.expect_op("/")
-            den = self.peek()
-            if den.kind != "NUM":
-                raise ExprSyntaxError("expected a denominator in exponent", den.pos)
-            self.advance()
+            den = self.expect_num("expected a denominator in exponent")
             self.expect_op(")")
             den_frac = _number_fraction(den)
             if den_frac == 0:
                 raise ExprSyntaxError("zero denominator in exponent", den.pos)
-            return sign * inner_sign * _number_fraction(num) / den_frac
+            return sign * _number_fraction(num) / den_frac
         raise ExprSyntaxError("expected a literal exponent after '^'", tok.pos)
 
     def atom(self) -> tuple[ExprAst, int]:
@@ -323,9 +345,8 @@ def parse_expr(text: str) -> ExprAst:
 # ---------------------------------------------------------------------------
 # Pretty printer (parse(to_text(ast)) == ast)
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-_PREC = {Add: _PREC_ADD, Sub: _PREC_ADD, Mul: _PREC_MUL, Div: _PREC_MUL,
-         Neg: _PREC_NEG, Pow: _PREC_POW}
+_PREC = {Neg: _PREC_NEG, Pow: _PREC_POW,
+         **{cls: op.prec for cls, op in _BINOPS.items()}}
 
 
 def _wrap(node: ExprAst, parent_prec: int, strict: bool) -> str:
@@ -338,18 +359,15 @@ def _wrap(node: ExprAst, parent_prec: int, strict: bool) -> str:
 
 def to_text(node: ExprAst) -> str:
     """Render a tree; the output parses back to an equal tree."""
+    op = _BINOPS.get(type(node))
+    if op is not None:
+        sep = f" {op.symbol} " if op.prec == _PREC_ADD else op.symbol
+        return (f"{_wrap(node.left, op.prec, False)}{sep}"
+                f"{_wrap(node.right, op.prec, True)}")
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return "t"
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD, False)} + {_wrap(node.right, _PREC_ADD, True)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD, False)} - {_wrap(node.right, _PREC_ADD, True)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL, False)}*{_wrap(node.right, _PREC_MUL, True)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _PREC_MUL, False)}/{_wrap(node.right, _PREC_MUL, True)}"
     if isinstance(node, Neg):
         return f"-{_wrap(node.arg, _PREC_NEG, False)}"
     if isinstance(node, Pow):
@@ -365,98 +383,65 @@ def to_text(node: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one walk, three number types
+
+class _Kit(NamedTuple):
+    """A number type's operations beyond its own +, -, * and negation."""
+
+    lift: Callable       # float -> constant
+    pow: Callable        # (x, Fraction) -> x**p
+    functions: dict      # name -> function, for each of _FUNCTIONS
+    div: Callable        # (x, y) -> x/y, DomainError where y has no inverse
+
+
+def _float_div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+_JET = _Kit(Jet2.constant, jet_pow, JET_FUNCTIONS, operator.truediv)
+_DUAL = _Kit(lambda c: Dual(c, 0.0), dual_pow, DUAL_FUNCTIONS,
+             operator.truediv)
+_FLOAT = _Kit(float, lambda x, p: _safe_pow(x, float(p), p.denominator == 1),
+              {"sqrt": _sqrt, **{name: (lambda v, fn=fn: fn(v)[0])
+                                       for name, fn in _DERIVATIVES.items()}},
+              _float_div)
+
+
+def _walk(node: ExprAst, var, kit: _Kit):
+    """The value of node in kit's number type, with var standing for t."""
+    cls = type(node)
+    op = _BINOPS.get(cls)
+    if op is not None:
+        return op.arith(kit, _walk(node.left, var, kit),
+                        _walk(node.right, var, kit))
+    if cls is Const:
+        return kit.lift(node.value)
+    if cls is Var:
+        return var
+    if cls is Neg:
+        return -_walk(node.arg, var, kit)
+    if cls is Pow:
+        return kit.pow(_walk(node.base, var, kit), node.expo)
+    if cls is Call:
+        return kit.functions[node.fn](_walk(node.arg, var, kit))
+    raise TypeError(f"not an expression node: {node!r}")
+
 
 def evaluate_jet(node: ExprAst, t: float) -> Jet2:
     """Evaluate with exact first and second derivatives at t."""
-    return _eval_jet(node, Jet2.variable(float(t)))
-
-
-def _eval_jet(node: ExprAst, var: Jet2) -> Jet2:
-    if isinstance(node, Const):
-        return Jet2.constant(node.value)
-    if isinstance(node, Var):
-        return var
-    if isinstance(node, Add):
-        return _eval_jet(node.left, var) + _eval_jet(node.right, var)
-    if isinstance(node, Sub):
-        return _eval_jet(node.left, var) - _eval_jet(node.right, var)
-    if isinstance(node, Mul):
-        return _eval_jet(node.left, var) * _eval_jet(node.right, var)
-    if isinstance(node, Div):
-        return _eval_jet(node.left, var) / _eval_jet(node.right, var)
-    if isinstance(node, Neg):
-        return -_eval_jet(node.arg, var)
-    if isinstance(node, Pow):
-        return jet_pow(_eval_jet(node.base, var), node.expo)
-    if isinstance(node, Call):
-        return JET_FUNCTIONS[node.fn](_eval_jet(node.arg, var))
-    raise TypeError(f"not an expression node: {node!r}")
+    return _walk(node, Jet2.variable(float(t)), _JET)
 
 
 def evaluate_dual(node: ExprAst, t: float) -> Dual:
     """Evaluate over t + eps; the eps slot is the first derivative."""
-    return _eval_dual(node, Dual(float(t), 1.0))
-
-
-def _eval_dual(node: ExprAst, var: Dual) -> Dual:
-    if isinstance(node, Const):
-        return Dual(node.value, 0.0)
-    if isinstance(node, Var):
-        return var
-    if isinstance(node, Add):
-        return _eval_dual(node.left, var) + _eval_dual(node.right, var)
-    if isinstance(node, Sub):
-        return _eval_dual(node.left, var) - _eval_dual(node.right, var)
-    if isinstance(node, Mul):
-        return _eval_dual(node.left, var) * _eval_dual(node.right, var)
-    if isinstance(node, Div):
-        return _eval_dual(node.left, var) / _eval_dual(node.right, var)
-    if isinstance(node, Neg):
-        return -_eval_dual(node.arg, var)
-    if isinstance(node, Pow):
-        return dual_pow(_eval_dual(node.base, var), node.expo)
-    if isinstance(node, Call):
-        return DUAL_FUNCTIONS[node.fn](_eval_dual(node.arg, var))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-_FLOAT_FUNCTIONS = {
-    "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
-    "cosh": math.cosh, "exp": math.exp,
-}
+    return _walk(node, Dual(float(t), 1.0), _DUAL)
 
 
 def evaluate_float(node: ExprAst, t: float) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(t)
-    if isinstance(node, Add):
-        return evaluate_float(node.left, t) + evaluate_float(node.right, t)
-    if isinstance(node, Sub):
-        return evaluate_float(node.left, t) - evaluate_float(node.right, t)
-    if isinstance(node, Mul):
-        return evaluate_float(node.left, t) * evaluate_float(node.right, t)
-    if isinstance(node, Div):
-        denom = evaluate_float(node.right, t)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return evaluate_float(node.left, t) / denom
-    if isinstance(node, Neg):
-        return -evaluate_float(node.arg, t)
-    if isinstance(node, Pow):
-        from .dual import _safe_pow
-        return _safe_pow(evaluate_float(node.base, t), float(node.expo),
-                         node.expo.denominator == 1)
-    if isinstance(node, Call):
-        if node.fn == "sqrt":
-            v = evaluate_float(node.arg, t)
-            if v < 0.0:
-                raise DomainError("sqrt of a negative value")
-            return math.sqrt(v)
-        return _FLOAT_FUNCTIONS[node.fn](evaluate_float(node.arg, t))
-    raise TypeError(f"not an expression node: {node!r}")
+    """The value at t: the jet's f slot wherever the jet exists."""
+    return _walk(node, float(t), _FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +461,10 @@ class CurveSpec:
 
     def evaluate(self, t: float) -> tuple[Vec4, Vec4, Vec4]:
         """Position, velocity, acceleration at t."""
-        jets = [evaluate_jet(comp, t) for comp in self.comps]
-        p = Vec4(*(j.f for j in jets))
-        d1 = Vec4(*(j.d1 for j in jets))
-        d2 = Vec4(*(j.d2 for j in jets))
-        return p, d1, d2
+        var = Jet2.variable(float(t))
+        jets = [_walk(comp, var, _JET) for comp in self.comps]
+        f, d1, d2 = zip(*((j.f, j.d1, j.d2) for j in jets))
+        return Vec4(*f), Vec4(*d1), Vec4(*d2)
 
     def to_texts(self) -> tuple[str, str, str, str]:
         return tuple(to_text(c) for c in self.comps)

@@ -172,14 +172,17 @@ def _frame_at(curves, y: float, z: float) -> Frame:
                  phi_xx=_lincomb(k, (a2, b2, g2)), phi_xy=b1, phi_xz=g1)
 
 
-def _lincomb(coeffs, vectors) -> Vec4:
-    """sum_k coeffs[k] * vectors[k], summed one component at a time.
+def _lincomb(coeffs, vectors, zero: float = -0.0) -> Vec4:
+    """zero + sum_k coeffs[k] * vectors[k], summed one component at a time.
 
-    Each sum starts from its first product, not from 0.0, so signed zeros
-    survive and (1, y, z) on (a, b, g) is bit-identical to a + y*b + z*g.
+    -0.0 is the exact additive identity, so by default signed zeros survive
+    and (1, y, z) on (a, b, g) is bit-identical to a + y*b + z*g.  The
+    Laplacians pass 0.0: 0.0 + x == x for x != 0, so a component that would
+    read -0.0 reads 0.0 and no other bit changes.
     """
     (k, v), *rest = zip(coeffs, vectors)
-    s0, s1, s2, s3 = k * v.c0, k * v.c1, k * v.c2, k * v.c3
+    s0, s1, s2, s3 = (zero + k * v.c0, zero + k * v.c1, zero + k * v.c2,
+                      zero + k * v.c3)
     for k, v in rest:
         s0 += k * v.c0
         s1 += k * v.c1
@@ -435,7 +438,7 @@ def _laplace_beltrami(md: MetricData, grads, fr: Frame) -> Vec4:
     t = [s * sum(d_rows[i][j] / w - adj[i][j] * dw[i] / (w * w) for i in range(3))
          for j in range(3)]
     return _lincomb((*t, s * a11 / w, s * 2.0 * a12 / w, s * 2.0 * a13 / w),
-                    _derivs(fr))
+                    _derivs(fr), 0.0)
 
 
 def lb_closed_orthogonal(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:
@@ -486,7 +489,7 @@ def _lb_closed(md: MetricData, grads, fr: Frame, p_weight: float) -> Vec4:
           tau * c * p[0] + b * c * p[1] + (sigma * a - b * b) * p[2], 0.0, 0.0, 0.0)
     scale = 1.0 / (q_val * q_val)
     return _lincomb([(q_val * d - p_weight * m) * scale
-                     for d, m in zip(div_n, pn)], _derivs(fr))
+                     for d, m in zip(div_n, pn)], _derivs(fr), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The grid is the closed parameter box sampled uniformly, stored row-major
 with x slowest.  `walk_grid`, the one serial grid walker behind check, mesh
-and report, evaluates each curve once per x sample and runs the curvature
-pipeline on every (y, z) frame of that slice.  Every vertex carries the
+and report, evaluates alpha, beta and gamma once per x sample and runs the
+curvature pipeline on every (y, z) frame of that slice.  Every vertex carries the
 pipeline's scalar fields; a vertex where the pipeline degenerates keeps its
 slot with NaN fields and a flag naming the failure (DegenerateNormal,
 SingularMetric, DomainError, or NonFiniteValue on overflow), so one bad

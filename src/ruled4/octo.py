@@ -44,19 +44,22 @@ class PairCrossCurve:
     """Curve t -> sum over pairs of cross4(left(t), right(t), i_vec).
 
     Derivatives come from the product rule applied to each bilinear term,
-    so they are exact whenever the factor curves provide exact jets.
+    so they are exact whenever the factor curves provide exact jets.  A
+    factor shared by several pairs (u in u x v + u x w) is evaluated once.
     """
 
     pairs: tuple[tuple[Curve, Curve], ...]
     i_vec: Vec4 = DEFAULT_I
 
     def evaluate(self, t: float) -> tuple[Vec4, Vec4, Vec4]:
+        factors = {id(c): c for pair in self.pairs for c in pair}
+        jets = {key: c.evaluate(t) for key, c in factors.items()}
         pos = Vec4.zero()
         vel = Vec4.zero()
         acc = Vec4.zero()
         for left, right in self.pairs:
-            l0, l1, l2 = left.evaluate(t)
-            r0, r1, r2 = right.evaluate(t)
+            l0, l1, l2 = jets[id(left)]
+            r0, r1, r2 = jets[id(right)]
             pos = pos + cross4(l0, r0, self.i_vec)
             vel = vel + cross4(l1, r0, self.i_vec) + cross4(l0, r1, self.i_vec)
             acc = acc + cross4(l2, r0, self.i_vec) \

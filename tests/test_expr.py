@@ -179,6 +179,33 @@ def test_float_evaluator_matches_jet_value():
         assert f == pytest.approx(j.f, rel=1e-12, abs=1e-12)
 
 
+def test_three_evaluators_agree_exactly_on_values():
+    # one walk serves all three number types, so wherever every evaluator
+    # succeeds the float value is the jet's f slot and the dual's re slot
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(300):
+        ast = _random_ast(rng, 3)
+        t = rng.uniform(0.2, 2.0)
+        try:
+            f = evaluate_float(ast, t)
+            j = evaluate_jet(ast, t)
+            d = evaluate_dual(ast, t)
+        except DomainError:
+            continue
+        assert f == j.f == d.re, to_text(ast)
+        compared += 1
+    assert compared > 150
+
+
+@pytest.mark.parametrize("fn", ["exp", "sinh", "cosh"])
+def test_overflow_is_a_domain_error_in_every_evaluator(fn):
+    node = parse_expr(f"{fn}(t)")
+    for evaluate in (evaluate_float, evaluate_jet, evaluate_dual):
+        with pytest.raises(DomainError):
+            evaluate(node, 1000.0)
+
+
 def test_domain_errors_surface():
     with pytest.raises(DomainError):
         evaluate_float(parse_expr("1/t"), 0.0)

@@ -6,6 +6,7 @@ Lorentz-covariance test boosts the curve texts of whole surfaces and checks
 that the invariants stay put and the vectors move with the boost.
 """
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -96,6 +97,16 @@ def test_mesh_csv_has_no_negative_zero_curvature(tmp_path):
     k = header.split(",").index("K")
     assert rows
     assert all(row.split(",")[k] != "-0.0" for row in rows)
+
+
+def test_mesh_json_has_no_negative_zero_laplacian(tmp_path):
+    out = tmp_path / "example1.json"
+    scene = str(resources.files("ruled4.scenes") / "example1.json")
+    assert main(["mesh", scene, "--format", "json", "--out", str(out)]) == 0
+    lb = [c for v in json.loads(out.read_text())["vertices"] for c in v["lb"]]
+    zeros = [c for c in lb if c == 0.0]
+    assert zeros
+    assert all(math.copysign(1.0, c) == 1.0 for c in zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from ruled4.mesh import (
     export_obj,
     mesh_document,
     sample_grid,
+    walk_grid,
 )
 from ruled4.scene import SceneConfig, build_hypersurface, load_scene, scene_from_dict
 from support import counting_scene
@@ -255,6 +256,17 @@ def test_sample_grid_evaluates_each_curve_once_per_x():
         counter[0] = 0
         sample_grid(h, counted)
         assert counter[0] == 3 * cfg.resolution[0]
+
+
+def test_walk_grid_evaluates_shared_factor_curves_once_per_x():
+    # alpha = u x v + u x w evaluates u, v and w once each; beta = w and
+    # gamma = v evaluate again: 5 curve evaluations per x sample
+    cfg = load_scene(shipped_path("exampleEx3.json"))
+    counted, counter = counting_scene(cfg)
+    h = build_hypersurface(counted)
+    counter[0] = 0
+    walk_grid(h, counted)
+    assert counter[0] == 5 * cfg.resolution[0]
 
 
 def test_sample_grid_threaded_is_identical(monkeypatch):
