@@ -20,15 +20,14 @@ The process exit code is 1 if any claim is `fail` or `inconclusive`, else
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import crosscheck
 from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed, _matmul,
-                           _metric_gradients, inverse_metric, second_form_raw)
+                           inverse_metric, second_form_raw)
 from .lorentz import Vec4, cross4, lorentz_dot
-from .mesh import grid_mesh, mesh_document, walk_grid
+from .mesh import _walk_slices, grid_mesh, mesh_document
 from .octo import _star, _star_dual
 from .scene import SceneConfig, build_hypersurface
 
@@ -45,13 +44,22 @@ LB_CLOSED_TOL = 1e-8
 REFERENCE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class _ClaimFields(NamedTuple):
     name: str
     paper_claim: str
     computed: str
     verdict: str
-    details: dict = field(default_factory=dict)
+    details: dict
+
+
+class ClaimResult(_ClaimFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, paper_claim: str, computed: str,
+                verdict: str, details: Optional[dict] = None):
+        # a fresh dict per result: a NamedTuple default would be shared
+        return super().__new__(cls, name, paper_claim, computed, verdict,
+                               {} if details is None else details)
 
     def to_dict(self) -> dict:
         return {
@@ -63,8 +71,7 @@ class ClaimResult:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     scene: str
     mode: str
     claims: tuple[ClaimResult, ...]
@@ -120,7 +127,12 @@ class _Session:
     def __init__(self, cfg: SceneConfig):
         self.cfg = cfg
         self.surface = build_hypersurface(cfg)
-        self.points = walk_grid(self.surface, cfg)
+        self.points = []
+        self.jets = {}  # x -> the walk's (alpha, beta, gamma) jets at x
+        for x, jets, points in _walk_slices(self.surface, cfg):
+            self.points += points
+            if jets is not None:
+                self.jets[x] = jets
         self.xs = sorted({pt.params[0] for pt in self.points})
         self.graded = [pt for pt in self.points if pt.report is not None]
         self.degenerate = len(self.points) - len(self.graded)
@@ -274,8 +286,7 @@ def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
     worst_half = worst_full = 0.0
     for pt in s.graded:
         rep = pt.report
-        grads = _metric_gradients(rep.metric.kind, pt.frame)
-        full = _lb_closed(rep.metric, grads, pt.frame, 1.0)
+        full = _lb_closed(rep.metric, pt.grads, pt.frame, 1.0)
         worst_half = max(worst_half, _gap(rep.laplacian_closed, rep.laplacian))
         worst_full = max(worst_full, _gap(full, rep.laplacian))
     return worst_half, worst_full
@@ -386,27 +397,29 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
         {"vector_gap": worst_vec, "scalar_defect": worst_scalar})
 
 
+# The surface curve each reference key describes, by its index in
+# (alpha, beta, gamma).
 _REFERENCE_ROLES = {
-    "alpha": "alpha", "beta": "beta", "gamma": "gamma",
-    "s_director": "beta", "r_director": "gamma",
+    "alpha": 0, "beta": 1, "gamma": 2, "s_director": 1, "r_director": 2,
 }
 
 
 def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
     if not s.cfg.reference:
         return None
-    curves = {"alpha": s.surface.alpha, "beta": s.surface.beta,
-              "gamma": s.surface.gamma}
+    curves = (s.surface.alpha, s.surface.beta, s.surface.gamma)
     per_curve = {}
     worst = 0.0
     for key, ref in s.cfg.reference.items():
         role = _REFERENCE_ROLES.get(key)
         if role is None:
             continue
-        target = curves[role]
         dev = [0.0, 0.0, 0.0, 0.0]
         for t in s.xs:
-            got, _, _ = target.evaluate(t)
+            # the walk's jets, or this one curve where the walk flagged the
+            # slice: it is graded if it evaluates and raises if it fails
+            jets = s.jets.get(t)
+            got = (jets[role] if jets else curves[role].evaluate(t))[0]
             want, _, _ = ref.evaluate(t)
             for i, (a, b) in enumerate(zip(got.components(),
                                            want.components())):

@@ -13,9 +13,8 @@ sampled frame and metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .hypersurface import RuledHypersurface, _lb_closed_at, frame
 from .lorentz import Vec4, cross4, lorentz_dot
@@ -49,8 +48,7 @@ def normal_components_expanded(x_vec: Vec4, beta: Vec4, gamma: Vec4) -> Vec4:
     return Vec4(n1, n2, n3, n4)
 
 
-@dataclass(frozen=True)
-class NormalComparison:
+class NormalComparison(NamedTuple):
     point: tuple[float, float, float]
     expanded: tuple[float, float, float, float]
     direct: tuple[float, float, float, float]

@@ -16,10 +16,10 @@ rule lifts that triple to both types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from ._frozen import Frozen, _set
 from .errors import DomainError
 from .lorentz import Vec4, cross4, euclid_dot, lorentz_dot
 
@@ -35,16 +35,14 @@ __all__ = [
 UNIT_SPHERE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Dual:
+class Dual(Frozen):
     """a + eps*a' with eps nilpotent of order two."""
 
-    re: float
-    eps: float
+    __slots__ = _fields = ("re", "eps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "eps", float(self.eps))
+    def __init__(self, re: float, eps: float):
+        _set(self, "re", float(re))
+        _set(self, "eps", float(eps))
 
     def __add__(self, other: "Dual") -> "Dual":
         return Dual(self.re + other.re, self.eps + other.eps)
@@ -66,18 +64,15 @@ class Dual:
         return Dual(q, (self.eps - q * other.eps) / other.re)
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(Frozen):
     """Truncated Taylor data (f, f', f'') of a scalar function at a point."""
 
-    f: float
-    d1: float
-    d2: float
+    __slots__ = _fields = ("f", "d1", "d2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", float(self.f))
-        object.__setattr__(self, "d1", float(self.d1))
-        object.__setattr__(self, "d2", float(self.d2))
+    def __init__(self, f: float, d1: float, d2: float):
+        _set(self, "f", float(f))
+        _set(self, "d1", float(d1))
+        _set(self, "d2", float(d2))
 
     @staticmethod
     def constant(c: float) -> "Jet2":
@@ -243,16 +238,14 @@ DUAL_FUNCTIONS: dict[str, Callable[[Dual], Dual]] = {
     "sqrt": _dual_sqrt, **{name: _on_dual(fn) for name, fn in _DERIVATIVES.items()}}
 
 
-@dataclass(frozen=True)
-class DualVec4:
+class DualVec4(NamedTuple):
     """Dual 4-vector a + eps*a' (a pair of Vec4)."""
 
     re: Vec4
     eps: Vec4
 
 
-@dataclass(frozen=True)
-class DualVectorAlgebra:
+class DualVectorAlgebra(NamedTuple):
     """Products of a pair of dual vectors: scalar, ternary cross, norm."""
 
     dot: Dual

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
+from ._frozen import Frozen, _set
 from .dual import (_DERIVATIVES, DUAL_FUNCTIONS, JET_FUNCTIONS, Dual, Jet2,
                    _safe_pow, _sqrt, dual_pow, jet_pow)
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
@@ -53,55 +54,62 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 # AST
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Const(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Var(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "ExprAst"
-    right: "ExprAst"
+class _Binary(Frozen):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "ExprAst", right: "ExprAst"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "ExprAst"
-    right: "ExprAst"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "ExprAst"
-    right: "ExprAst"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "ExprAst"
-    right: "ExprAst"
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "ExprAst"
+class Div(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    expo: Fraction
+class Neg(Frozen):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: "ExprAst"):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "ExprAst"
+class Pow(Frozen):
+    __slots__ = _fields = ("base", "expo")
+
+    def __init__(self, base: "ExprAst", expo: Fraction):
+        _set(self, "base", base)
+        _set(self, "expo", expo)
+
+
+class Call(Frozen):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: "ExprAst"):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
 ExprAst = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow, Call]
@@ -131,8 +139,7 @@ _OPS = "+-*/^()"
 _MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM, IDENT, OP, END
     text: str
     pos: int
@@ -470,8 +477,7 @@ class CurveSpec:
         return tuple(to_text(c) for c in self.comps)
 
 
-@dataclass(frozen=True)
-class DirectorReport:
+class DirectorReport(NamedTuple):
     """Outcome of checking a director curve against a model space."""
 
     constraint: ModelSpace

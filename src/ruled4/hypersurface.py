@@ -24,9 +24,8 @@ Gauss-Kronecker curvature everywhere: every such surface is flat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from .errors import (DegenerateNormal, DirectorConstraintViolated,
                      NonFiniteValue, SingularMetric)
@@ -76,8 +75,7 @@ class Curve(Protocol):
     def evaluate(self, t: float) -> tuple[Vec4, Vec4, Vec4]: ...
 
 
-@dataclass(frozen=True)
-class RuledHypersurface:
+class RuledHypersurface(NamedTuple):
     alpha: Curve
     beta: Curve
     gamma: Curve
@@ -141,8 +139,7 @@ def make_ruled(alpha: Curve, beta: Curve, gamma: Curve, kind: SurfaceKind,
 # ---------------------------------------------------------------------------
 # Frame
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """phi and its parameter derivatives at one point.
 
     phi is affine in y and z, so phi_yy = phi_yz = phi_zz = 0 identically;
@@ -203,8 +200,7 @@ def eval_point(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:
 # ---------------------------------------------------------------------------
 # Gauss map
 
-@dataclass(frozen=True)
-class GaussMapData:
+class GaussMapData(NamedTuple):
     n_raw: Vec4
     unit: Vec4
     magnitude: float
@@ -233,8 +229,7 @@ def gauss_map(h: RuledHypersurface, x: float, y: float, z: float,
 # ---------------------------------------------------------------------------
 # First fundamental form
 
-@dataclass(frozen=True)
-class MetricData:
+class MetricData(NamedTuple):
     """First fundamental form and its scalar ingredients.
 
     a = <phi_x, phi_x>, b = <phi_y, phi_x>, c = <phi_z, phi_x>,
@@ -495,8 +490,7 @@ def _lb_closed(md: MetricData, grads, fr: Frame, p_weight: float) -> Vec4:
 # ---------------------------------------------------------------------------
 # Curvature report
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     point: tuple[float, float, float]
     position: Vec4
     metric: MetricData
@@ -523,6 +517,12 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
 
 def _report_at(h: RuledHypersurface, x: float, y: float, z: float,
                fr: Frame) -> CurvatureReport:
+    return _vertex_at(h, x, y, z, fr)[0]
+
+
+def _vertex_at(h: RuledHypersurface, x: float, y: float, z: float,
+               fr: Frame) -> tuple[CurvatureReport, tuple]:
+    """(the CurvatureReport at fr, the metric gradients it was built from)."""
     gm = gauss_map(h, x, y, z, fr)
     md = first_form(h, x, y, z, fr)
     hmat = second_form(h, x, y, z, fr, gm)
@@ -552,4 +552,4 @@ def _report_at(h: RuledHypersurface, x: float, y: float, z: float,
         laplacian=lb,
         laplacian_closed=lb_closed,
         flags=h.warnings,
-    )
+    ), grads

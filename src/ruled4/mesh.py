@@ -1,9 +1,10 @@
 """Grid sampling of a surface and file export (OBJ, CSV, JSON).
 
 The grid is the closed parameter box sampled uniformly, stored row-major
-with x slowest.  `walk_grid`, the one serial grid walker behind check, mesh
-and report, evaluates alpha, beta and gamma once per x sample and runs the
-curvature pipeline on every (y, z) frame of that slice.  Every vertex carries the
+with x slowest.  `_walk_slices`, the one serial grid walker behind check,
+mesh and report (`walk_grid` lists its vertices), evaluates alpha, beta and
+gamma once per x sample and runs the curvature pipeline on every (y, z)
+frame of that slice.  Every vertex carries the
 pipeline's scalar fields; a vertex where the pipeline degenerates keeps its
 slot with NaN fields and a flag naming the failure (DegenerateNormal,
 SingularMetric, DomainError, or NonFiniteValue on overflow), so one bad
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DegenerateNormal, DomainError, SingularMetric
 from .hypersurface import (CurvatureReport, Frame, RuledHypersurface,
-                           _frame_at, _report_at)
+                           _frame_at, _vertex_at)
 from .scene import SceneConfig
 
 __all__ = ["GridPoint", "walk_grid", "grid_mesh", "VertexData", "Mesh",
@@ -34,18 +34,21 @@ _NAN = float("nan")
 _NAN4 = (_NAN, _NAN, _NAN, _NAN)
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """One vertex: its frame (None if not evaluable) and report, or a flag."""
+class GridPoint(NamedTuple):
+    """One vertex: its frame (None if not evaluable) and report, or a flag.
+
+    grads are the metric gradients the report was built from, None where
+    there is no report.
+    """
 
     params: tuple[float, float, float]
     frame: Optional[Frame]
     report: Optional[CurvatureReport]
     flag: Optional[str]
+    grads: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class VertexData:
+class VertexData(NamedTuple):
     params: tuple[float, float, float]
     position: tuple[float, float, float, float]
     n_raw: tuple[float, float, float, float]
@@ -65,8 +68,7 @@ class VertexData:
     flags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(NamedTuple):
     scene_name: str
     mode: str
     resolution: tuple[int, int, int]
@@ -96,29 +98,35 @@ def _grid_point(h: RuledHypersurface, curves, x: float, y: float,
     fr = None
     try:
         fr = _frame_at(curves, y, z)
-        return GridPoint((x, y, z), fr, _report_at(h, x, y, z, fr), None)
+        report, grads = _vertex_at(h, x, y, z, fr)
+        return GridPoint((x, y, z), fr, report, None, grads)
     except (DegenerateNormal, SingularMetric, DomainError) as exc:
         return GridPoint((x, y, z), fr, None, type(exc).__name__)
 
 
-def walk_grid(h: RuledHypersurface, cfg: SceneConfig) -> list[GridPoint]:
-    """Every vertex of the scene's grid, row-major, x slowest.
+def _walk_slices(h: RuledHypersurface, cfg: SceneConfig):
+    """(x, its alpha/beta/gamma jets or None, its GridPoints) per x sample.
 
     alpha, beta and gamma are evaluated once per x sample; a failure there
-    flags the whole slice.
+    flags the whole slice and leaves its jets None.
     """
     xs, ys, zs = _axes(cfg)
-    points: list[GridPoint] = []
     for x in xs:
         try:
             curves = (h.alpha.evaluate(x), h.beta.evaluate(x),
                       h.gamma.evaluate(x))
         except DomainError as exc:
-            points += [GridPoint((x, y, z), None, None, type(exc).__name__)
-                       for y in ys for z in zs]
+            yield x, None, [GridPoint((x, y, z), None, None,
+                                      type(exc).__name__)
+                            for y in ys for z in zs]
             continue
-        points += [_grid_point(h, curves, x, y, z) for y in ys for z in zs]
-    return points
+        yield x, curves, [_grid_point(h, curves, x, y, z)
+                          for y in ys for z in zs]
+
+
+def walk_grid(h: RuledHypersurface, cfg: SceneConfig) -> list[GridPoint]:
+    """Every vertex of the scene's grid, row-major, x slowest."""
+    return [pt for _, _, points in _walk_slices(h, cfg) for pt in points]
 
 
 def _vertex(pt: GridPoint) -> VertexData:

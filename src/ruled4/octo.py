@@ -22,8 +22,7 @@ returned surface, never errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NonUnitI
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind,
@@ -39,8 +38,7 @@ __all__ = [
 ADVISORY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PairCrossCurve:
+class PairCrossCurve(NamedTuple):
     """Curve t -> sum over pairs of cross4(left(t), right(t), i_vec).
 
     Derivatives come from the product rule applied to each bilinear term,
@@ -140,7 +138,7 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
     degenerate = _degenerate_ruling(pos["v"], pos["w"])
     if degenerate:
         warnings.append(degenerate)
-    return replace(base, warnings=tuple(warnings))
+    return base._replace(warnings=tuple(warnings))
 
 
 def construct_from_dual_curves(a: Curve, a_star: Curve,
@@ -179,7 +177,7 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     degenerate = _degenerate_ruling(pos["a"], pos["b"])
     if degenerate:
         warnings.append(degenerate)
-    return replace(base, warnings=tuple(warnings))
+    return base._replace(warnings=tuple(warnings))
 
 
 def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,

@@ -21,9 +21,9 @@ Lorentzian scalar product and ternary cross product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
+from ._frozen import Frozen, _set
 from .errors import InconsistentSeed, NonUnitI
 from .lorentz import Vec4, cross4, lorentz_dot
 
@@ -46,8 +46,7 @@ def _dbl(i: int) -> int:
     return (2 * i - 1) % 7 + 1
 
 
-@dataclass(frozen=True)
-class MulTable:
+class MulTable(NamedTuple):
     """Signed products for all 49 ordered pairs of imaginary units.
 
     entries[(i, j)] == (sign, k) meaning ei*ej = sign * ek, where k == 0
@@ -136,20 +135,19 @@ def table_to_csv(table: MulTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Octonion:
+class Octonion(Frozen):
     """8-component number a0 + a1*e1 + ... + a7*e7."""
 
-    coeffs: tuple[float, float, float, float, float, float, float, float]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable[float]):
+        coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) != 8:
             raise ValueError(f"an octonion has 8 coefficients, got {len(coeffs)}")
         for c in coeffs:
             if not math.isfinite(c):
                 raise ValueError(f"octonion coefficient must be finite, got {c!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(values: Iterable[float]) -> "Octonion":
@@ -216,19 +214,18 @@ def oct_mul(p: Octonion, q: Octonion, table: MulTable | None = None) -> Octonion
     return Octonion(tuple(out))
 
 
-@dataclass(frozen=True)
-class ParticularOctonion:
+class ParticularOctonion(Frozen):
     """Octonion with vector part confined to units e1..e4.
 
     The four vector slots are identified with Vec4 slots 0..3, keeping the
     ternary cross product and the star product on the same index convention.
     """
 
-    scalar: float
-    vector: Vec4
+    __slots__ = _fields = ("scalar", "vector")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scalar", float(self.scalar))
+    def __init__(self, scalar: float, vector: Vec4):
+        _set(self, "scalar", float(scalar))
+        _set(self, "vector", vector)
 
     @staticmethod
     def pure(v: Vec4) -> "ParticularOctonion":

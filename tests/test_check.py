@@ -1,11 +1,13 @@
 """Claim grading: pass / discrepancy / fail verdicts on the shipped scenes."""
 
 import json
+import sys
 from dataclasses import replace
 from importlib import resources
 
 import pytest
 
+from ruled4 import hypersurface
 from ruled4.check import (
     CheckReport,
     ClaimResult,
@@ -217,6 +219,35 @@ def test_check_evaluations_do_not_grow_with_the_ruling_grid(name):
         check_scene(counted)
         counts.append(counter[0])
     assert counts[0] == counts[1]
+
+
+def test_reference_claim_reads_the_walked_curves():
+    # 99 evaluations build the surface, the walk makes 5 per x sample (u,
+    # v, w for alpha, then beta and gamma), and the construction and
+    # alpha-probe claims 3 each per x; reference_curves makes none
+    counted, counter = counting_scene(shipped("exampleEx3.json"))
+    check_scene(counted)
+    assert counted.resolution[0] == 25
+    assert counter[0] == 99 + (5 + 3 + 3) * 25
+
+
+def test_check_computes_metric_gradients_once_per_vertex(monkeypatch):
+    # the full-weight lb_closed_form probe reuses the walk's gradients
+    calls = [0]
+    gradients = hypersurface._metric_gradients
+
+    def counting(*args):
+        calls[0] += 1
+        return gradients(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "ruled4"
+                and getattr(module, "_metric_gradients", None) is gradients):
+            monkeypatch.setattr(module, "_metric_gradients", counting)
+    cfg = shipped("exampleE1.json")
+    assert "lb_closed_form" in by_name(check_scene(cfg))
+    nx, ny, nz = cfg.resolution
+    assert calls[0] == nx * ny * nz == 27
 
 
 def test_report_document_evaluates_curves_as_often_as_check():

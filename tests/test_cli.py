@@ -157,6 +157,29 @@ def test_import_loads_neither_numpy_nor_jsonschema():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_builds_only_three_dataclasses():
+    """Every command start pays for each dataclass's generated methods.
+
+    Three classes stay dataclasses:
+    - CurveSpec: callers subclass it with @dataclass to add fields, such as
+      a counter of evaluate calls built as CountingCurve(comps, counter).
+    - SceneConfig: callers derive variants with dataclasses.replace.
+    - Vec4: a kernel test counts constructions through Vec4.__post_init__.
+    Records are NamedTuples; numbers and expression nodes are slotted values.
+    """
+    probe = ("import sys, ruled4.cli; print(sorted("
+             "name for mod, module in list(sys.modules.items()) "
+             "if mod.split('.')[0] == 'ruled4' "
+             "for name, cls in vars(module).items() "
+             "if isinstance(cls, type) and cls.__module__ == mod "
+             "and '__dataclass_fields__' in vars(cls)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={"PATH": "/usr/bin:/bin",
+                                          "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['CurveSpec', 'SceneConfig', 'Vec4']"
+
+
 def test_overflowing_curve_flags_vertices(tmp_path):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({

@@ -1,0 +1,96 @@
+"""Value semantics of the package's records, numbers and expression nodes.
+
+Records (surfaces, frames, reports, meshes, claim results) are immutable.
+Numbers and expression nodes are immutable too, and they compare by exact
+type and fields without being tuples: Add(a, b) never equals Sub(a, b), and
+a number has no len, ordering, concatenation or integer repetition.
+"""
+
+import pickle
+from importlib import resources
+
+import pytest
+
+from ruled4.check import ClaimResult, check_scene
+from ruled4.crosscheck import compare_normal_formulas
+from ruled4.dual import Dual, DualVec4, Jet2, dual_vector_algebra
+from ruled4.expr import Add, Const, Sub, Var, parse_expr, validate_director
+from ruled4.hypersurface import gauss_map
+from ruled4.lorentz import ModelSpace, Vec4
+from ruled4.mesh import sample_grid, walk_grid
+from ruled4.octonion import Octonion, ParticularOctonion, default_table
+from ruled4.scene import build_hypersurface, load_scene
+
+NUMBERS = (Dual(1.0, 2.0), Jet2(1.0, 2.0, 3.0), Octonion.one())
+
+
+def shipped(name):
+    return load_scene(str(resources.files("ruled4.scenes") / f"{name}.json"))
+
+
+@pytest.fixture(scope="module")
+def records():
+    """(object, one of its field names) for each record and value type."""
+    cfg = shipped("exampleEx3")
+    h = build_hypersurface(cfg)
+    pt = next(pt for pt in walk_grid(h, cfg) if pt.report)
+    mesh = sample_grid(h, cfg)
+    report = check_scene(cfg)
+    rep = pt.report
+    x, y, z = pt.params
+    pair = DualVec4(Vec4.basis(1), Vec4.zero())
+    beta = shipped("exampleE1").curves["beta"]
+    return [
+        (h, "warnings"), (h.alpha, "i_vec"), (pt, "report"),
+        (pt.frame, "position"), (rep, "gauss_curvature"),
+        (rep.metric, "detg"), (gauss_map(h, x, y, z), "unit"),
+        (mesh, "vertices"), (mesh.vertices[0], "gauss_k"),
+        (report, "claims"), (report.claims[0], "verdict"),
+        (validate_director(beta, ModelSpace.DE_SITTER, [0.0]), "passed"),
+        (compare_normal_formulas(h, [pt.params])[0], "max_deviation"),
+        (default_table(), "seed"), (pair, "re"),
+        (dual_vector_algebra(pair, pair, Vec4.basis(3)), "dot"),
+        (Dual(1.0, 2.0), "re"), (Jet2(1.0, 2.0, 3.0), "f"),
+        (Octonion.one(), "coeffs"),
+        (ParticularOctonion(1.0, Vec4.zero()), "scalar"),
+        (parse_expr("t + 1"), "left"), (Const(1.0), "value"),
+    ]
+
+
+def test_expression_nodes_compare_by_type():
+    assert parse_expr("t+1") != parse_expr("t-1")
+    assert Add(Var(), Const(1.0)) != Sub(Var(), Const(1.0))
+    assert parse_expr("t+1") == Add(Var(), Const(1.0))
+    assert hash(parse_expr("t+1")) == hash(Add(Var(), Const(1.0)))
+
+
+def test_records_and_values_refuse_assignment(records):
+    for obj, name in records:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        assert getattr(obj, name) is before, type(obj).__name__
+
+
+@pytest.mark.parametrize("value", NUMBERS, ids=lambda v: type(v).__name__)
+def test_numbers_are_not_tuples(value):
+    assert not isinstance(value, tuple)
+    with pytest.raises(TypeError):
+        len(value)
+    with pytest.raises(TypeError):
+        value < value
+    with pytest.raises(TypeError):
+        2 * value
+
+
+@pytest.mark.parametrize("value", NUMBERS + (parse_expr("sin(t)^2 - t/2"),),
+                         ids=lambda v: type(v).__name__)
+def test_numbers_and_trees_survive_pickling(value):
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_claim_results_do_not_share_a_details_dict():
+    a = ClaimResult("a", "claim", "computed", "pass")
+    b = ClaimResult("b", "claim", "computed", "pass")
+    assert a.details == {} and b.details == {}
+    assert a.details is not b.details
