@@ -1,11 +1,12 @@
 """Immutable value classes that need no generated code.
 
 dataclass(frozen=True) execs a fresh __init__, __repr__, __eq__, __hash__
-and __setattr__ for every class at import.  The number and expression types
-share these instead.  A subclass names its fields in `_fields`, keeps them
-in __slots__ and stores them from its own __init__ through `_set`.  A value
-compares and hashes by its exact type and fields, refuses assignment after
-construction, and is not a tuple: it has no len, order or concatenation.
+and __setattr__ for every class at import.  The vector, number and
+expression types share these instead.  A subclass names its fields in
+`_fields`, keeps them in __slots__ and stores them from its own __init__
+through `_set`.  A value compares and hashes by its exact type and fields,
+refuses assignment after construction, and is not a tuple: it has no len,
+order or concatenation.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed, _matmul,
 from .lorentz import Vec4, cross4, lorentz_dot
 from .mesh import _walk_slices, grid_mesh, mesh_document
 from .octo import _star, _star_dual
-from .scene import SceneConfig, build_hypersurface
+from .octonion import _require_axis
+from .scene import _CURVE_KEYS, SceneConfig, build_hypersurface
 
 __all__ = ["ClaimResult", "CheckReport", "check_scene", "report_document",
            "FLAT_TOL", "ZERO_TOL", "INTERNAL_REL_TOL", "LINKAGE_REL_TOL",
@@ -136,6 +137,20 @@ class _Session:
         self.xs = sorted({pt.params[0] for pt in self.points})
         self.graded = [pt for pt in self.points if pt.report is not None]
         self.degenerate = len(self.points) - len(self.graded)
+        self._positions = {}
+
+    def construction_positions(self, x: float) -> tuple:
+        """The construction curves' positions at x, evaluated once apiece.
+
+        These are the scene's own u, v, w (or a, a*, b, b*), not the walk's
+        base curve, so the claims built on them stay independent of it.
+        """
+        got = self._positions.get(x)
+        if got is None:
+            got = self._positions[x] = tuple(
+                self.cfg.curves[name].evaluate(x)[0]
+                for name in _CURVE_KEYS[self.cfg.mode])
+        return got
 
     @property
     def kind(self) -> SurfaceKind:
@@ -210,15 +225,19 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
     worst_exp = worst_orth = worst_lag = 0.0
     for pt in s.graded:
         rep, fr = pt.report, pt.frame
-        expanded = crosscheck.normal_components_expanded(
-            fr.phi_x, fr.phi_y, fr.phi_z)
-        scale = max(1.0, max(abs(v) for v in rep.normal.n_raw.components()))
-        worst_exp = max(worst_exp, _gap(expanded, rep.normal.n_raw) / scale)
-        for tangent in (fr.phi_x, fr.phi_y, fr.phi_z):
+        tangents = (fr.phi_x, fr.phi_y, fr.phi_z)
+        expanded = crosscheck._normal_expanded(
+            *(t.components() for t in tangents))
+        n0, n1, n2, n3 = rep.normal.n_raw.components()
+        e0, e1, e2, e3 = expanded
+        gap = max(abs(e0 - n0), abs(e1 - n1), abs(e2 - n2), abs(e3 - n3))
+        scale = max(1.0, abs(n0), abs(n1), abs(n2), abs(n3))
+        worst_exp = max(worst_exp, gap / scale)
+        gram = crosscheck.lorentz_gram(tangents)
+        for k, tangent in enumerate(tangents):
             worst_orth = max(worst_orth,
                              abs(lorentz_dot(rep.normal.unit, tangent))
-                             / max(1.0, abs(lorentz_dot(tangent, tangent))))
-        gram = crosscheck.lorentz_gram((fr.phi_x, fr.phi_y, fr.phi_z))
+                             / max(1.0, abs(gram[k][k])))
         det_gram = crosscheck._det(gram)
         nn = lorentz_dot(rep.normal.n_raw, rep.normal.n_raw)
         worst_lag = max(worst_lag, abs(nn + det_gram) / max(1.0, abs(nn)))
@@ -369,11 +388,9 @@ def _claim_construction_hypotheses(s: _Session) -> Optional[ClaimResult]:
 def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode not in ("octonion", "dual-octonion"):
         return None
-    if s.cfg.mode == "octonion":
-        star, names = _star, ("u", "v", "w")
-    else:
-        star, names = _star_dual, ("a", "a_star", "b", "b_star")
-    curves = [s.cfg.curves[name] for name in names]
+    star = _star if s.cfg.mode == "octonion" else _star_dual
+    _require_axis(s.cfg.i_vec)
+    axis = s.cfg.i_vec.components()
     worst_vec = 0.0
     worst_scalar = 0.0
     graded = 0
@@ -381,11 +398,13 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
         framed = [pt for pt in pts if pt.frame is not None]
         if not framed:
             continue
-        positions = [curve.evaluate(x)[0] for curve in curves]
+        positions = [p.components() for p in s.construction_positions(x)]
         for pt in framed:
-            sp = star(*positions, pt.params[1], pt.params[2], s.cfg.i_vec)
-            worst_vec = max(worst_vec, _gap(sp.vector, pt.frame.position))
-            worst_scalar = max(worst_scalar, abs(sp.scalar))
+            scalar, vector = star(*positions, pt.params[1], pt.params[2], axis)
+            worst_vec = max(worst_vec, max(
+                abs(a - b) for a, b in zip(vector,
+                                           pt.frame.position.components())))
+            worst_scalar = max(worst_scalar, abs(scalar))
         graded += len(framed)
     return ClaimResult(
         "construction_equivalence",
@@ -442,13 +461,12 @@ def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode != "octonion" or "alpha" not in s.cfg.reference:
         return None
     ref = s.cfg.reference["alpha"]
-    u, v, w = (s.cfg.curves[name] for name in ("u", "v", "w"))
     axes = {f"{label}e{slot + 1}": Vec4.basis(slot) * sign
             for slot in range(4)
             for sign, label in ((1.0, "+"), (-1.0, "-"))}
     candidates = dict.fromkeys(axes, 0.0)
     for t in s.xs:
-        pu, pv, pw = (curve.evaluate(t)[0] for curve in (u, v, w))
+        pu, pv, pw = s.construction_positions(t)
         want, _, _ = ref.evaluate(t)
         for label, axis in axes.items():
             got = cross4(pu, pv, axis) + cross4(pu, pw, axis)

@@ -13,6 +13,7 @@ sampled frame and metric.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -34,18 +35,27 @@ def normal_components_expanded(x_vec: Vec4, beta: Vec4, gamma: Vec4) -> Vec4:
     by the components of beta.  Must agree with cross4(x_vec, beta, gamma)
     to rounding.
     """
-    b = (None,) + beta.components()
-    g = (None,) + gamma.components()
-    xs = (None,) + x_vec.components()
+    return Vec4(*_normal_expanded(x_vec.components(), beta.components(),
+                                  gamma.components()))
 
-    def d(i: int, j: int) -> float:
-        return g[i] * xs[j] - g[j] * xs[i]
 
-    n1 = b[2] * d(4, 3) + b[3] * d(2, 4) + b[4] * d(3, 2)
-    n2 = b[1] * d(4, 3) + b[3] * d(1, 4) + b[4] * d(3, 1)
-    n3 = b[1] * d(2, 4) + b[2] * d(4, 1) + b[4] * d(1, 2)
-    n4 = b[1] * d(3, 2) + b[2] * d(1, 3) + b[3] * d(2, 1)
-    return Vec4(n1, n2, n3, n4)
+def _normal_expanded(x: tuple, b: tuple, g: tuple
+                     ) -> tuple[float, float, float, float]:
+    """normal_components_expanded on component tuples.
+
+    dij is the antisymmetrized product g_i x_j - g_j x_i, indices 1..4.
+    """
+    x1, x2, x3, x4 = x
+    b1, b2, b3, b4 = b
+    g1, g2, g3, g4 = g
+    d43 = g4 * x3 - g3 * x4
+    d24 = g2 * x4 - g4 * x2
+    d32 = g3 * x2 - g2 * x3
+    n1 = b2 * d43 + b3 * d24 + b4 * d32
+    n2 = b1 * d43 + b3 * (g1 * x4 - g4 * x1) + b4 * (g3 * x1 - g1 * x3)
+    n3 = b1 * d24 + b2 * (g4 * x1 - g1 * x4) + b4 * (g1 * x2 - g2 * x1)
+    n4 = b1 * d32 + b2 * (g1 * x3 - g3 * x1) + b3 * (g2 * x1 - g1 * x2)
+    return n1, n2, n3, n4
 
 
 class NormalComparison(NamedTuple):
@@ -80,12 +90,20 @@ def lorentz_gram(vectors: Sequence[Vec4]) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(lorentz_dot(u, v) for v in vectors) for u in vectors)
 
 
+@cache
+def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """Each permutation of range(n) with the sign of its Leibniz term."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(p > q for k, p in enumerate(perm) for q in perm[k + 1:])
+        out.append((perm, -1.0 if inversions % 2 else 1.0))
+    return tuple(out)
+
+
 def _det(rows: Sequence[Sequence[float]]) -> float:
     """Determinant as the Leibniz sum of signed products over permutations."""
     total = 0.0
-    for perm in permutations(range(len(rows))):
-        inversions = sum(p > q for k, p in enumerate(perm) for q in perm[k + 1:])
-        term = -1.0 if inversions % 2 else 1.0
+    for perm, term in _signed_permutations(len(rows)):
         for row, col in zip(rows, perm):
             term *= row[col]
         total += term

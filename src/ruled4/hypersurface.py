@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional, Protocol
 from .errors import (DegenerateNormal, DirectorConstraintViolated,
                      NonFiniteValue, SingularMetric)
 from .expr import CurveSpec, DirectorReport, validate_director
-from .lorentz import (CausalCharacter, ModelSpace, Vec4, _det3, characterize,
-                      cross4, lorentz_dot)
+from .lorentz import (CausalCharacter, ModelSpace, Vec4, _det3, cross4,
+                      lorentz_dot)
 
 __all__ = [
     "SurfaceKind", "Curve", "RuledHypersurface", "make_ruled",
@@ -223,7 +223,10 @@ def gauss_map(h: RuledHypersurface, x: float, y: float, z: float,
         raise DegenerateNormal(
             f"ruling normal magnitude {d!r} at (x,y,z)=({x},{y},{z})")
     unit = n * (1.0 / d)
-    return GaussMapData(n, unit, d, characterize(n).character)
+    # d > DEGENERATE_NORMAL_TOL rules out the ZERO and LIGHTLIKE characters
+    character = (CausalCharacter.SPACELIKE if q > 0.0
+                 else CausalCharacter.TIMELIKE)
+    return GaussMapData(n, unit, d, character)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +321,14 @@ def inverse_metric(md: MetricData) -> Mat3:
 
 def _matmul(p: Mat3, q: Mat3) -> Mat3:
     """Row-by-column product of two 3x3 matrices."""
-    return tuple(tuple(r[0] * q[0][j] + r[1] * q[1][j] + r[2] * q[2][j]
-                       for j in range(3)) for r in p)
+    (a, b, c), (d, e, f), (g, h, i) = q
+    (p0, p1, p2), (p3, p4, p5), (p6, p7, p8) = p
+    return ((p0 * a + p1 * d + p2 * g, p0 * b + p1 * e + p2 * h,
+             p0 * c + p1 * f + p2 * i),
+            (p3 * a + p4 * d + p5 * g, p3 * b + p4 * e + p5 * h,
+             p3 * c + p4 * f + p5 * i),
+            (p6 * a + p7 * d + p8 * g, p6 * b + p7 * e + p8 * h,
+             p6 * c + p7 * f + p8 * i))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +439,13 @@ def _laplace_beltrami(md: MetricData, grads, fr: Frame) -> Vec4:
     dw = [sign * (a11 * da[i] + a22 * dm22[i] + a33 * dm33[i]
                   + 2.0 * (a12 * db[i] + a13 * dc[i] + a23 * de[i])) / (2.0 * w)
           for i in range(3)]
-    t = [s * sum(d_rows[i][j] / w - adj[i][j] * dw[i] / (w * w) for i in range(3))
-         for j in range(3)]
+    t = []
+    for j in range(3):
+        # a left fold from 0.0: sum() rounds differently from Python 3.12 on
+        acc = 0.0
+        for i in range(3):
+            acc += d_rows[i][j] / w - adj[i][j] * dw[i] / (w * w)
+        t.append(s * acc)
     return _lincomb((*t, s * a11 / w, s * 2.0 * a12 / w, s * 2.0 * a13 / w),
                     _derivs(fr), 0.0)
 

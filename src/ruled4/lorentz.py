@@ -21,10 +21,10 @@ Lorentzian products of x, y, z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from ._frozen import Frozen, _set
 from .errors import NonFiniteValue
 
 __all__ = [
@@ -60,22 +60,24 @@ class ModelSpace(Enum):
     LIGHT_CONE = "light_cone"  # <x,x> =  0 and x0 != 0
 
 
-@dataclass(frozen=True)
-class Vec4:
+class Vec4(Frozen):
     """Immutable 4-vector; slot 0 is the timelike coordinate."""
 
-    c0: float
-    c1: float
-    c2: float
-    c3: float
+    __slots__ = _fields = ("c0", "c1", "c2", "c3")
 
-    def __post_init__(self):
-        for name in ("c0", "c1", "c2", "c3"):
-            value = getattr(self, name)
-            value = float(value)
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"Vec4 component {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+    def __init__(self, c0: float, c1: float, c2: float, c3: float):
+        c0, c1, c2, c3 = float(c0), float(c1), float(c2), float(c3)
+        # x * 0.0 is a signed zero for finite x and nan otherwise, so one
+        # comparison screens all four slots
+        if c0 * 0.0 + c1 * 0.0 + c2 * 0.0 + c3 * 0.0 != 0.0:
+            for name, value in zip(self._fields, (c0, c1, c2, c3)):
+                if not math.isfinite(value):
+                    raise NonFiniteValue(
+                        f"Vec4 component {name} must be finite, got {value!r}")
+        _set(self, "c0", c0)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "c3", c3)
 
     @staticmethod
     def zero() -> "Vec4":

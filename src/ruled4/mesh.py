@@ -136,7 +136,7 @@ def _vertex(pt: GridPoint) -> VertexData:
         return VertexData(pt.params, pos, _NAN4, _NAN4, _NAN, None,
                           _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
                           _NAN4, _NAN, (pt.flag,))
-    lb = rep.laplacian.components()
+    lb = l0, l1, l2, l3 = rep.laplacian.components()
     return VertexData(
         params=pt.params,
         position=rep.position.components(),
@@ -153,7 +153,8 @@ def _vertex(pt: GridPoint) -> VertexData:
         mean_h=rep.mean_curvature,
         minimality=rep.minimality,
         lb=lb,
-        lb_norm=math.sqrt(sum(v * v for v in lb)),
+        # a left fold from 0.0: sum() rounds differently from Python 3.12 on
+        lb_norm=math.sqrt(0.0 + l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3),
         flags=(),
     )
 

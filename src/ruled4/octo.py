@@ -28,7 +28,8 @@ from .errors import NonUnitI
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind,
                            _director_grid, make_ruled)
 from .lorentz import Vec4, cross4, euclid_dot, lorentz_dot
-from .octonion import DEFAULT_I, UNIT_I_TOL, ParticularOctonion, particular_product
+from .octonion import (DEFAULT_I, UNIT_I_TOL, ParticularOctonion,
+                       _require_axis, _star_product)
 
 __all__ = [
     "PairCrossCurve", "construct_from_octonions", "construct_from_dual_curves",
@@ -190,18 +191,20 @@ def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,
     -(<u, w> + <u, v>), zero precisely when u is Lorentz-orthogonal to
     both ruling directions.
     """
-    return _star(u.evaluate(t)[0], v.evaluate(t)[0], w.evaluate(t)[0],
-                 y, z, i_vec)
+    pu, pv, pw = (c.evaluate(t)[0].components() for c in (u, v, w))
+    _require_axis(i_vec)
+    scalar, vector = _star(pu, pv, pw, y, z, i_vec.components())
+    return ParticularOctonion(scalar, Vec4(*vector))
 
 
-def _star(pu: Vec4, pv: Vec4, pw: Vec4, y: float, z: float,
-          i_vec: Vec4) -> ParticularOctonion:
-    """star_point from the positions of u, v and w at one t."""
-    left = particular_product(ParticularOctonion(float(y), pu),
-                              ParticularOctonion.pure(pw), i_vec=i_vec)
-    right = particular_product(ParticularOctonion(float(z), pu),
-                               ParticularOctonion.pure(pv), i_vec=i_vec)
-    return left + right
+def _star(pu: tuple, pv: tuple, pw: tuple, y: float, z: float,
+          i: tuple) -> tuple[float, tuple[float, float, float, float]]:
+    """star_point's (scalar, vector components) from those of u, v, w at t.
+
+    The axis i is taken as unit; star_point checks it.
+    """
+    return _plus(_star_product(float(y), pu, 0.0, pw, i),
+                 _star_product(float(z), pu, 0.0, pv, i))
 
 
 def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
@@ -213,15 +216,24 @@ def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
     equals eval_point on the dual construction identically; the scalar
     part -(<a, a*> + <b, b*>) vanishes exactly on the dual unit sphere.
     """
-    return _star_dual(a.evaluate(t)[0], a_star.evaluate(t)[0],
-                      b.evaluate(t)[0], b_star.evaluate(t)[0], y, z, i_vec)
+    pa, pas, pb, pbs = (c.evaluate(t)[0].components()
+                        for c in (a, a_star, b, b_star))
+    _require_axis(i_vec)
+    scalar, vector = _star_dual(pa, pas, pb, pbs, y, z, i_vec.components())
+    return ParticularOctonion(scalar, Vec4(*vector))
 
 
-def _star_dual(pa: Vec4, pas: Vec4, pb: Vec4, pbs: Vec4, y: float, z: float,
-               i_vec: Vec4) -> ParticularOctonion:
-    """star_point_dual from the positions of a, a*, b and b* at one t."""
-    left = particular_product(ParticularOctonion.pure(pa),
-                              ParticularOctonion(float(y), pas), i_vec=i_vec)
-    right = particular_product(ParticularOctonion.pure(pb),
-                               ParticularOctonion(float(z), pbs), i_vec=i_vec)
-    return left + right
+def _star_dual(pa: tuple, pas: tuple, pb: tuple, pbs: tuple, y: float,
+               z: float, i: tuple) -> tuple[float, tuple[float, float, float, float]]:
+    """star_point_dual's (scalar, vector components) from the positions.
+
+    The axis i is taken as unit; star_point_dual checks it.
+    """
+    return _plus(_star_product(0.0, pa, float(y), pas, i),
+                 _star_product(0.0, pb, float(z), pbs, i))
+
+
+def _plus(left, right):
+    """Sum of two (scalar, vector components) star products."""
+    (ls, (l0, l1, l2, l3)), (rs, (r0, r1, r2, r3)) = left, right
+    return ls + rs, (l0 + r0, l1 + r1, l2 + r2, l3 + r3)

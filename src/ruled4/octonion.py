@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _set
 from .errors import InconsistentSeed, NonUnitI
-from .lorentz import Vec4, cross4, lorentz_dot
+from .lorentz import Vec4, _det3, lorentz_dot
 
 __all__ = [
     "MulTable", "build_mul_table", "default_table", "table_to_csv",
@@ -186,7 +186,11 @@ class Octonion(Frozen):
         return Octonion((self.coeffs[0],) + tuple(-a for a in self.coeffs[1:]))
 
     def norm(self) -> float:
-        return math.sqrt(sum(a * a for a in self.coeffs))
+        # a left fold from 0.0: sum() rounds differently from Python 3.12 on
+        total = 0.0
+        for a in self.coeffs:
+            total += a * a
+        return math.sqrt(total)
 
 
 def oct_mul(p: Octonion, q: Octonion, table: MulTable | None = None) -> Octonion:
@@ -256,10 +260,34 @@ def particular_product(q: ParticularOctonion, p: ParticularOctonion,
     Both the scalar product and the ternary cross are Lorentzian.  The axis
     must be unit in the sense |<i,i>| == 1 within UNIT_I_TOL, else NonUnitI.
     """
+    _require_axis(i_vec)
+    scalar, vector = _star_product(q.scalar, q.vector.components(), p.scalar,
+                                   p.vector.components(), i_vec.components())
+    return ParticularOctonion(scalar, Vec4(*vector))
+
+
+def _require_axis(i_vec: Vec4) -> None:
+    """Raise NonUnitI unless |<i,i>| == 1 within UNIT_I_TOL."""
     q_ii = lorentz_dot(i_vec, i_vec)
     if abs(abs(q_ii) - 1.0) > UNIT_I_TOL:
         raise NonUnitI(f"axis vector has |<i,i>| = {abs(q_ii)!r}, expected 1")
-    scalar = q.scalar * p.scalar - lorentz_dot(q.vector, p.vector)
-    vector = q.scalar * p.vector + p.scalar * q.vector \
-        + cross4(q.vector, p.vector, i_vec)
-    return ParticularOctonion(scalar, vector)
+
+
+def _star_product(qs: float, qv: tuple, ps: float, pv: tuple, i: tuple
+                  ) -> tuple[float, tuple[float, float, float, float]]:
+    """particular_product on scalars and component tuples, unchecked.
+
+    The caller checks the axis.  The m_k are cross4's minors and the scalar
+    part repeats lorentz_dot, operation for operation, so the floats equal
+    those of the same product taken with Vec4 arithmetic bit for bit.
+    """
+    x0, x1, x2, x3 = qv
+    y0, y1, y2, y3 = pv
+    z0, z1, z2, z3 = i
+    scalar = qs * ps - (-x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3)
+    m0 = _det3(x1, x2, x3, y1, y2, y3, z1, z2, z3)
+    m1 = _det3(x0, x2, x3, y0, y2, y3, z0, z2, z3)
+    m2 = _det3(x0, x1, x3, y0, y1, y3, z0, z1, z3)
+    m3 = _det3(x0, x1, x2, y0, y1, y2, z0, z1, z2)
+    return scalar, (y0 * qs + x0 * ps - m0, y1 * qs + x1 * ps - m1,
+                    y2 * qs + x2 * ps + m2, y3 * qs + x3 * ps - m3)

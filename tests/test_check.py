@@ -1,5 +1,6 @@
 """Claim grading: pass / discrepancy / fail verdicts on the shipped scenes."""
 
+import builtins
 import json
 import sys
 from dataclasses import replace
@@ -7,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from ruled4 import hypersurface
+from ruled4 import check, hypersurface
 from ruled4.check import (
     CheckReport,
     ClaimResult,
@@ -16,6 +17,7 @@ from ruled4.check import (
 )
 from ruled4.cli import main
 from ruled4.errors import DirectorConstraintViolated
+from ruled4.lorentz import Vec4
 from ruled4.mesh import mesh_document, sample_grid, walk_grid
 from ruled4.scene import build_hypersurface, load_scene, scene_from_dict
 from support import counting_scene
@@ -224,11 +226,11 @@ def test_check_evaluations_do_not_grow_with_the_ruling_grid(name):
 def test_reference_claim_reads_the_walked_curves():
     # 99 evaluations build the surface, the walk makes 5 per x sample (u,
     # v, w for alpha, then beta and gamma), and the construction and
-    # alpha-probe claims 3 each per x; reference_curves makes none
+    # alpha-probe claims share 3 per x; reference_curves makes none
     counted, counter = counting_scene(shipped("exampleEx3.json"))
     check_scene(counted)
     assert counted.resolution[0] == 25
-    assert counter[0] == 99 + (5 + 3 + 3) * 25
+    assert counter[0] == 99 + (5 + 3) * 25
 
 
 def test_check_computes_metric_gradients_once_per_vertex(monkeypatch):
@@ -257,3 +259,87 @@ def test_report_document_evaluates_curves_as_often_as_check():
         check_evals, counter[0] = counter[0], 0
         report_document(counted)
         assert counter[0] == check_evals, name
+
+
+# ---------------------------------------------------------------------------
+# The cross-check claims grade a corrupted vertex as a fault
+
+def _nudge_vertex(cfg, part):
+    """A session over cfg whose middle graded vertex has `part` moved 1e-6."""
+    session = check._Session(cfg)
+    pt = session.graded[len(session.graded) // 2]
+    rep = pt.report
+    shift = Vec4(1e-6, 0.0, 0.0, 0.0)
+    if part == "position":
+        pt2 = pt._replace(frame=pt.frame._replace(
+            position=pt.frame.position + shift))
+    elif part == "n_raw":
+        pt2 = pt._replace(report=rep._replace(normal=rep.normal._replace(
+            n_raw=rep.normal.n_raw + shift)))
+    else:
+        pt2 = pt._replace(report=rep._replace(metric=rep.metric._replace(
+            detg=rep.metric.detg + 1e-6)))
+    for points in (session.points, session.graded):
+        points[points.index(pt)] = pt2
+    return session
+
+
+@pytest.mark.parametrize("scene, part, claim", [
+    ("exampleEx3.json", "position", "_claim_construction_equivalence"),
+    ("dualsphere.json", "position", "_claim_construction_equivalence"),
+    ("exampleEx3.json", "n_raw", "_claim_gauss_consistency"),
+    ("example1.json", "n_raw", "_claim_gauss_consistency"),
+    ("exampleEx3.json", "detg", "_claim_metric_consistency"),
+    ("exampleE1.json", "detg", "_claim_metric_consistency"),
+])
+def test_cross_checks_fail_on_a_perturbed_vertex(scene, part, claim):
+    cfg = shipped(scene)
+    grade = getattr(check, claim)
+    assert grade(check._Session(cfg)).verdict == "pass"
+    assert grade(_nudge_vertex(cfg, part)).verdict == "fail"
+
+
+# ---------------------------------------------------------------------------
+# Output bytes do not depend on how sum() rounds
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _plain_sum(values, start=0):
+    """Left-to-right float sum, as built-in sum() is up to Python 3.11."""
+    values = list(values)
+    if not all(isinstance(v, float) for v in values):
+        return _BUILTIN_SUM(values, start)
+    total = start
+    for v in values:
+        total += v
+    return total
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier-compensated float sum, as built-in sum() is from 3.12 on."""
+    values = list(values)
+    if not all(isinstance(v, float) for v in values):
+        return _BUILTIN_SUM(values, start)
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("name", ["exampleEx3.json", "dualsphere.json"])
+def test_report_does_not_depend_on_sum_rounding(monkeypatch, name):
+    cfg = shipped(name)
+    lines = []
+    for summed in (_plain_sum, _compensated_sum):
+        monkeypatch.setattr(builtins, "sum", summed)
+        lines.append(json.dumps(report_document(cfg), indent=2).splitlines())
+        monkeypatch.undo()
+    plain, compensated = lines
+    changed = [a for a, b in zip(plain, compensated) if a != b]
+    assert len(plain) == len(compensated) and not changed, changed[:3]

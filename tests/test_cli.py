@@ -157,15 +157,15 @@ def test_import_loads_neither_numpy_nor_jsonschema():
     assert proc.stdout.strip() == "[]"
 
 
-def test_import_builds_only_three_dataclasses():
+def test_import_builds_only_two_dataclasses():
     """Every command start pays for each dataclass's generated methods.
 
-    Three classes stay dataclasses:
+    Two classes stay dataclasses:
     - CurveSpec: callers subclass it with @dataclass to add fields, such as
       a counter of evaluate calls built as CountingCurve(comps, counter).
     - SceneConfig: callers derive variants with dataclasses.replace.
-    - Vec4: a kernel test counts constructions through Vec4.__post_init__.
-    Records are NamedTuples; numbers and expression nodes are slotted values.
+    Records are NamedTuples; vectors, numbers and expression nodes are
+    slotted values.
     """
     probe = ("import sys, ruled4.cli; print(sorted("
              "name for mod, module in list(sys.modules.items()) "
@@ -177,7 +177,7 @@ def test_import_builds_only_three_dataclasses():
                           text=True, env={"PATH": "/usr/bin:/bin",
                                           "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['CurveSpec', 'SceneConfig', 'Vec4']"
+    assert proc.stdout.strip() == "['CurveSpec', 'SceneConfig']"
 
 
 def test_overflowing_curve_flags_vertices(tmp_path):

@@ -7,6 +7,7 @@ a number has no len, ordering, concatenation or integer repetition.
 """
 
 import pickle
+from dataclasses import FrozenInstanceError
 from importlib import resources
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from ruled4.check import ClaimResult, check_scene
 from ruled4.crosscheck import compare_normal_formulas
 from ruled4.dual import Dual, DualVec4, Jet2, dual_vector_algebra
+from ruled4.errors import NonFiniteValue
 from ruled4.expr import Add, Const, Sub, Var, parse_expr, validate_director
 from ruled4.hypersurface import gauss_map
 from ruled4.lorentz import ModelSpace, Vec4
@@ -94,3 +96,32 @@ def test_claim_results_do_not_share_a_details_dict():
     b = ClaimResult("b", "claim", "computed", "pass")
     assert a.details == {} and b.details == {}
     assert a.details is not b.details
+
+
+def test_vec4_is_a_frozen_value_not_a_tuple():
+    v = Vec4(1, 2, 3, 4)
+    assert v.components() == (1.0, 2.0, 3.0, 4.0)
+    assert all(type(c) is float for c in v.components())
+    assert repr(v) == "Vec4(c0=1.0, c1=2.0, c2=3.0, c3=4.0)"
+    assert not isinstance(v, tuple)
+    assert v != (1.0, 2.0, 3.0, 4.0)
+    assert v == Vec4(1.0, 2.0, 3.0, 4.0)
+    assert hash(v) == hash(Vec4(1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(TypeError):
+        len(v)
+    with pytest.raises(TypeError):
+        v < v
+    with pytest.raises(FrozenInstanceError):
+        v.c0 = 0.0
+    assert v.c0 == 1.0
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_vec4_refuses_a_nonfinite_component(slot, bad):
+    comps = [0.5, -1.0, 2.0, 0.0]
+    comps[slot] = bad
+    with pytest.raises(NonFiniteValue) as info:
+        Vec4(*comps)
+    assert str(info.value) == f"Vec4 component c{slot} must be finite, got {bad!r}"
