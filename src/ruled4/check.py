@@ -19,7 +19,6 @@ The process exit code is 1 if any claim is `fail` or `inconclusive`, else
 
 from __future__ import annotations
 
-import json
 from itertools import groupby
 from typing import NamedTuple, Optional
 
@@ -27,7 +26,7 @@ from . import crosscheck
 from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed, _matmul,
                            inverse_metric, second_form_raw)
 from .lorentz import Vec4, cross4, lorentz_dot
-from .mesh import _walk_slices, grid_mesh, mesh_document
+from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
 from .octo import _star, _star_dual
 from .octonion import _require_axis
 from .scene import _CURVE_KEYS, SceneConfig, build_hypersurface
@@ -93,7 +92,7 @@ class CheckReport(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        return _dumps(self.to_dict())
 
 
 def _fmt(value: float) -> str:
@@ -148,7 +147,7 @@ class _Session:
         got = self._positions.get(x)
         if got is None:
             got = self._positions[x] = tuple(
-                self.cfg.curves[name].evaluate(x)[0]
+                self.cfg.curves[name].position(x)
                 for name in _CURVE_KEYS[self.cfg.mode])
         return got
 
@@ -439,7 +438,7 @@ def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
             # slice: it is graded if it evaluates and raises if it fails
             jets = s.jets.get(t)
             got = (jets[role] if jets else curves[role].evaluate(t))[0]
-            want, _, _ = ref.evaluate(t)
+            want = ref.position(t)
             for i, (a, b) in enumerate(zip(got.components(),
                                            want.components())):
                 dev[i] = max(dev[i], abs(a - b))
@@ -467,7 +466,7 @@ def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
     candidates = dict.fromkeys(axes, 0.0)
     for t in s.xs:
         pu, pv, pw = s.construction_positions(t)
-        want, _, _ = ref.evaluate(t)
+        want = ref.position(t)
         for label, axis in axes.items():
             got = cross4(pu, pv, axis) + cross4(pu, pw, axis)
             candidates[label] = max(candidates[label], _gap(got, want))

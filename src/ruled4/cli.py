@@ -18,14 +18,13 @@ NonFiniteValue), never fatal.  RULED4_THREADS is accepted and ignored.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 from .check import check_scene, report_document
 from .errors import Ruled4Error
 from .lorentz import Vec4
-from .mesh import export_csv, export_json, export_obj, sample_grid
+from .mesh import _dumps, export_csv, export_json, export_obj, sample_grid
 from .octonion import build_mul_table, table_to_csv
 from .scene import SceneConfig, build_hypersurface, load_scene
 
@@ -74,15 +73,13 @@ def _load(args: argparse.Namespace) -> SceneConfig:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -109,7 +106,7 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     cfg = _load(args)
     doc = report_document(cfg)
-    _emit(json.dumps(doc, indent=2, allow_nan=False), args.out)
+    _emit(_dumps(doc), args.out)
     return 0 if doc["exit_code"] == 0 else 1
 
 

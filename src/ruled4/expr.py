@@ -473,6 +473,12 @@ class CurveSpec:
         f, d1, d2 = zip(*((j.f, j.d1, j.d2) for j in jets))
         return Vec4(*f), Vec4(*d1), Vec4(*d2)
 
+    def position(self, t: float) -> Vec4:
+        """evaluate(t)[0] without the derivatives: the float walk of each
+        component, equal to the jet's f slot wherever the jet exists."""
+        t = float(t)
+        return Vec4(*(_walk(comp, t, _FLOAT) for comp in self.comps))
+
     def to_texts(self) -> tuple[str, str, str, str]:
         return tuple(to_text(c) for c in self.comps)
 
@@ -510,7 +516,7 @@ def validate_director(curve: CurveSpec, constraint: ModelSpace,
     worst_t = float(grid[0]) if len(grid) else 0.0
     sign_ok = True
     for t in grid:
-        p, _, _ = curve.evaluate(float(t))
+        p = curve.position(t)
         q = lorentz_dot(p, p)
         violation = abs(q - target)
         if violation > worst:

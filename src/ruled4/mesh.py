@@ -11,8 +11,10 @@ SingularMetric, DomainError, or NonFiniteValue on overflow), so one bad
 point never aborts a grid.
 
 Exports are deterministic byte for byte: fixed field order, fixed float
-formatting (repr for CSV, %.17g for OBJ), newline "\\n", no timestamps.
-NaN serializes as the literal "nan" in CSV and null in JSON.
+formatting (repr for CSV and JSON, %.17g for OBJ), newline "\\n", no
+timestamps.  NaN serializes as the literal "nan" in CSV and null in JSON.
+`_dumps` writes every JSON document (check, report, mesh) with a two-space
+indented envelope and each vertex or minimality sample as one compact line.
 """
 
 from __future__ import annotations
@@ -269,9 +271,56 @@ def mesh_document(mesh: Mesh) -> dict:
     }
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+# Lists under these keys hold one record per grid point: the vertex table
+# and the minimality claim's samples.
+_ROW_KEYS = frozenset({"vertices", "samples"})
+
+
+def _dumps(doc) -> str:
+    """doc in json's two-space indented layout, except that each element of
+    a non-empty list under a _ROW_KEYS key is one compact line.
+
+    Every scalar and row goes through the C encoder, so the values, key
+    order and escapes are json.dumps's and NaN or infinity raises
+    ValueError; only whitespace differs.  Keys must be str.
+    """
+    parts: list[str] = []
+    _write(doc, "\n", False, parts)
+    return "".join(parts)
+
+
+def _write(value, newline: str, rows: bool, parts: list[str]) -> None:
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + _encode(key) + ": ")
+            _write(item, inner, key in _ROW_KEYS, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        if rows:
+            parts.append("[" + inner + ("," + inner).join(map(_encode, value))
+                         + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, inner, False, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(_encode(value))
+
+
 def export_json(mesh: Mesh, path: str) -> None:
+    """The mesh document, encoded in full before path is opened."""
     _require_nonempty(mesh)
-    doc = mesh_document(mesh)
+    text = _dumps(mesh_document(mesh)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import NonUnitI
+from .expr import CurveSpec
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind,
                            _director_grid, make_ruled)
 from .lorentz import Vec4, cross4, euclid_dot, lorentz_dot
@@ -72,10 +73,17 @@ def _require_unit_i(i_vec: Vec4) -> None:
         raise NonUnitI(f"reference vector {i_vec} is not unit")
 
 
+def _position(curve: Curve, t: float) -> Vec4:
+    """curve's position at t; a CurveSpec builds no derivatives for it."""
+    if isinstance(curve, CurveSpec):
+        return curve.position(t)
+    return curve.evaluate(t)[0]
+
+
 def _positions(curves: dict[str, Curve],
                grid: list[float]) -> dict[str, list[Vec4]]:
     """Each curve's position at every grid point, one evaluation apiece."""
-    return {name: [curve.evaluate(t)[0] for t in grid]
+    return {name: [_position(curve, t) for t in grid]
             for name, curve in curves.items()}
 
 
@@ -191,7 +199,7 @@ def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,
     -(<u, w> + <u, v>), zero precisely when u is Lorentz-orthogonal to
     both ruling directions.
     """
-    pu, pv, pw = (c.evaluate(t)[0].components() for c in (u, v, w))
+    pu, pv, pw = (_position(c, t).components() for c in (u, v, w))
     _require_axis(i_vec)
     scalar, vector = _star(pu, pv, pw, y, z, i_vec.components())
     return ParticularOctonion(scalar, Vec4(*vector))
@@ -216,7 +224,7 @@ def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
     equals eval_point on the dual construction identically; the scalar
     part -(<a, a*> + <b, b*>) vanishes exactly on the dual unit sphere.
     """
-    pa, pas, pb, pbs = (c.evaluate(t)[0].components()
+    pa, pas, pb, pbs = (_position(c, t).components()
                         for c in (a, a_star, b, b_star))
     _require_axis(i_vec)
     scalar, vector = _star_dual(pa, pas, pb, pbs, y, z, i_vec.components())

@@ -29,13 +29,18 @@ DEGENERACY_ERRORS = (DegenerateNormal, SingularMetric, DomainError)
 
 @dataclass(frozen=True)
 class CountingCurve(CurveSpec):
-    """A CurveSpec that adds one to a shared counter per evaluate call."""
+    """A CurveSpec that adds one to a shared counter per evaluate or
+    position call."""
 
     counter: list = field(default=None, compare=False, repr=False)
 
     def evaluate(self, t):
         self.counter[0] += 1
         return super().evaluate(t)
+
+    def position(self, t):
+        self.counter[0] += 1
+        return super().position(t)
 
 
 def counting_scene(cfg):

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from ruled4.check import check_scene, report_document
 from ruled4.cli import main
+from ruled4.mesh import mesh_document, sample_grid
+from ruled4.scene import build_hypersurface, load_scene
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -221,3 +224,48 @@ def test_too_deep_curve_is_one_error_line(capsys, tmp_path, deep):
     err = capsys.readouterr().err
     assert err.startswith("ruled4: error:") and "nested deeper" in err
     assert len(err.splitlines()) == 1
+
+
+def _row_lines(text, key):
+    """The lines between '"key": [' and its closing bracket."""
+    lines = text.split("\n")
+    start = next(i for i, line in enumerate(lines)
+                 if line.strip() == f'"{key}": [')
+    indent = lines[start][:len(lines[start]) - len(lines[start].lstrip())]
+    end = next(i for i in range(start + 1, len(lines))
+               if lines[i].rstrip(",") == indent + "]")
+    return lines[start + 1:end]
+
+
+def _assert_one_line_rows(text, key, rows):
+    lines = _row_lines(text, key)
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert json.loads(line.strip().rstrip(",")) == row
+
+
+@pytest.mark.parametrize("name", ["example1.json", "exampleE1.json",
+                                  "exampleEx3.json", "dualsphere.json"])
+def test_json_outputs_are_the_documents_one_row_per_line(tmp_path, name):
+    cfg = load_scene(scene(name))
+    texts = {}
+    for command, extra in (("check", []), ("report", []),
+                           ("mesh", ["--format", "json"])):
+        out = tmp_path / f"{command}.json"
+        main([command, scene(name), *extra, "--out", str(out)])
+        texts[command] = out.read_text(encoding="utf-8")
+    mesh = sample_grid(build_hypersurface(cfg), cfg)
+    for command, doc in (("check", check_scene(cfg).to_dict()),
+                         ("report", report_document(cfg)),
+                         ("mesh", mesh_document(mesh))):
+        loaded = json.loads(texts[command])
+        assert loaded == json.loads(json.dumps(doc, allow_nan=False))
+        vertices = (loaded["vertices"] if command == "mesh"
+                    else loaded.get("mesh", {}).get("vertices"))
+        if vertices is not None:
+            _assert_one_line_rows(texts[command], "vertices", vertices)
+        if command != "mesh":
+            minimality = next(c for c in loaded["claims"]
+                              if c["name"] == "minimality")
+            _assert_one_line_rows(texts[command], "samples",
+                                  minimality["details"]["samples"])

@@ -198,6 +198,21 @@ def test_three_evaluators_agree_exactly_on_values():
     assert compared > 150
 
 
+def test_curve_position_is_the_jet_position():
+    rng = random.Random(12)
+    compared = 0
+    for _ in range(100):
+        curve = CurveSpec(tuple(_random_ast(rng, 3) for _ in range(4)))
+        t = rng.uniform(0.2, 2.0)
+        try:
+            want = curve.evaluate(t)[0]
+        except DomainError:
+            continue
+        assert curve.position(t) == want, curve.to_texts()
+        compared += 1
+    assert compared > 30
+
+
 @pytest.mark.parametrize("fn", ["exp", "sinh", "cosh"])
 def test_overflow_is_a_domain_error_in_every_evaluator(fn):
     node = parse_expr(f"{fn}(t)")

@@ -5,12 +5,16 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruled4.errors import ExprSyntaxError, SceneSchemaError
 from ruled4.hypersurface import SurfaceKind
 from ruled4.lorentz import Vec4
 from ruled4.mesh import (
+    _ROW_KEYS,
     Mesh,
+    _dumps,
     export_csv,
     export_json,
     export_obj,
@@ -249,6 +253,18 @@ def test_sample_grid_records_failures_as_flags():
     assert all(v.flags == () for v in good)
 
 
+def test_singular_director_derivative_flags_only_its_slice():
+    # the director check reads positions only, so a derivative that fails
+    # at x = 0 flags that slice instead of failing the build
+    raw = minimal_raw(resolution=[3, 2, 2], intervals={"x": [0.0, 1.0]})
+    raw["curves"]["beta"] = ["0", "1", "0", "0*sqrt(t)"]
+    cfg = scene_from_dict(raw)
+    h = build_hypersurface(cfg)
+    assert h.warnings == ()
+    mesh = sample_grid(h, cfg)
+    assert [v.flags for v in mesh.vertices] == [("DomainError",)] * 4 + [()] * 8
+
+
 def test_sample_grid_evaluates_each_curve_once_per_x():
     for cfg in (small_cfg(), load_scene(shipped_path("exampleE1.json"))):
         counted, counter = counting_scene(cfg)
@@ -354,6 +370,83 @@ def test_export_json_nan_becomes_null(tmp_path):
     loaded = json.loads(text)
     flagged = [v for v in loaded["vertices"] if v["flags"]]
     assert flagged and flagged[0]["position"][0] is None
+
+
+def test_export_json_encodes_before_opening(tmp_path):
+    mesh, _ = curved_mesh()
+    bad = mesh.vertices[5]._replace(mean_h=math.inf)
+    mesh = mesh._replace(vertices=mesh.vertices[:5] + (bad,)
+                         + mesh.vertices[6:])
+    path = tmp_path / "m.json"
+    path.write_text("previous export\n")
+    with pytest.raises(ValueError):
+        export_json(mesh, str(path))
+    assert path.read_text() == "previous export\n"
+
+
+# Scalars json round-trips to an equal value, plus NaN and infinities,
+# which both writers must refuse.
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=6)
+            | st.sampled_from([-0.0, 1e308, -1e308, 5e-324,
+                               '"\\/\b\f\n\r\t\x00\x1f\x7f',
+                               "\u00e9\u2028\U0001f600"]))
+_keys = st.sampled_from(sorted(_ROW_KEYS)) | st.text(max_size=4)
+_trees = st.recursive(
+    _scalars,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(_keys, kids, max_size=4)),
+    max_leaves=24)
+
+
+def _has_row_list(tree) -> bool:
+    if isinstance(tree, dict):
+        return any((key in _ROW_KEYS and isinstance(item, (list, tuple))
+                    and item) or _has_row_list(item)
+                   for key, item in tree.items())
+    if isinstance(tree, (list, tuple)):
+        return any(_has_row_list(item) for item in tree)
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_dumps_matches_indented_json(doc):
+    try:
+        want = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _dumps(doc)
+        return
+    got = _dumps(doc)
+    assert json.loads(got) == json.loads(want)
+    if not _has_row_list(doc):
+        assert got == want
+
+
+def test_dumps_writes_each_row_on_one_line():
+    rows = [{"point": [0.0, -0.0], "H": 1e308, "flags": []},
+            {"point": [1.5, 2.0], "H": None, "flags": ["DomainError"]}]
+    doc = {"vertices": rows, "details": {"samples": rows, "empty": []},
+           "reference": {"samples": 3}, "samples": []}
+    assert _dumps(doc) == "\n".join([
+        '{',
+        '  "vertices": [',
+        '    {"point": [0.0, -0.0], "H": 1e+308, "flags": []},',
+        '    {"point": [1.5, 2.0], "H": null, "flags": ["DomainError"]}',
+        '  ],',
+        '  "details": {',
+        '    "samples": [',
+        '      {"point": [0.0, -0.0], "H": 1e+308, "flags": []},',
+        '      {"point": [1.5, 2.0], "H": null, "flags": ["DomainError"]}',
+        '    ],',
+        '    "empty": []',
+        '  },',
+        '  "reference": {',
+        '    "samples": 3',
+        '  },',
+        '  "samples": []',
+        '}'])
 
 
 def test_empty_mesh_rejected():
