@@ -27,8 +27,6 @@ from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed, _matmul,
                            inverse_metric, second_form_raw)
 from .lorentz import Vec4, cross4, lorentz_dot
 from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
-from .octo import _star, _star_dual
-from .octonion import _require_axis
 from .scene import _CURVE_KEYS, SceneConfig, build_hypersurface
 
 __all__ = ["ClaimResult", "CheckReport", "check_scene", "report_document",
@@ -387,6 +385,8 @@ def _claim_construction_hypotheses(s: _Session) -> Optional[ClaimResult]:
 def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode not in ("octonion", "dual-octonion"):
         return None
+    from .octo import _star, _star_dual
+    from .octonion import _require_axis
     star = _star if s.cfg.mode == "octonion" else _star_dual
     _require_axis(s.cfg.i_vec)
     axis = s.cfg.i_vec.components()

@@ -13,20 +13,20 @@ published statements are findings, not failures.  `report` grades its
 claims and writes its vertex table from one serial walk of the grid; a
 failing vertex is flagged (DegenerateNormal, SingularMetric, DomainError,
 NonFiniteValue), never fatal.  RULED4_THREADS is accepted and ignored.
+Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .check import check_scene, report_document
 from .errors import Ruled4Error
 from .lorentz import Vec4
-from .mesh import _dumps, export_csv, export_json, export_obj, sample_grid
-from .octonion import build_mul_table, table_to_csv
-from .scene import SceneConfig, build_hypersurface, load_scene
+
+if TYPE_CHECKING:
+    from .scene import SceneConfig
 
 __all__ = ["main"]
 
@@ -67,6 +67,7 @@ def _add_scene_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _load(args: argparse.Namespace) -> SceneConfig:
+    from .scene import load_scene
     cfg = load_scene(args.scene)
     return cfg.with_overrides(strict=args.strict, dual_norm=args.dual_norm,
                               i_vec=args.i_vector)
@@ -83,6 +84,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .check import check_scene
     cfg = _load(args)
     report = check_scene(cfg)
     _emit(report.to_json(), args.out)
@@ -90,6 +92,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_mesh(args: argparse.Namespace) -> int:
+    from .mesh import export_csv, export_json, export_obj, sample_grid
+    from .scene import build_hypersurface
     cfg = _load(args)
     surface = build_hypersurface(cfg)
     mesh = sample_grid(surface, cfg)
@@ -104,6 +108,8 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .check import report_document
+    from .mesh import _dumps
     cfg = _load(args)
     doc = report_document(cfg)
     _emit(_dumps(doc), args.out)
@@ -111,6 +117,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_octtable(args: argparse.Namespace) -> int:
+    from .octonion import build_mul_table, table_to_csv
     table = build_mul_table(args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(table_to_csv(table))

@@ -17,6 +17,7 @@ closed-form component expressions to compare the construction against.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NoReturn, Optional
 
@@ -24,7 +25,6 @@ from .errors import ExprSyntaxError, SceneSchemaError
 from .expr import CurveSpec
 from .hypersurface import RuledHypersurface, SurfaceKind, make_ruled
 from .lorentz import Vec4
-from .octo import construct_from_dual_curves, construct_from_octonions
 
 __all__ = ["SceneConfig", "load_scene", "scene_from_dict",
            "build_hypersurface"]
@@ -117,13 +117,21 @@ def _check_enum(value, allowed, *path) -> None:
         _fail(f"{value!r} is not one of {list(allowed)!r}", *path)
 
 
+def _finite_width(lo, hi) -> bool:
+    """hi - lo is finite in floats, so lo and hi are finite too."""
+    try:
+        return math.isfinite(float(hi) - float(lo))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _validate(raw) -> dict:
     """Check a scene document's shape; return it with its defaults filled in.
 
     Raises SceneSchemaError at the first fault, reporting a fault nearer
     the root before one inside it.  Beyond shape, the curves must be
     exactly those of the mode, an axis may not be given under both of its
-    names, and every interval has lo < hi.
+    names, and every interval has lo < hi with a finite width hi - lo.
     """
     if not isinstance(raw, dict):
         _fail("scene document must be a JSON object")
@@ -154,6 +162,9 @@ def _validate(raw) -> dict:
         _check_array(bounds, 2, "number", "intervals", axis)
         if not bounds[1] > bounds[0]:
             _fail(f"interval {axis} must have lo < hi", "intervals", axis)
+        if not _finite_width(*bounds):
+            _fail(f"interval {axis} must have finite bounds and a finite "
+                  f"width hi - lo", "intervals", axis)
     _check_array(raw["resolution"], 3, "integer", "resolution")
     for k, n in enumerate(raw["resolution"]):
         if n < 2:
@@ -226,6 +237,7 @@ def build_hypersurface(cfg: SceneConfig) -> RuledHypersurface:
         kind = SurfaceKind.TYPE1 if cfg.mode == "type1" else SurfaceKind.TYPE2
         return make_ruled(cfg.curves["alpha"], cfg.curves["beta"],
                           cfg.curves["gamma"], kind, strict=cfg.strict, **box)
+    from .octo import construct_from_dual_curves, construct_from_octonions
     if cfg.mode == "octonion":
         return construct_from_octonions(
             cfg.curves["u"], cfg.curves["v"], cfg.curves["w"],

@@ -1,6 +1,7 @@
 """End-to-end runs of the ruled4 command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -71,6 +72,27 @@ def test_bad_scene_schema_is_error(tmp_path):
     proc = run_cli(["check", str(bad)])
     assert proc.returncode == 2
     assert "required property" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "mesh", "report"])
+@pytest.mark.parametrize("bounds", [[0, math.inf], [-1e308, 1e308]],
+                         ids=["infinite", "overflowing-width"])
+def test_non_finite_interval_is_one_error_line(tmp_path, command, bounds):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "name": "wide", "mode": "type1",
+        "curves": {"alpha": ["t", "t", "0", "0"],
+                   "beta": ["0", "0", "1", "0"],
+                   "gamma": ["0", "0", "0", "1"]},
+        "intervals": {"x": bounds}, "resolution": [3, 2, 2]}))
+    out = tmp_path / "out"
+    proc = run_cli([command, str(path), "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("ruled4: error:")
+    assert "/intervals/x" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_mesh_obj_csv_json(tmp_path):
@@ -150,8 +172,15 @@ def test_determinism_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+# Every submodule, named one by one: `import ruled4` itself loads none.
+IMPORT_ALL = ("import sys, ruled4._frozen, ruled4.check, ruled4.cli, "
+              "ruled4.crosscheck, ruled4.dual, ruled4.errors, ruled4.expr, "
+              "ruled4.hypersurface, ruled4.lorentz, ruled4.mesh, ruled4.octo, "
+              "ruled4.octonion, ruled4.scene; ")
+
+
 def test_import_loads_neither_numpy_nor_jsonschema():
-    probe = ("import sys, ruled4, ruled4.cli; print(sorted("
+    probe = (IMPORT_ALL + "print(sorted("
              "m for m in ('numpy', 'jsonschema') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={"PATH": "/usr/bin:/bin",
@@ -170,7 +199,7 @@ def test_import_builds_only_two_dataclasses():
     Records are NamedTuples; vectors, numbers and expression nodes are
     slotted values.
     """
-    probe = ("import sys, ruled4.cli; print(sorted("
+    probe = (IMPORT_ALL + "print(sorted("
              "name for mod, module in list(sys.modules.items()) "
              "if mod.split('.')[0] == 'ruled4' "
              "for name, cls in vars(module).items() "
