@@ -34,10 +34,10 @@ _EXPORTS = {
         "Octonion", "ParticularOctonion", "MulTable", "build_mul_table",
         "default_table", "oct_mul", "particular_product", "table_to_csv",
         "DEFAULT_I"),
-    "hypersurface": (
-        "SurfaceKind", "RuledHypersurface", "make_ruled", "Frame", "frame",
-        "eval_point", "GaussMapData", "gauss_map", "MetricData", "first_form",
-        "inverse_metric", "second_form", "second_form_raw",
+    "hypersurface": ("SurfaceKind", "RuledHypersurface", "make_ruled"),
+    "pointwise": (
+        "Frame", "frame", "eval_point", "GaussMapData", "gauss_map",
+        "MetricData", "first_form", "inverse_metric", "second_form",
         "minimality_residual", "laplace_beltrami", "lb_closed_orthogonal",
         "CurvatureReport", "curvature_report"),
     "octo": (
@@ -53,7 +53,7 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}
 __all__ = [*_ORIGIN, "__version__"]
-_SUBMODULES = {*_EXPORTS, "_frozen", "cli", "crosscheck"}
+_SUBMODULES = {*_EXPORTS, "_frozen", "cli", "crosscheck", "kernel"}
 
 
 def __getattr__(name: str):

@@ -23,10 +23,10 @@ from itertools import groupby
 from typing import NamedTuple, Optional
 
 from . import crosscheck
-from .hypersurface import (ORTHOGONAL_TOL, SurfaceKind, _lb_closed, _matmul,
-                           inverse_metric, second_form_raw)
+from .hypersurface import ORTHOGONAL_TOL, SurfaceKind
 from .lorentz import Vec4, cross4, lorentz_dot
 from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
+from .pointwise import _matmul, _metric, inverse_metric
 from .scene import _CURVE_KEYS, SceneConfig, build_hypersurface
 
 __all__ = ["ClaimResult", "CheckReport", "check_scene", "report_document",
@@ -126,13 +126,13 @@ class _Session:
         self.cfg = cfg
         self.surface = build_hypersurface(cfg)
         self.points = []
-        self.jets = {}  # x -> the walk's (alpha, beta, gamma) jets at x
-        for x, jets, points in _walk_slices(self.surface, cfg):
+        self.slices = {}  # x -> the walk's _Slice at x
+        for x, s, points in _walk_slices(self.surface, cfg):
             self.points += points
-            if jets is not None:
-                self.jets[x] = jets
+            if s is not None:
+                self.slices[x] = s
         self.xs = sorted({pt.params[0] for pt in self.points})
-        self.graded = [pt for pt in self.points if pt.report is not None]
+        self.graded = [pt for pt in self.points if pt.flag is None]
         self.degenerate = len(self.points) - len(self.graded)
         self._positions = {}
 
@@ -157,7 +157,7 @@ class _Session:
 def _claim_flatness(s: _Session) -> ClaimResult:
     worst = 0.0
     for pt in s.graded:
-        worst = max(worst, abs(pt.report.gauss_curvature))
+        worst = max(worst, abs(pt.gauss_k))
     detail = {
         "max_abs_K": worst,
         "points_checked": len(s.graded),
@@ -177,14 +177,12 @@ def _claim_minimality(s: _Session) -> ClaimResult:
     worst_h = 0.0
     samples = []
     for pt in s.graded:
-        rep = pt.report
-        h11_raw, _, _ = second_form_raw(pt.frame, rep.normal.n_raw)
-        worst_h = max(worst_h, abs(rep.mean_curvature))
+        worst_h = max(worst_h, abs(pt.mean_h))
         samples.append({
             "point": list(pt.params),
-            "H": rep.mean_curvature,
-            "h11_raw": h11_raw,
-            "minimality_residual": rep.minimality,
+            "H": pt.mean_h,
+            "h11_raw": pt.rn[0],
+            "minimality_residual": pt.minimality,
         })
     detail = {"max_abs_H": worst_h, "samples": samples}
     is_minimal = worst_h <= ZERO_TOL
@@ -203,8 +201,7 @@ def _claim_lb_zero(s: _Session) -> ClaimResult:
     claimed = s.cfg.claims.get("laplace_beltrami_zero")
     worst = 0.0
     for pt in s.graded:
-        worst = max(worst,
-                    max(abs(v) for v in pt.report.laplacian.components()))
+        worst = max(worst, max(abs(v) for v in pt.laplacian.components()))
     is_zero = worst <= ZERO_TOL
     verdict, claim_text = _claimed(
         claimed, is_zero,
@@ -221,11 +218,15 @@ def _claim_lb_zero(s: _Session) -> ClaimResult:
 def _claim_gauss_consistency(s: _Session) -> ClaimResult:
     worst_exp = worst_orth = worst_lag = 0.0
     for pt in s.graded:
-        rep, fr = pt.report, pt.frame
-        tangents = (fr.phi_x, fr.phi_y, fr.phi_z)
+        # the tangents from the walk's curve jets, not the kernel's tables
+        x, y, z = pt.params
+        (_, a1, _), (b0, b1, _), (g0, g1, _) = s.slices[x].jets
+        phi_x = Vec4(*[p + y * q + z * r for p, q, r in zip(
+            a1.components(), b1.components(), g1.components())])
+        tangents = (phi_x, b0, g0)
         expanded = crosscheck._normal_expanded(
             *(t.components() for t in tangents))
-        n0, n1, n2, n3 = rep.normal.n_raw.components()
+        n0, n1, n2, n3 = pt.n_raw.components()
         e0, e1, e2, e3 = expanded
         gap = max(abs(e0 - n0), abs(e1 - n1), abs(e2 - n2), abs(e3 - n3))
         scale = max(1.0, abs(n0), abs(n1), abs(n2), abs(n3))
@@ -233,10 +234,10 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
         gram = crosscheck.lorentz_gram(tangents)
         for k, tangent in enumerate(tangents):
             worst_orth = max(worst_orth,
-                             abs(lorentz_dot(rep.normal.unit, tangent))
+                             abs(lorentz_dot(pt.unit, tangent))
                              / max(1.0, abs(gram[k][k])))
         det_gram = crosscheck._det(gram)
-        nn = lorentz_dot(rep.normal.n_raw, rep.normal.n_raw)
+        nn = lorentz_dot(pt.n_raw, pt.n_raw)
         worst_lag = max(worst_lag, abs(nn + det_gram) / max(1.0, abs(nn)))
     bad = (worst_exp > EXPANDED_NORMAL_TOL or worst_orth > INTERNAL_REL_TOL
            or worst_lag > INTERNAL_REL_TOL)
@@ -255,10 +256,10 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
 def _claim_metric_consistency(s: _Session) -> ClaimResult:
     worst_det = worst_inv = 0.0
     for pt in s.graded:
-        md = pt.report.metric
-        if md.detg_closed is not None:
-            worst_det = max(worst_det, abs(md.detg - md.detg_closed)
-                            / max(1.0, abs(md.detg)))
+        if pt.detg_closed is not None:
+            worst_det = max(worst_det, abs(pt.detg - pt.detg_closed)
+                            / max(1.0, abs(pt.detg)))
+        md = _metric(s.kind, pt)
         ident = _matmul(inverse_metric(md), md.g)
         for i in range(3):
             for j in range(3):
@@ -278,12 +279,9 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
 def _claim_minimality_linkage(s: _Session) -> ClaimResult:
     worst = 0.0
     for pt in s.graded:
-        rep = pt.report
-        md = rep.metric
-        denominator = 3.0 * md.detg * rep.normal.magnitude
-        h_from_residual = rep.minimality / denominator
-        scale = max(1.0, abs(rep.mean_curvature))
-        worst = max(worst, abs(h_from_residual - rep.mean_curvature) / scale)
+        h_from_residual = pt.minimality / (3.0 * pt.detg * pt.magnitude)
+        scale = max(1.0, abs(pt.mean_h))
+        worst = max(worst, abs(h_from_residual - pt.mean_h) / scale)
     return ClaimResult(
         "minimality_linkage",
         "the adjugate-weighted residual equals 3 H detg |n| (two "
@@ -297,14 +295,14 @@ def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
     """(half-weight gap, full-weight gap) vs the general path, or None."""
     if s.kind not in _TYPED or not s.graded:
         return None
-    if not all(abs(pt.report.metric.e) <= ORTHOGONAL_TOL for pt in s.graded):
+    if not all(abs(pt.e) <= ORTHOGONAL_TOL for pt in s.graded):
         return None
     worst_half = worst_full = 0.0
     for pt in s.graded:
-        rep = pt.report
-        full = _lb_closed(rep.metric, pt.grads, pt.frame, 1.0)
-        worst_half = max(worst_half, _gap(rep.laplacian_closed, rep.laplacian))
-        worst_full = max(worst_full, _gap(full, rep.laplacian))
+        x, y, z = pt.params
+        full = s.slices[x].closed(y, z, pt.a, pt.b, pt.c, pt.grads, 1.0)
+        worst_half = max(worst_half, _gap(pt.laplacian_closed, pt.laplacian))
+        worst_full = max(worst_full, _gap(full, pt.laplacian))
     return worst_half, worst_full
 
 
@@ -394,17 +392,16 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
     worst_scalar = 0.0
     graded = 0
     for x, pts in groupby(s.points, key=lambda pt: pt.params[0]):
-        framed = [pt for pt in pts if pt.frame is not None]
-        if not framed:
+        placed = [pt for pt in pts if pt.position is not None]
+        if not placed:
             continue
         positions = [p.components() for p in s.construction_positions(x)]
-        for pt in framed:
+        for pt in placed:
             scalar, vector = star(*positions, pt.params[1], pt.params[2], axis)
             worst_vec = max(worst_vec, max(
-                abs(a - b) for a, b in zip(vector,
-                                           pt.frame.position.components())))
+                abs(a - b) for a, b in zip(vector, pt.position.components())))
             worst_scalar = max(worst_scalar, abs(scalar))
-        graded += len(framed)
+        graded += len(placed)
     return ClaimResult(
         "construction_equivalence",
         "the star-product path and the direct base-plus-ruling path give "
@@ -436,8 +433,9 @@ def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
         for t in s.xs:
             # the walk's jets, or this one curve where the walk flagged the
             # slice: it is graded if it evaluates and raises if it fails
-            jets = s.jets.get(t)
-            got = (jets[role] if jets else curves[role].evaluate(t))[0]
+            walked = s.slices.get(t)
+            got = (walked.jets[role] if walked
+                   else curves[role].evaluate(t))[0]
             want = ref.position(t)
             for i, (a, b) in enumerate(zip(got.components(),
                                            want.components())):

@@ -8,7 +8,7 @@ expansion behind cross4.  lb_closed_full_p is an intentionally wrong
 variant of the orthogonal Laplacian closed form, kept as a probe:
 lb_closed_orthogonal's kernel with full weight on the P_k terms.  check.py
 turns disagreements into report claims, running these probes on each
-sampled frame and metric.
+sampled vertex.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from functools import cache
 from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
-from .hypersurface import RuledHypersurface, _lb_closed_at, frame
+from .hypersurface import RuledHypersurface
 from .lorentz import Vec4, cross4, lorentz_dot
+from .pointwise import _lb_closed_at, frame
 
 __all__ = [
     "normal_components_expanded", "NormalComparison", "compare_normal_formulas",

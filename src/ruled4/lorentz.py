@@ -155,6 +155,13 @@ def cross4(x: Vec4, y: Vec4, z: Vec4) -> Vec4:
     return Vec4(-m0, -m1, m2, -m3)
 
 
+# The default reference vector i of the ternary products cross4(x, y, i)
+# that ruled4.octo and ruled4.octonion build on, and how far |<i, i>| may
+# stray from 1.
+DEFAULT_I = Vec4(0.0, 0.0, 0.0, 1.0)
+UNIT_I_TOL = 1e-9
+
+
 def characterize(x: Vec4) -> Characterization:
     """Norm, causal character, and model-space memberships of a vector.
 

@@ -3,12 +3,12 @@
 The grid is the closed parameter box sampled uniformly, stored row-major
 with x slowest.  `_walk_slices`, the one serial grid walker behind check,
 mesh and report (`walk_grid` lists its vertices), evaluates alpha, beta and
-gamma once per x sample and runs the curvature pipeline on every (y, z)
-frame of that slice.  Every vertex carries the
-pipeline's scalar fields; a vertex where the pipeline degenerates keeps its
-slot with NaN fields and a flag naming the failure (DegenerateNormal,
-SingularMetric, DomainError, or NonFiniteValue on overflow), so one bad
-point never aborts a grid.
+gamma once per x sample and runs that slice's kernel (ruled4.kernel) at
+every (y, z) of the slice.  Each vertex yields one flat record
+(GridPoint); one where the kernel degenerates keeps its slot with NaN
+fields, its position where that exists, and a flag naming the failure
+(DegenerateNormal, SingularMetric, DomainError, or NonFiniteValue on
+overflow), so one bad point never aborts a grid.
 
 Exports are deterministic byte for byte: fixed field order, fixed float
 formatting (repr for CSV and JSON, %.17g for OBJ), newline "\\n", no
@@ -24,8 +24,8 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateNormal, DomainError, SingularMetric
-from .hypersurface import (CurvatureReport, Frame, RuledHypersurface,
-                           _frame_at, _vertex_at)
+from .hypersurface import RuledHypersurface
+from .kernel import GridPoint, _jets, _Slice
 from .scene import SceneConfig
 
 __all__ = ["GridPoint", "walk_grid", "grid_mesh", "VertexData", "Mesh",
@@ -34,20 +34,6 @@ __all__ = ["GridPoint", "walk_grid", "grid_mesh", "VertexData", "Mesh",
 
 _NAN = float("nan")
 _NAN4 = (_NAN, _NAN, _NAN, _NAN)
-
-
-class GridPoint(NamedTuple):
-    """One vertex: its frame (None if not evaluable) and report, or a flag.
-
-    grads are the metric gradients the report was built from, None where
-    there is no report.
-    """
-
-    params: tuple[float, float, float]
-    frame: Optional[Frame]
-    report: Optional[CurvatureReport]
-    flag: Optional[str]
-    grads: Optional[tuple] = None
 
 
 class VertexData(NamedTuple):
@@ -95,35 +81,36 @@ def _axes(cfg: SceneConfig):
             _axis(cfg.z_interval[0], cfg.z_interval[1], nz))
 
 
-def _grid_point(h: RuledHypersurface, curves, x: float, y: float,
-                z: float) -> GridPoint:
-    fr = None
+def _grid_point(s: _Slice, y: float, z: float) -> GridPoint:
+    """The kernel's record at (y, z), or one flagged with its failure that
+    keeps the vertex's position where that exists."""
     try:
-        fr = _frame_at(curves, y, z)
-        report, grads = _vertex_at(h, x, y, z, fr)
-        return GridPoint((x, y, z), fr, report, None, grads)
+        return s.vertex(y, z)
     except (DegenerateNormal, SingularMetric, DomainError) as exc:
-        return GridPoint((x, y, z), fr, None, type(exc).__name__)
+        flag = type(exc).__name__
+    try:
+        position = s.position(y, z)
+    except DomainError:
+        position = None
+    return GridPoint((s.x, y, z), position, flag)
 
 
 def _walk_slices(h: RuledHypersurface, cfg: SceneConfig):
-    """(x, its alpha/beta/gamma jets or None, its GridPoints) per x sample.
+    """(x, its _Slice or None, its GridPoints) per x sample.
 
     alpha, beta and gamma are evaluated once per x sample; a failure there
-    flags the whole slice and leaves its jets None.
+    flags the whole slice and leaves its _Slice None.
     """
     xs, ys, zs = _axes(cfg)
     for x in xs:
         try:
-            curves = (h.alpha.evaluate(x), h.beta.evaluate(x),
-                      h.gamma.evaluate(x))
+            s = _Slice(h.kind, x, _jets(h, x))
         except DomainError as exc:
-            yield x, None, [GridPoint((x, y, z), None, None,
-                                      type(exc).__name__)
+            flag = type(exc).__name__
+            yield x, None, [GridPoint((x, y, z), None, flag)
                             for y in ys for z in zs]
             continue
-        yield x, curves, [_grid_point(h, curves, x, y, z)
-                          for y in ys for z in zs]
+        yield x, s, [_grid_point(s, y, z) for y in ys for z in zs]
 
 
 def walk_grid(h: RuledHypersurface, cfg: SceneConfig) -> list[GridPoint]:
@@ -132,33 +119,20 @@ def walk_grid(h: RuledHypersurface, cfg: SceneConfig) -> list[GridPoint]:
 
 
 def _vertex(pt: GridPoint) -> VertexData:
-    rep = pt.report
-    if rep is None:
-        pos = _NAN4 if pt.frame is None else pt.frame.position.components()
+    if pt.flag is not None:
+        pos = _NAN4 if pt.position is None else pt.position.components()
         return VertexData(pt.params, pos, _NAN4, _NAN4, _NAN, None,
                           _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
                           _NAN4, _NAN, (pt.flag,))
-    lb = l0, l1, l2, l3 = rep.laplacian.components()
-    return VertexData(
-        params=pt.params,
-        position=rep.position.components(),
-        n_raw=rep.normal.n_raw.components(),
-        n_unit=rep.normal.unit.components(),
-        n_magnitude=rep.normal.magnitude,
-        n_character=rep.normal.character.name.lower(),
-        metric_a=rep.metric.a,
-        metric_b=rep.metric.b,
-        metric_c=rep.metric.c,
-        metric_e=rep.metric.e,
-        detg=rep.metric.detg,
-        gauss_k=rep.gauss_curvature,
-        mean_h=rep.mean_curvature,
-        minimality=rep.minimality,
-        lb=lb,
-        # a left fold from 0.0: sum() rounds differently from Python 3.12 on
-        lb_norm=math.sqrt(0.0 + l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3),
-        flags=(),
-    )
+    lb = l0, l1, l2, l3 = pt.laplacian.components()
+    # lb_norm is a left fold from 0.0: sum() rounds differently from Python
+    # 3.12 on
+    return VertexData(pt.params, pt.position.components(),
+                      pt.n_raw.components(), pt.unit.components(),
+                      pt.magnitude, pt.character.value, pt.a, pt.b, pt.c, pt.e,
+                      pt.detg, pt.gauss_k, pt.mean_h, pt.minimality, lb,
+                      math.sqrt(0.0 + l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3),
+                      ())
 
 
 def grid_mesh(h: RuledHypersurface, cfg: SceneConfig,

@@ -28,9 +28,11 @@ from .errors import NonUnitI
 from .expr import CurveSpec
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind,
                            _director_grid, make_ruled)
-from .lorentz import Vec4, cross4, euclid_dot, lorentz_dot
-from .octonion import (DEFAULT_I, UNIT_I_TOL, ParticularOctonion,
-                       _require_axis, _star_product)
+from .lorentz import (DEFAULT_I, UNIT_I_TOL, Vec4, cross4, euclid_dot,
+                      lorentz_dot)
+
+# The star-product functions import ruled4.octonion themselves, so that
+# building a surface does not load the octonion algebra.
 
 __all__ = [
     "PairCrossCurve", "construct_from_octonions", "construct_from_dual_curves",
@@ -52,8 +54,14 @@ class PairCrossCurve(NamedTuple):
     i_vec: Vec4 = DEFAULT_I
 
     def evaluate(self, t: float) -> tuple[Vec4, Vec4, Vec4]:
-        factors = {id(c): c for pair in self.pairs for c in pair}
-        jets = {key: c.evaluate(t) for key, c in factors.items()}
+        return self.evaluate_sharing(t, {})
+
+    def evaluate_sharing(self, t: float, jets: dict) -> tuple[Vec4, Vec4, Vec4]:
+        """evaluate(t), reading and filling `jets`, factor jets by id."""
+        for pair in self.pairs:
+            for c in pair:
+                if id(c) not in jets:
+                    jets[id(c)] = c.evaluate(t)
         pos = Vec4.zero()
         vel = Vec4.zero()
         acc = Vec4.zero()
@@ -199,6 +207,7 @@ def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,
     -(<u, w> + <u, v>), zero precisely when u is Lorentz-orthogonal to
     both ruling directions.
     """
+    from .octonion import ParticularOctonion, _require_axis
     pu, pv, pw = (_position(c, t).components() for c in (u, v, w))
     _require_axis(i_vec)
     scalar, vector = _star(pu, pv, pw, y, z, i_vec.components())
@@ -211,6 +220,7 @@ def _star(pu: tuple, pv: tuple, pw: tuple, y: float, z: float,
 
     The axis i is taken as unit; star_point checks it.
     """
+    from .octonion import _star_product
     return _plus(_star_product(float(y), pu, 0.0, pw, i),
                  _star_product(float(z), pu, 0.0, pv, i))
 
@@ -224,6 +234,7 @@ def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
     equals eval_point on the dual construction identically; the scalar
     part -(<a, a*> + <b, b*>) vanishes exactly on the dual unit sphere.
     """
+    from .octonion import ParticularOctonion, _require_axis
     pa, pas, pb, pbs = (_position(c, t).components()
                         for c in (a, a_star, b, b_star))
     _require_axis(i_vec)
@@ -237,6 +248,7 @@ def _star_dual(pa: tuple, pas: tuple, pb: tuple, pbs: tuple, y: float,
 
     The axis i is taken as unit; star_point_dual checks it.
     """
+    from .octonion import _star_product
     return _plus(_star_product(0.0, pa, float(y), pas, i),
                  _star_product(0.0, pb, float(z), pbs, i))
 

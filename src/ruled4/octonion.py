@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _set
 from .errors import InconsistentSeed, NonUnitI
-from .lorentz import Vec4, _det3, lorentz_dot
+from .lorentz import DEFAULT_I, UNIT_I_TOL, Vec4, _det3, lorentz_dot
 
 __all__ = [
     "MulTable", "build_mul_table", "default_table", "table_to_csv",
@@ -33,9 +33,6 @@ __all__ = [
     "ParticularOctonion", "particular_product",
     "UNIT_I_TOL", "DEFAULT_I",
 ]
-
-UNIT_I_TOL = 1e-9
-DEFAULT_I = Vec4(0.0, 0.0, 0.0, 1.0)
 
 
 def _cyc(i: int) -> int:

@@ -42,6 +42,11 @@ _OPTIONAL = {"intervals": {}, "resolution": [9, 5, 5], "strict": False,
              "dual_norm": "lorentz", "i_vector": [0.0, 0.0, 0.0, 1.0],
              "projection_axis": 0, "claims": {}, "reference": {}}
 
+# The most grid vertices (the product of `resolution`) a scene may ask for:
+# `report` holds about 7 KB and takes about 150 us a vertex, so the cap is
+# about 0.7 GB and 15 s; exampleEx3 at [50, 20, 20] has 20,000 vertices.
+MAX_VERTICES = 100_000
+
 @dataclass(frozen=True)
 class SceneConfig:
     name: str
@@ -117,8 +122,8 @@ def _check_enum(value, allowed, *path) -> None:
         _fail(f"{value!r} is not one of {list(allowed)!r}", *path)
 
 
-def _finite_width(lo, hi) -> bool:
-    """hi - lo is finite in floats, so lo and hi are finite too."""
+def _finite(hi, lo=0.0) -> bool:
+    """hi - lo is finite in floats, so hi and lo are finite too."""
     try:
         return math.isfinite(float(hi) - float(lo))
     except OverflowError:  # an integer beyond the float range
@@ -162,16 +167,23 @@ def _validate(raw) -> dict:
         _check_array(bounds, 2, "number", "intervals", axis)
         if not bounds[1] > bounds[0]:
             _fail(f"interval {axis} must have lo < hi", "intervals", axis)
-        if not _finite_width(*bounds):
+        if not _finite(bounds[1], bounds[0]):
             _fail(f"interval {axis} must have finite bounds and a finite "
                   f"width hi - lo", "intervals", axis)
     _check_array(raw["resolution"], 3, "integer", "resolution")
     for k, n in enumerate(raw["resolution"]):
         if n < 2:
             _fail(f"{n!r} is less than the minimum of 2", "resolution", k)
+    count = math.prod(int(n) for n in raw["resolution"])
+    if count > MAX_VERTICES:
+        _fail(f"resolution {raw['resolution']!r} makes {count} grid vertices,"
+              f" more than the cap of {MAX_VERTICES}", "resolution")
     _check_type(raw["strict"], "boolean", "strict")
     _check_enum(raw["dual_norm"], ("lorentz", "euclid"), "dual_norm")
     _check_array(raw["i_vector"], 4, "number", "i_vector")
+    for k, v in enumerate(raw["i_vector"]):
+        if not _finite(v):
+            _fail("i_vector entries must be finite numbers", "i_vector", k)
     _check_type(raw["projection_axis"], "integer", "projection_axis")
     _check_enum(raw["projection_axis"], range(4), "projection_axis")
     _check_object(raw["claims"], _CLAIM_KEYS, "claims")
@@ -224,7 +236,7 @@ def load_scene(path: str) -> SceneConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an overlong integer
             raise SceneSchemaError(f"not valid JSON: {exc}", "/") from exc
     return scene_from_dict(raw, source_path=path)
 

@@ -2,13 +2,12 @@
 
 import builtins
 import json
-import sys
 from dataclasses import replace
 from importlib import resources
 
 import pytest
 
-from ruled4 import check, hypersurface
+from ruled4 import check, kernel
 from ruled4.check import (
     CheckReport,
     ClaimResult,
@@ -203,10 +202,10 @@ def test_flatness_is_structural(name):
     # the ruling block of the second form is literal zeros, so det h and K
     # are exactly zero, not rounding noise under FLAT_TOL
     cfg = shipped(name)
-    graded = [pt.report for pt in walk_grid(build_hypersurface(cfg), cfg)
-              if pt.report]
+    graded = [pt for pt in walk_grid(build_hypersurface(cfg), cfg)
+              if pt.flag is None]
     assert graded
-    assert all(rep.gauss_curvature == 0.0 for rep in graded)
+    assert all(pt.gauss_k == 0.0 for pt in graded)
     assert by_name(check_scene(cfg))["flatness"].details["max_abs_K"] == 0.0
 
 
@@ -224,28 +223,26 @@ def test_check_evaluations_do_not_grow_with_the_ruling_grid(name):
 
 
 def test_reference_claim_reads_the_walked_curves():
-    # 99 evaluations build the surface, the walk makes 5 per x sample (u,
-    # v, w for alpha, then beta and gamma), and the construction and
-    # alpha-probe claims share 3 per x; reference_curves makes none
+    # 99 evaluations build the surface, the walk makes 3 per x sample (u,
+    # v, w for alpha; beta = w and gamma = v reuse theirs), and the
+    # construction and alpha-probe claims share 3 per x; reference_curves
+    # makes none
     counted, counter = counting_scene(shipped("exampleEx3.json"))
     check_scene(counted)
     assert counted.resolution[0] == 25
-    assert counter[0] == 99 + (5 + 3) * 25
+    assert counter[0] == 99 + (3 + 3) * 25
 
 
 def test_check_computes_metric_gradients_once_per_vertex(monkeypatch):
     # the full-weight lb_closed_form probe reuses the walk's gradients
     calls = [0]
-    gradients = hypersurface._metric_gradients
+    forms = kernel._Slice.forms
 
     def counting(*args):
         calls[0] += 1
-        return gradients(*args)
+        return forms(*args)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "ruled4"
-                and getattr(module, "_metric_gradients", None) is gradients):
-            monkeypatch.setattr(module, "_metric_gradients", counting)
+    monkeypatch.setattr(kernel._Slice, "forms", counting)
     cfg = shipped("exampleE1.json")
     assert "lb_closed_form" in by_name(check_scene(cfg))
     nx, ny, nz = cfg.resolution
@@ -268,17 +265,13 @@ def _nudge_vertex(cfg, part):
     """A session over cfg whose middle graded vertex has `part` moved 1e-6."""
     session = check._Session(cfg)
     pt = session.graded[len(session.graded) // 2]
-    rep = pt.report
     shift = Vec4(1e-6, 0.0, 0.0, 0.0)
     if part == "position":
-        pt2 = pt._replace(frame=pt.frame._replace(
-            position=pt.frame.position + shift))
+        pt2 = pt._replace(position=pt.position + shift)
     elif part == "n_raw":
-        pt2 = pt._replace(report=rep._replace(normal=rep.normal._replace(
-            n_raw=rep.normal.n_raw + shift)))
+        pt2 = pt._replace(n_raw=pt.n_raw + shift)
     else:
-        pt2 = pt._replace(report=rep._replace(metric=rep.metric._replace(
-            detg=rep.metric.detg + 1e-6)))
+        pt2 = pt._replace(detg=pt.detg + 1e-6)
     for points in (session.points, session.graded):
         points[points.index(pt)] = pt2
     return session

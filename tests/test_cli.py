@@ -175,8 +175,9 @@ def test_determinism_across_threads(tmp_path):
 # Every submodule, named one by one: `import ruled4` itself loads none.
 IMPORT_ALL = ("import sys, ruled4._frozen, ruled4.check, ruled4.cli, "
               "ruled4.crosscheck, ruled4.dual, ruled4.errors, ruled4.expr, "
-              "ruled4.hypersurface, ruled4.lorentz, ruled4.mesh, ruled4.octo, "
-              "ruled4.octonion, ruled4.scene; ")
+              "ruled4.hypersurface, ruled4.kernel, ruled4.lorentz, "
+              "ruled4.mesh, ruled4.octo, ruled4.octonion, ruled4.pointwise, "
+              "ruled4.scene; ")
 
 
 def test_import_loads_neither_numpy_nor_jsonschema():
@@ -237,6 +238,27 @@ def test_overflowing_curve_flags_vertices(tmp_path):
     flatness = json.loads(proc.stdout)["claims"][0]
     # x = 0 is lightlike (DegenerateNormal); x >= 400 overflows
     assert flatness["details"]["points_degenerate"] == 16
+
+
+@pytest.mark.parametrize("command", ["check", "mesh", "report"])
+@pytest.mark.parametrize("text", [
+    '"i_vector": [0, 0, 0, 1' + "0" * 400 + ']',    # past the float range
+    '"resolution": [5, 2, 1' + "0" * 5000 + ']',    # past int parsing
+], ids=["i_vector-overflow", "overlong-integer"])
+def test_unrepresentable_number_is_one_error_line(tmp_path, command, text):
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "big", "mode": "octonion", "curves": {'
+                    '"u": ["1", "0", "0", "0"], "v": ["0", "1", "0", "0"], '
+                    '"w": ["0", "0", "1", "0"]}, ' + text + '}')
+    out = tmp_path / "out"
+    proc = run_cli([command, str(path), "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("ruled4: error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    if "i_vector" in text:
+        assert proc.stderr.rstrip().endswith("at /i_vector/3")
 
 
 @pytest.mark.parametrize("deep", ["(" * 3000 + "t" + ")" * 3000,

@@ -40,10 +40,10 @@ from ruled4.hypersurface import (
     make_ruled,
     minimality_residual,
     second_form,
-    second_form_raw,
 )
 from ruled4.lorentz import CausalCharacter, Vec4, cross4, lorentz_dot
 from ruled4.mesh import walk_grid
+from ruled4.pointwise import _at
 from ruled4.scene import build_hypersurface, load_scene
 
 from support import lb_fd, max_comp_diff, rand_strict_surface
@@ -145,10 +145,10 @@ def test_quartic_lax_records_two_warnings():
 
 
 def test_quartic_h11_raw_pinned():
+    # the kernel's raw second-form row, <phi_xx, n_raw> first
     h = quartic_fixture()
-    fr = frame(h, 1.0, 0.4, -0.2)
-    n_raw = cross4(fr.phi_x, fr.phi_y, fr.phi_z)
-    h11, h12, h13 = second_form_raw(fr, n_raw)
+    s, y, z = _at(h, 1.0, 0.4, -0.2)
+    h11, h12, h13 = s.second_raw(y, z)
     expected = (6.0 * math.sqrt(6.0) - 13.0) / math.sqrt(21.0)
     assert abs(h11 - expected) < 1e-12
     assert abs(h11 - 0.3703023298811914) < 1e-12
@@ -385,7 +385,7 @@ def test_scalar_api_equals_report_on_shipped_scenes():
         cfg = load_scene(str(resources.files("ruled4.scenes")
                              / f"{name}.json"))
         h = build_hypersurface(cfg)
-        graded = [pt.params for pt in walk_grid(h, cfg) if pt.report]
+        graded = [pt.params for pt in walk_grid(h, cfg) if pt.flag is None]
         assert graded, name
         for x, y, z in graded:
             rep = curvature_report(h, x, y, z)

@@ -1,9 +1,10 @@
-"""Shape and symmetries of the per-vertex kernel (_frame_at, _report_at).
+"""Shape and symmetries of the slice kernel (ruled4.kernel._Slice).
 
-The kernel forms each vector it needs as one linear combination over the
-frame, so the number of Vec4s it builds per vertex is pinned here.  The
-Lorentz-covariance test boosts the curve texts of whole surfaces and checks
-that the invariants stay put and the vectors move with the boost.
+The kernel builds only the vectors that leave it, each as one linear
+combination over the slice's coefficients, so the number of Vec4s it
+builds per vertex is pinned here.  The Lorentz-covariance test boosts the
+curve texts of whole surfaces and checks that the invariants stay put and
+the vectors move with the boost.
 """
 
 import json
@@ -17,14 +18,23 @@ import pytest
 from ruled4.cli import main
 from ruled4.expr import CurveSpec
 from ruled4.hypersurface import (
+    GaussMapData,
     SurfaceKind,
-    _frame_at,
-    _report_at,
     curvature_report,
+    eval_point,
+    first_form,
+    frame,
+    gauss_map,
+    laplace_beltrami,
+    lb_closed_orthogonal,
     make_ruled,
+    minimality_residual,
+    second_form,
 )
 from ruled4.lorentz import Vec4
-from ruled4.mesh import walk_grid
+from ruled4.kernel import _jets, _Slice
+from ruled4.pointwise import _metric, _report
+from ruled4.mesh import sample_grid, walk_grid
 from ruled4.scene import build_hypersurface, load_scene
 
 from support import (
@@ -44,7 +54,7 @@ def shipped(name):
 
 def graded(cfg):
     h = build_hypersurface(cfg)
-    return h, [pt for pt in walk_grid(h, cfg) if pt.report]
+    return h, [pt for pt in walk_grid(h, cfg) if pt.flag is None]
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +63,9 @@ def graded(cfg):
 @pytest.mark.parametrize("name,per_report", [
     ("example1", 4), ("exampleE1", 4), ("exampleEx3", 3), ("dualsphere", 3)])
 def test_kernel_vec4_constructions(monkeypatch, name, per_report):
-    # _frame_at: position, phi_x, phi_xx.  _report_at: ruling normal, unit
-    # normal, Laplacian, and the closed form where the scene has one.
+    # A vertex builds its position, and the report's vectors: ruling
+    # normal, unit normal, Laplacian, and the closed form where the scene
+    # has one.
     h, points = graded(shipped(name))
     assert points
     built = [0]
@@ -66,16 +77,68 @@ def test_kernel_vec4_constructions(monkeypatch, name, per_report):
 
     for pt in points:
         x, y, z = pt.params
-        curves = (h.alpha.evaluate(x), h.beta.evaluate(x), h.gamma.evaluate(x))
+        s = _Slice(h.kind, x, _jets(h, x))
         monkeypatch.setattr(Vec4, "__init__", counting)
         built[0] = 0
-        fr = _frame_at(curves, y, z)
-        assert built[0] == 3, pt.params
-        built[0] = 0
-        rep = _report_at(h, x, y, z, fr)
-        assert built[0] == per_report, pt.params
+        vertex = s.vertex(y, z)
+        assert built[0] == 1 + per_report, pt.params
         monkeypatch.undo()
-        assert fr == pt.frame and rep == pt.report
+        assert vertex == pt
+
+
+# ---------------------------------------------------------------------------
+# One kernel: the scalar API is a one-point call into the grid's kernel
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_scalar_api_equals_the_grid_record(name):
+    # the same jets give the same slice, so every field agrees bit for bit
+    h, points = graded(shipped(name))
+    assert points
+    for pt in points[::5]:
+        x, y, z = pt.params
+        rep = curvature_report(h, x, y, z)
+        assert rep == _report(h, pt)
+        assert (rep.position, rep.metric, rep.gauss_curvature,
+                rep.mean_curvature, rep.minimality, rep.laplacian,
+                rep.laplacian_closed) == (
+            pt.position, _metric(h.kind, pt), pt.gauss_k, pt.mean_h,
+            pt.minimality, pt.laplacian, pt.laplacian_closed)
+        assert gauss_map(h, x, y, z) == rep.normal == GaussMapData(
+            pt.n_raw, pt.unit, pt.magnitude, pt.character)
+        assert first_form(h, x, y, z) == _metric(h.kind, pt)
+        assert second_form(h, x, y, z) == rep.second
+        assert minimality_residual(h, x, y, z) == pt.minimality
+        assert laplace_beltrami(h, x, y, z) == pt.laplacian
+        assert eval_point(h, x, y, z) == frame(h, x, y, z).position \
+            == pt.position
+        if pt.laplacian_closed is not None:
+            assert lb_closed_orthogonal(h, x, y, z) == pt.laplacian_closed
+
+
+def test_flagged_vertex_keeps_its_position(tmp_path):
+    # phi_x = (1 + z, 1, 0, 0) and the normal is (1, 1 + z, 0, x): it is
+    # lightlike at x = z = 0, so the kernel fails there after the vertex's
+    # position exists, and the vertex table keeps that position
+    path = tmp_path / "lightlike.json"
+    path.write_text(json.dumps({
+        "name": "lightlike", "mode": "type1",
+        "curves": {"alpha": ["t", "t", "0", "0"], "beta": ["0", "0", "1", "0"],
+                   "gamma": ["t", "0", "0", "1"]},
+        "intervals": {"x": [0, 0.5]}, "resolution": [3, 3, 3]}))
+    cfg = load_scene(str(path))
+    h = build_hypersurface(cfg)
+    flagged = [pt for pt in walk_grid(h, cfg) if pt.flag is not None]
+    assert [(pt.params, pt.flag) for pt in flagged] == [
+        ((0.0, y, 0.0), "DegenerateNormal") for y in (-1.0, 0.0, 1.0)]
+    vertices = {v.params: v for v in sample_grid(h, cfg).vertices}
+    assert sum(not v.flags for v in vertices.values()) == 24
+    for pt in flagged:
+        assert pt.position == eval_point(h, *pt.params) \
+            == Vec4(0.0, 0.0, pt.params[1], 0.0)
+        v = vertices[pt.params]
+        assert v.flags == ("DegenerateNormal",)
+        assert v.position == pt.position.components()
+        assert math.isnan(v.gauss_k) and math.isnan(v.n_magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +148,7 @@ def test_kernel_vec4_constructions(monkeypatch, name, per_report):
 def test_gauss_curvature_is_positive_zero(name):
     _, points = graded(shipped(name))
     assert points
-    assert all(math.copysign(1.0, pt.report.gauss_curvature) == 1.0
-               for pt in points)
+    assert all(math.copysign(1.0, pt.gauss_k) == 1.0 for pt in points)
 
 
 def test_mesh_csv_has_no_negative_zero_curvature(tmp_path):
@@ -161,12 +223,12 @@ def test_boost_covariance_on_typed_scenes(name):
     cfg = shipped(name)
     boosted = replace(cfg, curves={k: boost_curve(v)
                                    for k, v in cfg.curves.items()})
-    _, points = graded(cfg)
-    _, points_b = graded(boosted)
+    h, points = graded(cfg)
+    h_b, points_b = graded(boosted)
     assert points and [pt.params for pt in points] == \
         [pt.params for pt in points_b]
     for pt, pt_b in zip(points, points_b):
-        assert_covariant(pt.report, pt_b.report)
+        assert_covariant(_report(h, pt), _report(h_b, pt_b))
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -22,7 +22,13 @@ from ruled4.mesh import (
     sample_grid,
     walk_grid,
 )
-from ruled4.scene import SceneConfig, build_hypersurface, load_scene, scene_from_dict
+from ruled4.scene import (
+    MAX_VERTICES,
+    SceneConfig,
+    build_hypersurface,
+    load_scene,
+    scene_from_dict,
+)
 from support import counting_scene
 
 
@@ -124,12 +130,29 @@ def test_interval_aliases():
     (minimal_raw(intervals={"x": [0, math.inf]}), "/intervals/x"),
     (minimal_raw(intervals={"y": [-1e308, 1e308]}), "/intervals/y"),  # width
     (minimal_raw(intervals={"z": [0, 10 ** 400]}), "/intervals/z"),
+    (minimal_raw(i_vector=[0, 0, 0, 10 ** 400]), "/i_vector/3"),  # overflow
+    (minimal_raw(i_vector=[math.nan, 0, 0, 1]), "/i_vector/0"),
+    (minimal_raw(resolution=[3, 2, 1e300]), "/resolution"),      # over cap
 ])
 def test_schema_errors_carry_pointers(raw, pointer):
     with pytest.raises(SceneSchemaError) as exc:
         scene_from_dict(raw)
     assert exc.value.pointer == pointer
     assert f"at {pointer}" in str(exc.value)
+
+
+def test_vertex_cap_names_the_count_and_the_cap():
+    # validated only: a grid this large is never walked
+    assert MAX_VERTICES == 100_000
+    cfg = scene_from_dict(minimal_raw(resolution=[2, 2, MAX_VERTICES // 4]))
+    assert math.prod(cfg.resolution) == MAX_VERTICES
+    for resolution in ([2, 2, MAX_VERTICES // 4 + 1], [3, 2, 1e300]):
+        with pytest.raises(SceneSchemaError) as exc:
+            scene_from_dict(minimal_raw(resolution=resolution))
+        count = math.prod(int(n) for n in resolution)
+        assert f"{count} grid vertices" in str(exc.value)
+        assert f"cap of {MAX_VERTICES}" in str(exc.value)
+        assert exc.value.pointer == "/resolution"
 
 
 def test_integral_floats_count_as_integers():
@@ -279,13 +302,13 @@ def test_sample_grid_evaluates_each_curve_once_per_x():
 
 def test_walk_grid_evaluates_shared_factor_curves_once_per_x():
     # alpha = u x v + u x w evaluates u, v and w once each; beta = w and
-    # gamma = v evaluate again: 5 curve evaluations per x sample
+    # gamma = v reuse those jets: 3 curve evaluations per x sample
     cfg = load_scene(shipped_path("exampleEx3.json"))
     counted, counter = counting_scene(cfg)
     h = build_hypersurface(counted)
     counter[0] = 0
     walk_grid(h, counted)
-    assert counter[0] == 5 * cfg.resolution[0]
+    assert counter[0] == 3 * cfg.resolution[0]
 
 
 def test_sample_grid_threaded_is_identical(monkeypatch):

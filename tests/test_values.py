@@ -17,7 +17,7 @@ from ruled4.crosscheck import compare_normal_formulas
 from ruled4.dual import Dual, DualVec4, Jet2, dual_vector_algebra
 from ruled4.errors import NonFiniteValue
 from ruled4.expr import Add, Const, Sub, Var, parse_expr, validate_director
-from ruled4.hypersurface import gauss_map
+from ruled4.hypersurface import curvature_report, frame, gauss_map
 from ruled4.lorentz import ModelSpace, Vec4
 from ruled4.mesh import sample_grid, walk_grid
 from ruled4.octonion import Octonion, ParticularOctonion, default_table
@@ -35,16 +35,16 @@ def records():
     """(object, one of its field names) for each record and value type."""
     cfg = shipped("exampleEx3")
     h = build_hypersurface(cfg)
-    pt = next(pt for pt in walk_grid(h, cfg) if pt.report)
+    pt = next(pt for pt in walk_grid(h, cfg) if pt.flag is None)
     mesh = sample_grid(h, cfg)
     report = check_scene(cfg)
-    rep = pt.report
     x, y, z = pt.params
+    rep = curvature_report(h, x, y, z)
     pair = DualVec4(Vec4.basis(1), Vec4.zero())
     beta = shipped("exampleE1").curves["beta"]
     return [
-        (h, "warnings"), (h.alpha, "i_vec"), (pt, "report"),
-        (pt.frame, "position"), (rep, "gauss_curvature"),
+        (h, "warnings"), (h.alpha, "i_vec"), (pt, "laplacian"),
+        (frame(h, x, y, z), "position"), (rep, "gauss_curvature"),
         (rep.metric, "detg"), (gauss_map(h, x, y, z), "unit"),
         (mesh, "vertices"), (mesh.vertices[0], "gauss_k"),
         (report, "claims"), (report.claims[0], "verdict"),
