@@ -8,7 +8,7 @@ the position, and the minimality residual.
 
 import importlib.resources
 
-from ruled4.hypersurface import curvature_report, eval_point
+from ruled4.pointwise import curvature_report, eval_point
 from ruled4.scene import build_hypersurface, load_scene
 
 

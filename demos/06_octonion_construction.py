@@ -12,9 +12,9 @@ import importlib.resources
 import math
 import tempfile
 
-from ruled4.hypersurface import eval_point
 from ruled4.mesh import export_obj, sample_grid
 from ruled4.octo import star_point
+from ruled4.pointwise import eval_point
 from ruled4.scene import build_hypersurface, load_scene
 
 

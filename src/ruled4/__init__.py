@@ -25,8 +25,7 @@ _EXPORTS = {
         "Vec4", "CausalCharacter", "ModelSpace", "Characterization",
         "lorentz_dot", "euclid_dot", "lorentz_norm", "cross4",
         "characterize"),
-    "dual": ("Dual", "Jet2", "DualVec4", "DualVectorAlgebra",
-             "dual_vector_algebra"),
+    "dual": ("Dual", "Jet2"),
     "expr": (
         "parse_expr", "to_text", "evaluate_jet", "evaluate_dual",
         "evaluate_float", "CurveSpec", "DirectorReport", "validate_director"),

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from . import crosscheck
 from .hypersurface import ORTHOGONAL_TOL, SurfaceKind
-from .lorentz import Vec4, cross4, lorentz_dot
+from .lorentz import Vec4, _require_axis, cross4, lorentz_dot
 from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
 from .pointwise import _matmul, _metric, inverse_metric
 from .scene import _CURVE_KEYS, SceneConfig, build_hypersurface
@@ -277,6 +277,8 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
 
 
 def _claim_minimality_linkage(s: _Session) -> ClaimResult:
+    # Tests rounding only: H and the residual share the kernel's raw row and
+    # adjugate, so a wrong row or adjugate cannot fail it (ROADMAP item 1).
     worst = 0.0
     for pt in s.graded:
         h_from_residual = pt.minimality / (3.0 * pt.detg * pt.magnitude)
@@ -384,7 +386,6 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode not in ("octonion", "dual-octonion"):
         return None
     from .octo import _star, _star_dual
-    from .octonion import _require_axis
     star = _star if s.cfg.mode == "octonion" else _star_dual
     _require_axis(s.cfg.i_vec)
     axis = s.cfg.i_vec.components()

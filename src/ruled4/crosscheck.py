@@ -6,23 +6,23 @@ for the ruling normal, and Gram-matrix identities for the ternary product
 whose determinants are Leibniz permutation sums (_det), not the cofactor
 expansion behind cross4.  lb_closed_full_p is an intentionally wrong
 variant of the orthogonal Laplacian closed form, kept as a probe:
-lb_closed_orthogonal's kernel with full weight on the P_k terms.  check.py
-turns disagreements into report claims, running these probes on each
-sampled vertex.
+lb_closed_orthogonal's kernel with full weight on the P_k terms.  check.py's
+gauss_map_consistency runs the normal and Gram probes at each graded
+vertex; tests and the traced benchmark call the public functions.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 from .hypersurface import RuledHypersurface
 from .lorentz import Vec4, cross4, lorentz_dot
-from .pointwise import _lb_closed_at, frame
+from .pointwise import _lb_closed_at
 
 __all__ = [
-    "normal_components_expanded", "NormalComparison", "compare_normal_formulas",
+    "normal_components_expanded",
     "lorentz_gram", "lagrange_defect", "contraction_defect",
     "lb_closed_full_p",
 ]
@@ -57,33 +57,6 @@ def _normal_expanded(x: tuple, b: tuple, g: tuple
     n3 = b1 * d24 + b2 * (g4 * x1 - g1 * x4) + b4 * (g1 * x2 - g2 * x1)
     n4 = b1 * d32 + b2 * (g1 * x3 - g3 * x1) + b3 * (g2 * x1 - g1 * x2)
     return n1, n2, n3, n4
-
-
-class NormalComparison(NamedTuple):
-    point: tuple[float, float, float]
-    expanded: tuple[float, float, float, float]
-    direct: tuple[float, float, float, float]
-    component_deviation: tuple[float, float, float, float]
-    max_deviation: float
-    scale: float
-
-
-def compare_normal_formulas(h: RuledHypersurface,
-                            points: Iterable[tuple[float, float, float]]
-                            ) -> list[NormalComparison]:
-    """Expanded-vs-minor-expansion normal at each sample point."""
-    out: list[NormalComparison] = []
-    for (x, y, z) in points:
-        fr = frame(h, x, y, z)
-        direct = cross4(fr.phi_x, fr.phi_y, fr.phi_z)
-        expanded = normal_components_expanded(fr.phi_x, fr.phi_y, fr.phi_z)
-        dev = tuple(abs(p - q) for p, q in
-                    zip(expanded.components(), direct.components()))
-        scale = max(1.0, max(abs(v) for v in direct.components()))
-        out.append(NormalComparison((float(x), float(y), float(z)),
-                                    expanded.components(), direct.components(),
-                                    dev, max(dev), scale))
-    return out
 
 
 def lorentz_gram(vectors: Sequence[Vec4]) -> tuple[tuple[float, ...], ...]:
@@ -127,9 +100,9 @@ def contraction_defect(x: Vec4, y: Vec4, z: Vec4, w: Vec4) -> float:
 def lb_closed_full_p(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4:
     """Orthogonal Laplacian variant with FULL P-weights: a probe, not a tool.
 
-    Identical to hypersurface.lb_closed_orthogonal except the P_k terms are
+    Identical to pointwise.lb_closed_orthogonal except the P_k terms are
     not halved.  The quotient rule demands the half, so this variant
-    deviates from the general divergence path whenever the metric varies;
-    check.py reports the deviation as evidence for the one-half weight.
+    deviates from the general divergence path whenever the metric varies,
+    as check.py's lb_closed_form_weights reports from the slice kernel.
     """
     return _lb_closed_at(h, x, y, z, 1.0)

@@ -1,4 +1,4 @@
-"""Dual numbers, order-2 jets, and dual 4-vectors.
+"""Dual numbers and order-2 jets.
 
 A dual number a + eps*a' has eps*eps == 0, which makes multiplication carry
 first derivatives.  A :class:`Jet2` carries value, first and second
@@ -17,22 +17,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from ._frozen import Frozen, _set
 from .errors import DomainError
-from .lorentz import Vec4, cross4, euclid_dot, lorentz_dot
 
 __all__ = [
     "Dual",
     "Jet2",
-    "DualVec4",
-    "DualVectorAlgebra",
-    "dual_vector_algebra",
-    "UNIT_SPHERE_TOL",
 ]
-
-UNIT_SPHERE_TOL = 1e-9
 
 
 class Dual(Frozen):
@@ -237,52 +230,3 @@ JET_FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
 DUAL_FUNCTIONS: dict[str, Callable[[Dual], Dual]] = {
     "sqrt": _dual_sqrt, **{name: _on_dual(fn) for name, fn in _DERIVATIVES.items()}}
 
-
-class DualVec4(NamedTuple):
-    """Dual 4-vector a + eps*a' (a pair of Vec4)."""
-
-    re: Vec4
-    eps: Vec4
-
-
-class DualVectorAlgebra(NamedTuple):
-    """Products of a pair of dual vectors: scalar, ternary cross, norm."""
-
-    dot: Dual
-    cross: DualVec4
-    norm_a: Dual
-    is_unit: bool
-
-
-def _inner(mode: str):
-    if mode == "lorentz":
-        return lorentz_dot
-    if mode == "euclid":
-        return euclid_dot
-    raise ValueError(f"unknown norm mode {mode!r}")
-
-
-def dual_vector_algebra(a: DualVec4, b: DualVec4, i_vec: Vec4,
-                        mode: str = "lorentz") -> DualVectorAlgebra:
-    """Scalar product, ternary cross with axis i_vec, and norm of `a`.
-
-    The eps slot of each product follows the nilpotency rule: cross terms
-    re*eps + eps*re, never eps*eps.  `mode` selects the scalar product used
-    for the dot and the norm ("lorentz" default, "euclid" alternative); the
-    ternary cross is always the Lorentzian one.
-
-    The unit test is against the pair (|norm real part|, eps part) == (1, 0)
-    with tolerance 1e-9; the absolute value admits timelike unit vectors in
-    lorentz mode.
-    """
-    inner = _inner(mode)
-    dot = Dual(inner(a.re, b.re), inner(a.re, b.eps) + inner(a.eps, b.re))
-    cross = DualVec4(
-        cross4(a.re, b.re, i_vec),
-        cross4(a.re, b.eps, i_vec) + cross4(a.eps, b.re, i_vec),
-    )
-    q = inner(a.re, a.re)
-    norm_a = Dual(q, 2.0 * inner(a.re, a.eps))
-    is_unit = abs(abs(norm_a.re) - 1.0) <= UNIT_SPHERE_TOL and \
-        abs(norm_a.eps) <= UNIT_SPHERE_TOL
-    return DualVectorAlgebra(dot, cross, norm_a, is_unit)

@@ -12,7 +12,8 @@ Grammar (whitespace insignificant, radians everywhere):
 Binary operators associate left; '^' binds tighter than unary minus, so
 -t^2 is -(t^2).  FUNC is one of sin, cos, sinh, cosh, exp, sqrt.  Any other
 identifier raises UnknownIdentifier; any other malformation raises
-ExprSyntaxError carrying the character offset, as does nesting deeper than
+ExprSyntaxError carrying the character offset, as do a number (or a
+literal exponent) that is not a finite float and nesting deeper than
 _MAX_DEPTH levels (operators, calls, negations and groups count one each).
 
 Parsed expressions are immutable trees.  `to_text` prints a tree so that
@@ -303,14 +304,16 @@ class _Parser:
             den_frac = _number_fraction(den)
             if den_frac == 0:
                 raise ExprSyntaxError("zero denominator in exponent", den.pos)
-            return sign * _number_fraction(num) / den_frac
+            expo = sign * _number_fraction(num) / den_frac
+            _finite_literal(expo, f"{num.text}/{den.text}", num.pos)
+            return expo
         raise ExprSyntaxError("expected a literal exponent after '^'", tok.pos)
 
     def atom(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return Const(float(tok.text)), 1
+            return Const(_finite_literal(tok.text, tok.text, tok.pos)), 1
         if tok.kind == "IDENT":
             self.advance()
             name = tok.text
@@ -337,10 +340,24 @@ class _Parser:
             if tok.kind != "END" else "unexpected end of input", tok.pos)
 
 
+def _finite_literal(value: str | Fraction, text: str, pos: int) -> float:
+    """float(value) if that is finite, else ExprSyntaxError at pos."""
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        number = math.inf
+    if not math.isfinite(number):
+        raise ExprSyntaxError(f"numeric literal {text!r} is not a finite float", pos)
+    return number
+
+
 def _number_fraction(tok: _Token) -> Fraction:
+    # float first: Fraction("1e-999999999") would compute 10**999999999
+    if not _finite_literal(tok.text, tok.text, tok.pos):
+        return Fraction(0)
     try:
         return Fraction(tok.text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:  # past int()'s digit limit
         raise ExprSyntaxError(f"bad numeric literal {tok.text!r}", tok.pos) from exc
 
 

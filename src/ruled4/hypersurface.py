@@ -15,9 +15,8 @@ instead of being silently absorbed.
 
 All curvature data comes from one slice kernel (ruled4.kernel), which the
 grid walk (mesh.walk_grid) runs over a grid and the scalar API (frame
-through curvature_report, ruled4.pointwise) at one point.  Those names are
-also reachable here; they load ruled4.pointwise on first use, so building
-a surface compiles neither.  The second form's lower 2x2 block vanishes
+through curvature_report, ruled4.pointwise) at one point; building a
+surface compiles neither.  The second form's lower 2x2 block vanishes
 identically, because phi is affine in (y, z); that forces det(second
 form) = 0, hence zero Gauss-Kronecker curvature everywhere: every such
 surface is flat.
@@ -127,12 +126,3 @@ def make_ruled(alpha: Curve, beta: Curve, gamma: Curve, kind: SurfaceKind,
                              (float(y_interval[0]), float(y_interval[1])),
                              (float(z_interval[0]), float(z_interval[1])),
                              tuple(warnings), tuple(reports))
-
-
-def __getattr__(name: str):
-    """A public name of ruled4.pointwise, which is imported on first use."""
-    if not name.startswith("_"):  # not the import system's probes
-        from . import pointwise
-        if name in pointwise.__all__:
-            return getattr(pointwise, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

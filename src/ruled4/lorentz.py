@@ -25,7 +25,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._frozen import Frozen, _set
-from .errors import NonFiniteValue
+from .errors import NonFiniteValue, NonUnitI
 
 __all__ = [
     "CausalCharacter",
@@ -160,6 +160,12 @@ def cross4(x: Vec4, y: Vec4, z: Vec4) -> Vec4:
 # stray from 1.
 DEFAULT_I = Vec4(0.0, 0.0, 0.0, 1.0)
 UNIT_I_TOL = 1e-9
+
+
+def _require_axis(i_vec: Vec4) -> None:
+    """Raise NonUnitI unless |<i,i>| == 1 within UNIT_I_TOL."""
+    if abs(abs(lorentz_dot(i_vec, i_vec)) - 1.0) > UNIT_I_TOL:
+        raise NonUnitI(f"reference vector {i_vec} is not unit")
 
 
 def characterize(x: Vec4) -> Characterization:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import NonUnitI
 from .expr import CurveSpec
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind,
                            _director_grid, make_ruled)
-from .lorentz import (DEFAULT_I, UNIT_I_TOL, Vec4, cross4, euclid_dot,
+from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
                       lorentz_dot)
 
 # The star-product functions import ruled4.octonion themselves, so that
@@ -76,11 +75,6 @@ class PairCrossCurve(NamedTuple):
         return pos, vel, acc
 
 
-def _require_unit_i(i_vec: Vec4) -> None:
-    if abs(abs(lorentz_dot(i_vec, i_vec)) - 1.0) > UNIT_I_TOL:
-        raise NonUnitI(f"reference vector {i_vec} is not unit")
-
-
 def _position(curve: Curve, t: float) -> Vec4:
     """curve's position at t; a CurveSpec builds no derivatives for it."""
     if isinstance(curve, CurveSpec):
@@ -97,7 +91,10 @@ def _positions(curves: dict[str, Curve],
 
 def _advisory_checks(pos: dict[str, list[Vec4]], units: list[str],
                      ortho_pairs: list[tuple[str, str]],
+                     dual_pairs: list[tuple[str, str]],
                      dual_norm: str) -> list[str]:
+    """The advisories under the `dual_norm` product.  A dual curve a + eps a*
+    is on the dual unit sphere when a is unit and 2<a, a*> = 0."""
     dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     warnings: list[str] = []
     for name in units:
@@ -115,6 +112,13 @@ def _advisory_checks(pos: dict[str, list[Vec4]], units: list[str],
             warnings.append(f"curves {name_a} and {name_b} are not orthogonal "
                             f"under the {dual_norm} product: max product "
                             f"{worst:.6g}")
+    for name, star in dual_pairs:
+        worst = 0.0
+        for pr, pe in zip(pos[name], pos[star]):
+            worst = max(worst, abs(2.0 * dot(pr, pe)))
+        if worst > ADVISORY_TOL:
+            warnings.append(f"dual curve {name} leaves the dual unit sphere: "
+                            f"max dual-part norm deviation {worst:.6g}")
     return warnings
 
 
@@ -143,7 +147,7 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                              z_interval: tuple[float, float] = (-1.0, 1.0),
                              ) -> RuledHypersurface:
     """Surface alpha(t) + y*w(t) + z*v(t) with alpha = u x v + u x w."""
-    _require_unit_i(i_vec)
+    _require_axis(i_vec)
     pos = _positions({"u": u, "v": v, "w": w}, _director_grid(x_interval))
     alpha = PairCrossCurve(((u, v), (u, w)), i_vec)
     base = make_ruled(alpha, w, v, SurfaceKind.UNCONSTRAINED,
@@ -151,7 +155,7 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                       z_interval=z_interval)
     warnings = list(base.warnings)
     warnings += _advisory_checks(pos, ["u", "v", "w"],
-                                 [("u", "v"), ("u", "w")], dual_norm)
+                                 [("u", "v"), ("u", "w")], [], dual_norm)
     degenerate = _degenerate_ruling(pos["v"], pos["w"])
     if degenerate:
         warnings.append(degenerate)
@@ -174,23 +178,16 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     unit vector under the chosen product: real norm 1 and real-dual
     product 0.
     """
-    _require_unit_i(i_vec)
+    _require_axis(i_vec)
     pos = _positions({"a": a, "a_star": a_star, "b": b, "b_star": b_star},
                      _director_grid(x_interval))
     alpha = PairCrossCurve(((a, a_star), (b, b_star)), i_vec)
     base = make_ruled(alpha, a, b, SurfaceKind.UNCONSTRAINED,
                       x_interval=x_interval, y_interval=y_interval,
                       z_interval=z_interval)
-    dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     warnings = list(base.warnings)
-    warnings += _advisory_checks(pos, ["a", "b"], [], dual_norm)
-    for name in ("a", "b"):
-        worst = 0.0
-        for pr, pe in zip(pos[name], pos[f"{name}_star"]):
-            worst = max(worst, abs(2.0 * dot(pr, pe)))
-        if worst > ADVISORY_TOL:
-            warnings.append(f"dual curve {name} leaves the dual unit sphere: "
-                            f"max dual-part norm deviation {worst:.6g}")
+    warnings += _advisory_checks(pos, ["a", "b"], [],
+                                 [("a", "a_star"), ("b", "b_star")], dual_norm)
     degenerate = _degenerate_ruling(pos["a"], pos["b"])
     if degenerate:
         warnings.append(degenerate)
@@ -207,7 +204,7 @@ def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,
     -(<u, w> + <u, v>), zero precisely when u is Lorentz-orthogonal to
     both ruling directions.
     """
-    from .octonion import ParticularOctonion, _require_axis
+    from .octonion import ParticularOctonion
     pu, pv, pw = (_position(c, t).components() for c in (u, v, w))
     _require_axis(i_vec)
     scalar, vector = _star(pu, pv, pw, y, z, i_vec.components())
@@ -234,7 +231,7 @@ def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
     equals eval_point on the dual construction identically; the scalar
     part -(<a, a*> + <b, b*>) vanishes exactly on the dual unit sphere.
     """
-    from .octonion import ParticularOctonion, _require_axis
+    from .octonion import ParticularOctonion
     pa, pas, pb, pbs = (_position(c, t).components()
                         for c in (a, a_star, b, b_star))
     _require_axis(i_vec)

@@ -24,8 +24,8 @@ import math
 from typing import Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _set
-from .errors import InconsistentSeed, NonUnitI
-from .lorentz import DEFAULT_I, UNIT_I_TOL, Vec4, _det3, lorentz_dot
+from .errors import InconsistentSeed
+from .lorentz import DEFAULT_I, UNIT_I_TOL, Vec4, _det3, _require_axis
 
 __all__ = [
     "MulTable", "build_mul_table", "default_table", "table_to_csv",
@@ -147,10 +147,6 @@ class Octonion(Frozen):
         _set(self, "coeffs", coeffs)
 
     @staticmethod
-    def from_coeffs(values: Iterable[float]) -> "Octonion":
-        return Octonion(tuple(values))
-
-    @staticmethod
     def zero() -> "Octonion":
         return Octonion((0.0,) * 8)
 
@@ -175,9 +171,6 @@ class Octonion(Frozen):
 
     def __neg__(self) -> "Octonion":
         return Octonion(tuple(-a for a in self.coeffs))
-
-    def scale(self, s: float) -> "Octonion":
-        return Octonion(tuple(a * float(s) for a in self.coeffs))
 
     def conjugate(self) -> "Octonion":
         return Octonion((self.coeffs[0],) + tuple(-a for a in self.coeffs[1:]))
@@ -261,13 +254,6 @@ def particular_product(q: ParticularOctonion, p: ParticularOctonion,
     scalar, vector = _star_product(q.scalar, q.vector.components(), p.scalar,
                                    p.vector.components(), i_vec.components())
     return ParticularOctonion(scalar, Vec4(*vector))
-
-
-def _require_axis(i_vec: Vec4) -> None:
-    """Raise NonUnitI unless |<i,i>| == 1 within UNIT_I_TOL."""
-    q_ii = lorentz_dot(i_vec, i_vec)
-    if abs(abs(q_ii) - 1.0) > UNIT_I_TOL:
-        raise NonUnitI(f"axis vector has |<i,i>| = {abs(q_ii)!r}, expected 1")
 
 
 def _star_product(qs: float, qv: tuple, ps: float, pv: tuple, i: tuple

@@ -14,15 +14,9 @@ from dataclasses import dataclass, field, replace
 
 from ruled4.errors import DegenerateNormal, DomainError, SingularMetric
 from ruled4.expr import CurveSpec
-from ruled4.hypersurface import (
-    SurfaceKind,
-    curvature_report,
-    first_form,
-    frame,
-    inverse_metric,
-    make_ruled,
-)
+from ruled4.hypersurface import SurfaceKind, make_ruled
 from ruled4.lorentz import Vec4
+from ruled4.pointwise import curvature_report, first_form, frame, inverse_metric
 
 DEGENERACY_ERRORS = (DegenerateNormal, SingularMetric, DomainError)
 

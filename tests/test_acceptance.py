@@ -20,21 +20,20 @@ from ruled4.check import check_scene
 from ruled4.crosscheck import lorentz_gram, normal_components_expanded
 from ruled4.dual import Dual
 from ruled4.expr import evaluate_dual, evaluate_jet, parse_expr
-from ruled4.hypersurface import (
-    SurfaceKind,
+from ruled4.hypersurface import SurfaceKind, make_ruled
+from ruled4.lorentz import Vec4, cross4, lorentz_dot
+from ruled4.mesh import export_obj, sample_grid
+from ruled4.octo import construct_from_octonions, star_point
+from ruled4.octonion import Octonion, default_table, oct_mul
+from ruled4.pointwise import (
     curvature_report,
     eval_point,
     first_form,
     inverse_metric,
     laplace_beltrami,
     lb_closed_orthogonal,
-    make_ruled,
     second_form,
 )
-from ruled4.lorentz import Vec4, cross4, lorentz_dot
-from ruled4.mesh import export_obj, sample_grid
-from ruled4.octo import construct_from_octonions, star_point
-from ruled4.octonion import Octonion, default_table, oct_mul
 from ruled4.scene import build_hypersurface, load_scene
 
 import support

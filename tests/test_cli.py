@@ -277,6 +277,26 @@ def test_too_deep_curve_is_one_error_line(capsys, tmp_path, deep):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("where", ["curves", "reference"])
+@pytest.mark.parametrize("literal", ["1²", "t^1e400", "1e999*t"],
+                         ids=["superscript", "huge-exponent", "huge-constant"])
+def test_unrepresentable_literal_is_one_error_line(capsys, tmp_path, literal,
+                                                    where):
+    doc = json.loads(Path(scene("exampleEx3.json")).read_text())
+    doc[where]["u" if where == "curves" else "alpha"][1] = literal
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(doc))
+    for command, extra in (("check", []), ("report", []),
+                           ("mesh", ["--format", "json"])):
+        out = tmp_path / f"{command}.out"
+        assert main([command, str(path), *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ruled4: error:")
+        assert "is not a finite float" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 def _row_lines(text, key):
     """The lines between '"key": [' and its closing bracket."""
     lines = text.split("\n")

@@ -1,4 +1,4 @@
-"""Dual numbers, order-2 jets, and the dual 4-vector products."""
+"""Dual numbers and order-2 jets."""
 
 import math
 from fractions import Fraction
@@ -11,14 +11,11 @@ from ruled4.dual import (
     DUAL_FUNCTIONS,
     JET_FUNCTIONS,
     Dual,
-    DualVec4,
     Jet2,
     dual_pow,
-    dual_vector_algebra,
     jet_pow,
 )
 from ruled4.errors import DomainError
-from ruled4.lorentz import Vec4
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -165,36 +162,3 @@ def test_sqrt_at_zero():
         DUAL_FUNCTIONS["sqrt"](Dual(0.0, 1.0))
     with pytest.raises(DomainError):
         JET_FUNCTIONS["sqrt"](Jet2.constant(-1.0))
-
-
-def test_dual_vector_algebra_derivative_slots():
-    a = DualVec4(Vec4(0.0, math.cos(0.3), math.sin(0.3), 0.0),
-                 Vec4(0.0, -math.sin(0.3), math.cos(0.3), 0.0))
-    b = DualVec4(Vec4(0.0, 0.0, 1.0, 2.0), Vec4(1.0, 0.0, 0.0, 0.0))
-    out = dual_vector_algebra(a, b, Vec4(0.0, 0.0, 0.0, 1.0))
-    # eps of the dot obeys the product rule
-    from ruled4.lorentz import cross4, lorentz_dot
-    assert out.dot.re == lorentz_dot(a.re, b.re)
-    assert out.dot.eps == lorentz_dot(a.re, b.eps) + lorentz_dot(a.eps, b.re)
-    i_vec = Vec4(0.0, 0.0, 0.0, 1.0)
-    assert out.cross.re.components() == cross4(a.re, b.re, i_vec).components()
-    expect_eps = cross4(a.re, b.eps, i_vec) + cross4(a.eps, b.re, i_vec)
-    assert out.cross.eps.components() == expect_eps.components()
-    # a is a unit circle with tangent eps: exactly on the dual unit sphere
-    assert out.norm_a.re == 1.0
-    assert out.norm_a.eps == 0.0
-    assert out.is_unit
-
-
-def test_dual_vector_algebra_norm_modes():
-    a = DualVec4(Vec4(math.cosh(0.4), math.sinh(0.4), 0.0, 0.0), Vec4.zero())
-    b = DualVec4(Vec4.zero(), Vec4.zero())
-    i_vec = Vec4(0.0, 0.0, 0.0, 1.0)
-    lorentz = dual_vector_algebra(a, b, i_vec, mode="lorentz")
-    assert abs(lorentz.norm_a.re + 1.0) <= 1e-12
-    assert lorentz.is_unit  # |<a,a>| = 1 admits timelike units
-    euclid = dual_vector_algebra(a, b, i_vec, mode="euclid")
-    assert euclid.norm_a.re > 1.0
-    assert not euclid.is_unit
-    with pytest.raises(ValueError):
-        dual_vector_algebra(a, b, i_vec, mode="taxicab")

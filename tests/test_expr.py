@@ -70,6 +70,10 @@ def test_ast_shape_of_precedence():
     ("2 ** 3", 3),
     ("t @ 2", 2),
     ("", 0),
+    ("1²", 0),                  # a digit to str.isdigit, not to float
+    ("t^1e400", 2),             # exponents past the float range
+    ("t^(1e300/1e-300)", 3),
+    ("1e999*t", 0),             # would print as inf*t, which does not parse
 ])
 def test_syntax_error_offsets(text, offset):
     with pytest.raises(ExprSyntaxError) as info:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ruled4.crosscheck import (
-    compare_normal_formulas,
     contraction_defect,
     lagrange_defect,
     lb_closed_full_p,
@@ -27,8 +26,11 @@ from ruled4.errors import (
     SingularMetric,
 )
 from ruled4.expr import CurveSpec
-from ruled4.hypersurface import (
-    SurfaceKind,
+from ruled4.hypersurface import SurfaceKind, make_ruled
+from ruled4.lorentz import CausalCharacter, Vec4, cross4, lorentz_dot
+from ruled4.mesh import walk_grid
+from ruled4.pointwise import (
+    _at,
     curvature_report,
     eval_point,
     first_form,
@@ -37,13 +39,9 @@ from ruled4.hypersurface import (
     inverse_metric,
     laplace_beltrami,
     lb_closed_orthogonal,
-    make_ruled,
     minimality_residual,
     second_form,
 )
-from ruled4.lorentz import CausalCharacter, Vec4, cross4, lorentz_dot
-from ruled4.mesh import walk_grid
-from ruled4.pointwise import _at
 from ruled4.scene import build_hypersurface, load_scene
 
 from support import lb_fd, max_comp_diff, rand_strict_surface
@@ -428,9 +426,11 @@ def test_lagrange_and_contraction_defects():
 
 def test_compare_normal_formulas_on_surface():
     h = plane_fixture()
-    points = [(0.0, 0.0, 0.0), (0.5, -0.5, 0.5), (1.0, 1.0, -1.0)]
-    rows = compare_normal_formulas(h, points)
-    assert len(rows) == 3
-    for row in rows:
-        assert row.max_deviation < 1e-12 * max(1.0, row.scale)
-        assert len(row.component_deviation) == 4
+    for x, y, z in [(0.0, 0.0, 0.0), (0.5, -0.5, 0.5), (1.0, 1.0, -1.0)]:
+        fr = frame(h, x, y, z)
+        direct = cross4(fr.phi_x, fr.phi_y, fr.phi_z).components()
+        expanded = normal_components_expanded(
+            fr.phi_x, fr.phi_y, fr.phi_z).components()
+        scale = max(1.0, max(abs(v) for v in direct))
+        assert max(abs(p - q) for p, q in zip(expanded, direct)) \
+            < 1e-12 * scale

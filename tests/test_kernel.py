@@ -17,9 +17,13 @@ import pytest
 
 from ruled4.cli import main
 from ruled4.expr import CurveSpec
-from ruled4.hypersurface import (
+from ruled4.hypersurface import SurfaceKind, make_ruled
+from ruled4.lorentz import Vec4
+from ruled4.kernel import _jets, _Slice
+from ruled4.pointwise import (
     GaussMapData,
-    SurfaceKind,
+    _metric,
+    _report,
     curvature_report,
     eval_point,
     first_form,
@@ -27,13 +31,9 @@ from ruled4.hypersurface import (
     gauss_map,
     laplace_beltrami,
     lb_closed_orthogonal,
-    make_ruled,
     minimality_residual,
     second_form,
 )
-from ruled4.lorentz import Vec4
-from ruled4.kernel import _jets, _Slice
-from ruled4.pointwise import _metric, _report
 from ruled4.mesh import sample_grid, walk_grid
 from ruled4.scene import build_hypersurface, load_scene
 
