@@ -24,15 +24,14 @@ _EXPORTS = {
     "lorentz": (
         "Vec4", "CausalCharacter", "ModelSpace", "Characterization",
         "lorentz_dot", "euclid_dot", "lorentz_norm", "cross4",
-        "characterize"),
+        "characterize", "DEFAULT_I"),
     "dual": ("Dual", "Jet2"),
     "expr": (
         "parse_expr", "to_text", "evaluate_jet", "evaluate_dual",
         "evaluate_float", "CurveSpec", "DirectorReport", "validate_director"),
     "octonion": (
         "Octonion", "ParticularOctonion", "MulTable", "build_mul_table",
-        "default_table", "oct_mul", "particular_product", "table_to_csv",
-        "DEFAULT_I"),
+        "default_table", "oct_mul", "particular_product", "table_to_csv"),
     "hypersurface": ("SurfaceKind", "RuledHypersurface", "make_ruled"),
     "pointwise": (
         "Frame", "frame", "eval_point", "GaussMapData", "gauss_map",

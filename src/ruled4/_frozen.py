@@ -3,10 +3,10 @@
 dataclass(frozen=True) execs a fresh __init__, __repr__, __eq__, __hash__
 and __setattr__ for every class at import.  The vector, number and
 expression types share these instead.  A subclass names its fields in
-`_fields`, keeps them in __slots__ and stores them from its own __init__
-through `_set`.  A value compares and hashes by its exact type and fields,
-refuses assignment after construction, and is not a tuple: it has no len,
-order or concatenation.
+`_fields` and keeps them in __slots__; __init__ stores them in that order,
+or, in a subclass that converts or checks them, through `_set`.  A value
+compares and hashes by its exact type and fields, refuses assignment after
+construction, and is not a tuple: it has no len, order or concatenation.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ _set = object.__setattr__
 class Frozen:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -60,13 +60,7 @@ class ClaimResult(_ClaimFields):
                                {} if details is None else details)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_claim": self.paper_claim,
-            "computed": self.computed,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return self._asdict()
 
 
 class CheckReport(NamedTuple):
@@ -148,10 +142,6 @@ class _Session:
                 self.cfg.curves[name].position(x)
                 for name in _CURVE_KEYS[self.cfg.mode])
         return got
-
-    @property
-    def kind(self) -> SurfaceKind:
-        return self.surface.kind
 
 
 def _claim_flatness(s: _Session) -> ClaimResult:
@@ -259,7 +249,7 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
         if pt.detg_closed is not None:
             worst_det = max(worst_det, abs(pt.detg - pt.detg_closed)
                             / max(1.0, abs(pt.detg)))
-        md = _metric(s.kind, pt)
+        md = _metric(s.surface.kind, pt)
         ident = _matmul(inverse_metric(md), md.g)
         for i in range(3):
             for j in range(3):
@@ -295,7 +285,7 @@ def _claim_minimality_linkage(s: _Session) -> ClaimResult:
 
 def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
     """(half-weight gap, full-weight gap) vs the general path, or None."""
-    if s.kind not in _TYPED or not s.graded:
+    if s.surface.kind not in _TYPED or not s.graded:
         return None
     if not all(abs(pt.e) <= ORTHOGONAL_TOL for pt in s.graded):
         return None
@@ -308,10 +298,7 @@ def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
     return worst_half, worst_full
 
 
-def _claim_lb_closed(gaps: Optional[tuple[float, float]]) -> Optional[ClaimResult]:
-    if gaps is None:
-        return None
-    worst_half, worst_full = gaps
+def _claim_lb_closed(worst_half: float, worst_full: float) -> ClaimResult:
     return ClaimResult(
         "lb_closed_form",
         "for orthogonal directors the Laplacian reduces to the "
@@ -322,10 +309,7 @@ def _claim_lb_closed(gaps: Optional[tuple[float, float]]) -> Optional[ClaimResul
         {"half_weight_gap": worst_half, "full_weight_gap": worst_full})
 
 
-def _claim_lb_weights(gaps: Optional[tuple[float, float]]) -> Optional[ClaimResult]:
-    if gaps is None:
-        return None
-    worst_half, worst_full = gaps
+def _claim_lb_weights(worst_half: float, worst_full: float) -> ClaimResult:
     printed_matches = worst_full <= LB_CLOSED_TOL
     verdict = "pass" if printed_matches else "discrepancy"
     return ClaimResult(
@@ -340,9 +324,9 @@ def _claim_lb_weights(gaps: Optional[tuple[float, float]]) -> Optional[ClaimResu
 
 
 def _claim_director_membership(s: _Session) -> Optional[ClaimResult]:
-    if s.kind not in _TYPED:
+    if s.surface.kind not in _TYPED:
         return None
-    space = "de Sitter sphere" if s.kind is SurfaceKind.TYPE1 \
+    space = "de Sitter sphere" if s.surface.kind is SurfaceKind.TYPE1 \
         else "upper hyperbolic sheet"
     reports = s.surface.director_reports
     detail = {
@@ -495,9 +479,9 @@ def _grade(session: _Session) -> CheckReport:
         _claim_minimality_linkage(session),
     ]
     gaps = _lb_closed_gaps(session)
-    for maybe in (_claim_lb_closed(gaps),
-                  _claim_lb_weights(gaps),
-                  _claim_director_membership(session),
+    if gaps is not None:
+        claims += [_claim_lb_closed(*gaps), _claim_lb_weights(*gaps)]
+    for maybe in (_claim_director_membership(session),
                   _claim_construction_hypotheses(session),
                   _claim_construction_equivalence(session),
                   _claim_reference_curves(session),

@@ -30,6 +30,9 @@ if TYPE_CHECKING:
 
 __all__ = ["main"]
 
+# A message may echo megabytes of input; its tail has the offset or pointer.
+_MAX_MESSAGE = 200
+
 
 def _parse_vec4(text: str) -> Vec4:
     parts = text.split(",")
@@ -64,6 +67,15 @@ def _add_scene_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--i-vector", type=_parse_vec4, default=None,
                      dest="i_vector", metavar="A,B,C,D",
                      help="override the ternary-product reference vector")
+
+
+def _bounded(exc: Exception) -> str:
+    """str(exc), its middle elided if it is longer than _MAX_MESSAGE."""
+    text = str(exc)
+    if len(text) <= _MAX_MESSAGE:
+        return text
+    keep = (_MAX_MESSAGE - 3) // 2
+    return f"{text[:keep]}...{text[-keep:]}"
 
 
 def _load(args: argparse.Namespace) -> SceneConfig:
@@ -166,10 +178,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except Ruled4Error as exc:
-        print(f"ruled4: error: {exc}", file=sys.stderr)
+        print(f"ruled4: error: {_bounded(exc)}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"ruled4: i/o error: {exc}", file=sys.stderr)
+        print(f"ruled4: i/o error: {_bounded(exc)}", file=sys.stderr)
         return 2
 
 

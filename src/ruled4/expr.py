@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen
 from .dual import (_DERIVATIVES, DUAL_FUNCTIONS, JET_FUNCTIONS, Dual, Jet2,
                    _safe_pow, _sqrt, dual_pow, jet_pow)
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
@@ -58,9 +58,6 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 class Const(Frozen):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: float):
-        _set(self, "value", value)
-
 
 class Var(Frozen):
     __slots__ = ()
@@ -68,10 +65,6 @@ class Var(Frozen):
 
 class _Binary(Frozen):
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: "ExprAst", right: "ExprAst"):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 class Add(_Binary):
@@ -93,24 +86,13 @@ class Div(_Binary):
 class Neg(Frozen):
     __slots__ = _fields = ("arg",)
 
-    def __init__(self, arg: "ExprAst"):
-        _set(self, "arg", arg)
-
 
 class Pow(Frozen):
-    __slots__ = _fields = ("base", "expo")
-
-    def __init__(self, base: "ExprAst", expo: Fraction):
-        _set(self, "base", base)
-        _set(self, "expo", expo)
+    __slots__ = _fields = ("base", "expo")  # expo is a Fraction
 
 
 class Call(Frozen):
     __slots__ = _fields = ("fn", "arg")
-
-    def __init__(self, fn: str, arg: "ExprAst"):
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
 
 
 ExprAst = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow, Call]
@@ -503,7 +485,6 @@ class CurveSpec:
 class DirectorReport(NamedTuple):
     """Outcome of checking a director curve against a model space."""
 
-    constraint: ModelSpace
     target: float
     max_violation: float
     worst_t: float
@@ -544,5 +525,5 @@ def validate_director(curve: CurveSpec, constraint: ModelSpace,
         if constraint is ModelSpace.LIGHT_CONE and p.c0 == 0.0:
             sign_ok = False
     passed = worst <= MEMBERSHIP_TOL and sign_ok
-    return DirectorReport(constraint, target, worst, worst_t, sign_ok,
+    return DirectorReport(target, worst, worst_t, sign_ok,
                           passed, len(grid))

@@ -1,7 +1,8 @@
 """Hypersurfaces of Lorentzian 4-space ruled by a moving 2-plane.
 
 A surface here is phi(x, y, z) = alpha(x) + y*beta(x) + z*gamma(x): a base
-curve alpha swept by the plane spanned by two director curves.  Kinds:
+curve alpha swept by the plane spanned by two director curves.  It holds
+no parameter box of its own: a grid samples its scene's box.  Kinds:
 
     TYPE1          directors constrained to the unit de Sitter sphere
     TYPE2          directors constrained to the upper hyperbolic sheet
@@ -72,32 +73,28 @@ class RuledHypersurface(NamedTuple):
     beta: Curve
     gamma: Curve
     kind: SurfaceKind
-    x_interval: tuple[float, float]
-    y_interval: tuple[float, float]
-    z_interval: tuple[float, float]
     warnings: tuple[str, ...] = ()
     director_reports: tuple[DirectorReport, ...] = ()
 
 
-def _director_grid(interval: tuple[float, float]) -> list[float]:
-    """33 evenly spaced samples of the interval; one if it is a point."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi == lo:
-        return [lo]
-    step = (hi - lo) / 32
-    return [lo + k * step for k in range(33)]
+def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """n evenly spaced samples of [lo, hi]; the last is hi itself."""
+    if n < 2:
+        raise ValueError(f"resolution must be >= 2 per axis, got {n}")
+    step = (hi - lo) / (n - 1)
+    values = [lo + k * step for k in range(n - 1)]
+    values.append(float(hi))
+    return tuple(values)
 
 
 def make_ruled(alpha: Curve, beta: Curve, gamma: Curve, kind: SurfaceKind,
                *,
                strict: bool = False,
-               x_interval: tuple[float, float] = (-1.0, 1.0),
-               y_interval: tuple[float, float] = (-1.0, 1.0),
-               z_interval: tuple[float, float] = (-1.0, 1.0)) -> RuledHypersurface:
+               x_interval: tuple[float, float] = (-1.0, 1.0)) -> RuledHypersurface:
     """Assemble a ruled hypersurface, checking director constraints.
 
-    For the constrained kinds, both directors are sampled at 33 points of
-    the x interval and tested for membership in their model space
+    For the constrained kinds, both directors are sampled at _axis's 33
+    points of x_interval and tested for membership in their model space
     (tolerance 1e-9 on the quadratic form, exact sign conditions).
     Violations raise DirectorConstraintViolated in strict mode and are
     recorded as warnings otherwise.  UNCONSTRAINED surfaces skip the check.
@@ -106,7 +103,7 @@ def make_ruled(alpha: Curve, beta: Curve, gamma: Curve, kind: SurfaceKind,
     reports: list[DirectorReport] = []
     space = _DIRECTOR_SPACE.get(kind)
     if space is not None:
-        grid = _director_grid(x_interval)
+        grid = _axis(*x_interval, 33)
         for name, director in (("beta", beta), ("gamma", gamma)):
             if not isinstance(director, CurveSpec):
                 warnings.append(f"director {name} is not expression-backed; "
@@ -121,8 +118,5 @@ def make_ruled(alpha: Curve, beta: Curve, gamma: Curve, kind: SurfaceKind,
                 if strict:
                     raise DirectorConstraintViolated(detail)
                 warnings.append(detail)
-    return RuledHypersurface(alpha, beta, gamma, kind,
-                             (float(x_interval[0]), float(x_interval[1])),
-                             (float(y_interval[0]), float(y_interval[1])),
-                             (float(z_interval[0]), float(z_interval[1])),
-                             tuple(warnings), tuple(reports))
+    return RuledHypersurface(alpha, beta, gamma, kind, tuple(warnings),
+                             tuple(reports))

@@ -38,6 +38,8 @@ __all__ = [
     "lorentz_norm",
     "cross4",
     "characterize",
+    "DEFAULT_I",
+    "UNIT_I_TOL",
 ]
 
 MEMBERSHIP_TOL = 1e-9

@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateNormal, DomainError, SingularMetric
-from .hypersurface import RuledHypersurface
+from .hypersurface import RuledHypersurface, _axis
 from .kernel import GridPoint, _jets, _Slice
 from .scene import SceneConfig
 
@@ -63,15 +63,6 @@ class Mesh(NamedTuple):
     axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     vertices: tuple[VertexData, ...]
     warnings: tuple[str, ...]
-
-
-def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    if n < 2:
-        raise ValueError(f"resolution must be >= 2 per axis, got {n}")
-    step = (hi - lo) / (n - 1)
-    values = [lo + k * step for k in range(n - 1)]
-    values.append(hi)
-    return tuple(values)
 
 
 def _axes(cfg: SceneConfig):

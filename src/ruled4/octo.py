@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .expr import CurveSpec
-from .hypersurface import (Curve, RuledHypersurface, SurfaceKind,
-                           _director_grid, make_ruled)
+from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _axis,
+                           make_ruled)
 from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
                       lorentz_dot)
 
@@ -143,16 +143,13 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                              i_vec: Vec4 = DEFAULT_I,
                              dual_norm: str = "lorentz",
                              x_interval: tuple[float, float] = (-1.0, 1.0),
-                             y_interval: tuple[float, float] = (-1.0, 1.0),
-                             z_interval: tuple[float, float] = (-1.0, 1.0),
                              ) -> RuledHypersurface:
     """Surface alpha(t) + y*w(t) + z*v(t) with alpha = u x v + u x w."""
     _require_axis(i_vec)
-    pos = _positions({"u": u, "v": v, "w": w}, _director_grid(x_interval))
+    pos = _positions({"u": u, "v": v, "w": w}, _axis(*x_interval, 33))
     alpha = PairCrossCurve(((u, v), (u, w)), i_vec)
     base = make_ruled(alpha, w, v, SurfaceKind.UNCONSTRAINED,
-                      x_interval=x_interval, y_interval=y_interval,
-                      z_interval=z_interval)
+                      x_interval=x_interval)
     warnings = list(base.warnings)
     warnings += _advisory_checks(pos, ["u", "v", "w"],
                                  [("u", "v"), ("u", "w")], [], dual_norm)
@@ -168,8 +165,6 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
                                i_vec: Vec4 = DEFAULT_I,
                                dual_norm: str = "lorentz",
                                x_interval: tuple[float, float] = (-1.0, 1.0),
-                               y_interval: tuple[float, float] = (-1.0, 1.0),
-                               z_interval: tuple[float, float] = (-1.0, 1.0),
                                ) -> RuledHypersurface:
     """Surface from two dual-number curves a + eps a*, b + eps b*.
 
@@ -180,11 +175,10 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     """
     _require_axis(i_vec)
     pos = _positions({"a": a, "a_star": a_star, "b": b, "b_star": b_star},
-                     _director_grid(x_interval))
+                     _axis(*x_interval, 33))
     alpha = PairCrossCurve(((a, a_star), (b, b_star)), i_vec)
     base = make_ruled(alpha, a, b, SurfaceKind.UNCONSTRAINED,
-                      x_interval=x_interval, y_interval=y_interval,
-                      z_interval=z_interval)
+                      x_interval=x_interval)
     warnings = list(base.warnings)
     warnings += _advisory_checks(pos, ["a", "b"], [],
                                  [("a", "a_star"), ("b", "b_star")], dual_norm)

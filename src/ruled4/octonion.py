@@ -25,13 +25,12 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _set
 from .errors import InconsistentSeed
-from .lorentz import DEFAULT_I, UNIT_I_TOL, Vec4, _det3, _require_axis
+from .lorentz import DEFAULT_I, Vec4, _det3, _require_axis
 
 __all__ = [
     "MulTable", "build_mul_table", "default_table", "table_to_csv",
     "Octonion", "oct_mul",
     "ParticularOctonion", "particular_product",
-    "UNIT_I_TOL", "DEFAULT_I",
 ]
 
 

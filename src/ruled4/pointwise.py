@@ -2,8 +2,7 @@
 
 Each function evaluates alpha, beta and gamma at x, builds that slice's
 kernel (ruled4.kernel) and evaluates it at (y, z), so it returns, bit for
-bit, what the grid walk's record holds for the same vertex.  The names are
-also reachable as ruled4.hypersurface attributes.
+bit, what the grid walk's record holds for the same vertex.
 """
 
 from __future__ import annotations
@@ -76,11 +75,9 @@ class MetricData(NamedTuple):
 
 
 class CurvatureReport(NamedTuple):
-    point: tuple[float, float, float]
     position: Vec4
     metric: MetricData
     normal: GaussMapData
-    shape_operator: Mat3
     second: Mat3
     gauss_curvature: float
     mean_curvature: float
@@ -235,11 +232,9 @@ def _metric(kind: SurfaceKind, pt: GridPoint) -> MetricData:
 
 def _report(h: RuledHypersurface, pt: GridPoint) -> CurvatureReport:
     """The CurvatureReport of an unflagged kernel.GridPoint."""
-    md = _metric(h.kind, pt)
-    second = _second(pt.rn, pt.magnitude)
     return CurvatureReport(
-        pt.params, pt.position, md,
+        pt.position, _metric(h.kind, pt),
         GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),
-        _matmul(inverse_metric(md), second), second, pt.gauss_k, pt.mean_h,
+        _second(pt.rn, pt.magnitude), pt.gauss_k, pt.mean_h,
         pt.minimality, pt.minimality_orthogonal, pt.laplacian,
         pt.laplacian_closed, h.warnings)

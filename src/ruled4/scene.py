@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, NoReturn, Optional
 
 from .errors import ExprSyntaxError, SceneSchemaError
@@ -52,17 +52,17 @@ class SceneConfig:
     name: str
     mode: str
     curves: Mapping[str, CurveSpec]
-    x_interval: tuple[float, float] = (-1.0, 1.0)
-    y_interval: tuple[float, float] = (-1.0, 1.0)
-    z_interval: tuple[float, float] = (-1.0, 1.0)
-    resolution: tuple[int, int, int] = (9, 5, 5)
-    strict: bool = False
-    dual_norm: str = "lorentz"
-    i_vec: Vec4 = Vec4(0.0, 0.0, 0.0, 1.0)
-    projection_axis: int = 0
-    claims: Mapping[str, bool] = field(default_factory=dict)
-    reference: Mapping[str, CurveSpec] = field(default_factory=dict)
-    source_path: Optional[str] = None
+    x_interval: tuple[float, float]
+    y_interval: tuple[float, float]
+    z_interval: tuple[float, float]
+    resolution: tuple[int, int, int]
+    strict: bool
+    dual_norm: str
+    i_vec: Vec4
+    projection_axis: int
+    claims: Mapping[str, bool]
+    reference: Mapping[str, CurveSpec]
+    source_path: Optional[str]
 
     def with_overrides(self, *, strict: Optional[bool] = None,
                        dual_norm: Optional[str] = None,
@@ -243,18 +243,18 @@ def load_scene(path: str) -> SceneConfig:
 
 def build_hypersurface(cfg: SceneConfig) -> RuledHypersurface:
     """Construct the surface a scene describes."""
-    box = dict(x_interval=cfg.x_interval, y_interval=cfg.y_interval,
-               z_interval=cfg.z_interval)
     if cfg.mode in ("type1", "type2"):
         kind = SurfaceKind.TYPE1 if cfg.mode == "type1" else SurfaceKind.TYPE2
         return make_ruled(cfg.curves["alpha"], cfg.curves["beta"],
-                          cfg.curves["gamma"], kind, strict=cfg.strict, **box)
+                          cfg.curves["gamma"], kind, strict=cfg.strict,
+                          x_interval=cfg.x_interval)
     from .octo import construct_from_dual_curves, construct_from_octonions
     if cfg.mode == "octonion":
         return construct_from_octonions(
             cfg.curves["u"], cfg.curves["v"], cfg.curves["w"],
-            i_vec=cfg.i_vec, dual_norm=cfg.dual_norm, **box)
+            i_vec=cfg.i_vec, dual_norm=cfg.dual_norm,
+            x_interval=cfg.x_interval)
     return construct_from_dual_curves(
         cfg.curves["a"], cfg.curves["a_star"],
         cfg.curves["b"], cfg.curves["b_star"],
-        i_vec=cfg.i_vec, dual_norm=cfg.dual_norm, **box)
+        i_vec=cfg.i_vec, dual_norm=cfg.dual_norm, x_interval=cfg.x_interval)

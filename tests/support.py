@@ -52,11 +52,10 @@ def grid3(lo: float, hi: float) -> list[float]:
     return [lo, 0.5 * (lo + hi), hi]
 
 
-def grid27(surface) -> list[tuple[float, float, float]]:
-    xs = grid3(*surface.x_interval)
-    ys = grid3(*surface.y_interval)
-    zs = grid3(*surface.z_interval)
-    return [(x, y, z) for x in xs for y in ys for z in zs]
+def grid27() -> list[tuple[float, float, float]]:
+    """The 27 points of grid3 on each axis of the box (-1, 1)^3."""
+    axis = grid3(-1.0, 1.0)
+    return [(x, y, z) for x in axis for y in axis for z in axis]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ def rand_hyperbolic_director(rng: random.Random) -> CurveSpec:
 
 
 def _nondegenerate(surface) -> bool:
-    for p in grid27(surface):
+    for p in grid27():
         try:
             curvature_report(surface, *p)
         except DEGENERACY_ERRORS:

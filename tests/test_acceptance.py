@@ -67,7 +67,7 @@ def _strict_instance(rng, kind):
         h = make_ruled(rand_base_curve(rng), director(rng), director(rng),
                        kind, strict=True)
         try:
-            reps = [curvature_report(h, *p) for p in grid27(h)]
+            reps = [curvature_report(h, *p) for p in grid27()]
         except DEGENERACY_ERRORS:
             continue
         return h, reps
@@ -94,7 +94,7 @@ def test_criterion_02_affine_plane_is_totally_geodesic():
     cfg = load_scene(scene_path("example1.json"))
     h = build_hypersurface(cfg)
     worst_h = worst_k = worst_lap = worst_res = 0.0
-    for p in grid27(h):
+    for p in grid27():
         rep = curvature_report(h, *p)
         worst_h = max(worst_h, abs(rep.mean_curvature))
         worst_k = max(worst_k, abs(rep.gauss_curvature))

@@ -95,6 +95,33 @@ def test_non_finite_interval_is_one_error_line(tmp_path, command, bounds):
     assert not out.exists()
 
 
+CURVES = {"alpha": ["t", "t", "0", "0"], "beta": ["0", "0", "1", "0"],
+          "gamma": ["0", "0", "0", "1"]}
+
+
+@pytest.mark.parametrize("changes, tail", [
+    ({"curves": {**CURVES, "alpha": ["1" * 5000, "t", "0", "0"]}},
+     "(offset 0)"),
+    ({"curves": {**CURVES, "alpha": ["a" * 5000, "t", "0", "0"]}},
+     "(offset 0)"),
+    ({"mode": "m" * 5000}, "at /mode"),
+    ({"intervals": {"k" * 4000: [0, 1]}}, "at /intervals"),
+], ids=["long-literal", "long-identifier", "long-mode", "long-interval-key"])
+def test_long_input_is_one_bounded_error_line(tmp_path, capsys, changes,
+                                               tail):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"name": "long", "mode": "type1",
+                                "curves": CURVES, "resolution": [3, 2, 2],
+                                **changes}))
+    out = tmp_path / "out"
+    assert main(["check", str(path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ruled4: error:")
+    assert len(lines[0]) <= len("ruled4: error: ") + 200
+    assert lines[0].endswith(tail)
+    assert not out.exists()
+
+
 def test_mesh_obj_csv_json(tmp_path):
     for fmt, probe in (("obj", "v "), ("csv", "x,y,z,"), ("json", "{")):
         out = tmp_path / f"m.{fmt}"

@@ -8,6 +8,7 @@ membership constraints (K = 0 structurally, H nonzero, Laplacian nonzero).
 
 import math
 import random
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -26,9 +27,10 @@ from ruled4.errors import (
     SingularMetric,
 )
 from ruled4.expr import CurveSpec
-from ruled4.hypersurface import SurfaceKind, make_ruled
+from ruled4.hypersurface import SurfaceKind, _axis, make_ruled
 from ruled4.lorentz import CausalCharacter, Vec4, cross4, lorentz_dot
 from ruled4.mesh import walk_grid
+from ruled4.octo import construct_from_octonions
 from ruled4.pointwise import (
     _at,
     curvature_report,
@@ -262,6 +264,35 @@ def test_non_curvespec_director_warns_membership_unchecked():
     gamma = CurveSpec.from_strings(["0", "0", "0", "1"])
     h = make_ruled(alpha, RawCurve(), gamma, SurfaceKind.TYPE1)
     assert any("membership not checked" in w for w in h.warnings)
+
+
+@dataclass(frozen=True)
+class RecordingCurve(CurveSpec):
+    """A CurveSpec that records each t its position is taken at."""
+
+    seen: list = field(default_factory=list, compare=False, repr=False)
+
+    def position(self, t):
+        self.seen.append(t)
+        return super().position(t)
+
+
+def recording(texts):
+    return RecordingCurve(CurveSpec.from_strings(texts).comps)
+
+
+def test_directors_and_advisories_sample_the_grid_axis():
+    # lo + 32 * step rounds to 0.8999999999999999; _axis ends at hi itself
+    axis = list(_axis(-0.3, 0.9, 33))
+    assert axis[-1] == 0.9
+    alpha = CurveSpec.from_strings(["t", "0", "0", "0"])
+    beta = recording(["sinh(t/3)", "cosh(t/3)", "0", "0"])
+    gamma = recording(["0", "0", "cos(t)", "sin(t)"])
+    make_ruled(alpha, beta, gamma, SurfaceKind.TYPE1, x_interval=(-0.3, 0.9))
+    assert beta.seen == gamma.seen == axis
+    u = recording(["t", "1", "0", "0"])
+    construct_from_octonions(u, gamma, beta, x_interval=(-0.3, 0.9))
+    assert u.seen == axis
 
 
 def test_unconstrained_metric_uses_actual_products():

@@ -80,6 +80,11 @@ def test_octtable_loads_no_scene_machinery(tmp_path):
                          "octo"}
 
 
+def test_default_i_loads_only_its_defining_module():
+    loaded = loaded_after("import ruled4\nruled4.DEFAULT_I")
+    assert loaded == {"_frozen", "errors", "lorentz"}
+
+
 def test_submodule_attribute_after_bare_import():
     loaded = loaded_after("import ruled4\nruled4.crosscheck.lb_closed_full_p")
     assert "crosscheck" in loaded and "octo" not in loaded
@@ -89,7 +94,7 @@ def test_submodule_attribute_after_bare_import():
 # Namespace contract
 
 # The one public value that is neither a class nor a function.
-CONSTANTS = {"DEFAULT_I": "ruled4.octonion"}
+CONSTANTS = {"DEFAULT_I": "ruled4.lorentz"}
 
 
 @pytest.mark.parametrize("name", [n for n in ruled4.__all__

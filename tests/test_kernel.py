@@ -190,9 +190,7 @@ def boost_vec(v: Vec4) -> Vec4:
 
 def boost_surface(h):
     return make_ruled(boost_curve(h.alpha), boost_curve(h.beta),
-                      boost_curve(h.gamma), h.kind, strict=False,
-                      x_interval=h.x_interval, y_interval=h.y_interval,
-                      z_interval=h.z_interval)
+                      boost_curve(h.gamma), h.kind, strict=False)
 
 
 def near(p: float, q: float) -> bool:
@@ -241,5 +239,5 @@ def test_boost_covariance_on_random_surfaces(seed):
                 rand_unconstrained(rng)]
     for h in surfaces:
         hb = boost_surface(h)
-        for p in grid27(h):
+        for p in grid27():
             assert_covariant(curvature_report(h, *p), curvature_report(hb, *p))

@@ -8,7 +8,7 @@ import sympy
 from ruled4.errors import NonUnitI
 from ruled4.expr import CurveSpec
 from ruled4.hypersurface import SurfaceKind
-from ruled4.lorentz import Vec4, cross4, lorentz_dot
+from ruled4.lorentz import DEFAULT_I, Vec4, cross4, lorentz_dot
 from ruled4.octo import (
     PairCrossCurve,
     construct_from_dual_curves,
@@ -16,7 +16,6 @@ from ruled4.octo import (
     star_point,
     star_point_dual,
 )
-from ruled4.octonion import DEFAULT_I
 from ruled4.pointwise import curvature_report, eval_point
 
 from support import max_comp_diff

@@ -6,9 +6,8 @@ import random
 import pytest
 
 from ruled4.errors import InconsistentSeed, NonUnitI
-from ruled4.lorentz import Vec4, cross4, lorentz_dot
+from ruled4.lorentz import DEFAULT_I, Vec4, cross4, lorentz_dot
 from ruled4.octonion import (
-    DEFAULT_I,
     Octonion,
     ParticularOctonion,
     build_mul_table,

@@ -119,6 +119,8 @@ def _run(args, out):
 @example(("exampleEx3", [("set", ("curves", "u", 1), "1²")]))
 @example(("exampleEx3", [("set", ("reference", "alpha", 2), "t^1e400")]))
 @example(("example1", [("set", ("curves", "alpha", 0), "1e999*t")]))
+@example(("example1", [("set", ("name",), 10**4000)]))
+@example(("exampleE1", [("set", ("curves", "beta", 2), "1" * 5000)]))
 def test_mutated_scene_ends_in_output_or_one_error_line(mutation):
     name, ops = mutation
     with tempfile.TemporaryDirectory() as folder:
@@ -130,6 +132,7 @@ def test_mutated_scene_ends_in_output_or_one_error_line(mutation):
             if code == 2:
                 assert err.startswith("ruled4: error:"), err
                 assert len(err.splitlines()) == 1, err
+                assert len(err) <= len("ruled4: error: \n") + 200, err
                 assert not out.exists()
             else:
                 assert code in (0, 1), (code, err)

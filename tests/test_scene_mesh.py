@@ -67,8 +67,7 @@ def minimal_raw(**overrides):
 def test_shipped_scenes_load_and_build(name):
     cfg = load_scene(shipped_path(name))
     assert cfg.source_path.endswith(name)
-    surface = build_hypersurface(cfg)
-    assert surface.x_interval == cfg.x_interval
+    build_hypersurface(cfg)
 
 
 def test_scene_defaults():
