@@ -1,60 +1,58 @@
-"""Dual numbers and second-order jets: exact derivatives of curve formulas.
+"""Second-order jets: exact derivatives of curve formulas.
 
-A dual number a + b*eps with eps^2 = 0 carries a first derivative through
-arithmetic for free. A Jet2 carries value, first, and second derivative.
-Both evaluators run over the same parsed expression tree, so the dual
-eps slot and the jet d1 slot agree bit for bit.
+A Jet2 carries value, first and second derivative through arithmetic and
+the six functions of the expression language. Its first two slots never
+read the third, so (f, f') alone is the dual number f + f'*eps with
+eps^2 = 0. The float walk over the same parsed tree gives the jet's value
+slot bit for bit, without the derivatives.
 """
 
 import math
 
-from ruled4.dual import Dual, Jet2
-from ruled4.expr import evaluate_dual, evaluate_float, evaluate_jet, parse_expr
+from ruled4.dual import Jet2
+from ruled4.errors import DomainError
+from ruled4.expr import evaluate_float, evaluate_jet, parse_expr
 
 
 def main():
-    print("Dual arithmetic: eps is nilpotent")
-    d = Dual(3.0, 1.0)
-    sq = d * d
-    print(f"  (3 + eps)^2          = {sq.re} + {sq.eps}*eps   (cross term only)")
-    eps = Dual(0.0, 1.0)
-    eps2 = eps * eps
-    print(f"  eps * eps            = {eps2.re} + {eps2.eps}*eps  (exactly zero)")
-    assert eps2.re == 0.0 and eps2.eps == 0.0
-
-    print("\nDerivatives fall out of the product rule:")
-    # d/dt [t^2 * sin(t)] at t = 1.3, against the hand expansion
+    print("Jets carry f, f' and f'' through the product and chain rules:")
+    # t^2 sin t at t = 1.3, against the hand expansion
     t = 1.3
     ast = parse_expr("t^2 * sin(t)")
-    dres = evaluate_dual(ast, t)
-    hand = 2 * t * math.sin(t) + t * t * math.cos(t)
-    print(f"  d/dt[t^2 sin t](1.3) = {dres.eps:.15f}  (dual eps slot)")
-    print(f"  2t sin t + t^2 cos t = {hand:.15f}  (hand formula)")
-
-    print("\nSecond-order jets extend the same idea one derivative further:")
     jet = evaluate_jet(ast, t)
+    hand1 = 2 * t * math.sin(t) + t * t * math.cos(t)
     hand2 = (2 - t * t) * math.sin(t) + 4 * t * math.cos(t)
     print(f"  value  f   = {jet.f:.15f}")
-    print(f"  first  f'  = {jet.d1:.15f}")
-    print(f"  second f'' = {jet.d2:.15f}")
-    print(f"  hand   f'' = {hand2:.15f}")
-    assert jet.f == dres.re and jet.d1 == dres.eps
+    print(f"  first  f'  = {jet.d1:.15f}   hand {hand1:.15f}")
+    print(f"  second f'' = {jet.d2:.15f}   hand {hand2:.15f}")
+    assert abs(jet.d1 - hand1) <= 1e-14 and abs(jet.d2 - hand2) <= 1e-14
 
-    print("\nThe two evaluators share formula shapes, so they agree exactly:")
+    print("\nThe (f, f') slots are a dual number: they never read f''")
+    # (x^2 + 1) / x from two seeds that differ only in the second slot
+    one = Jet2.constant(1.0)
+    for x in (Jet2(2.0, 1.0, 0.0), Jet2(2.0, 1.0, 9.0)):
+        q = (x * x + one) / x
+        print(f"  x = {x}  ->  f = {q.f}, f' = {q.d1}, f'' = {q.d2}")
+    eps = Jet2(0.0, 1.0, 0.0)
+    sq = eps * eps
+    print(f"  eps * eps = {sq}: value and first slot exactly zero")
+    assert sq.f == 0.0 and sq.d1 == 0.0
+
+    print("\nThe float walk is the jet's value slot, bit for bit:")
     exprs = ["sinh(t/3) * exp(-t^2/5)", "sqrt(t^2 + 1)", "cos(2*t)/(t + 4)"]
     for text in exprs:
         node = parse_expr(text)
         for tt in (-1.25, 0.4, 2.0):
-            dv = evaluate_dual(node, tt)
-            jv = evaluate_jet(node, tt)
-            assert dv.re == jv.f and dv.eps == jv.d1
-            assert evaluate_float(node, tt) == jv.f
-    print("  re == f and eps == d1, bit for bit, over 3 formulas x 3 points")
-
-    print("\nA jet truncates to a dual by dropping the d2 slot:")
-    j = Jet2(2.0, 0.5, -0.25)
-    trunc = Dual(j.f, j.d1)
-    print(f"  Jet2(2.0, 0.5, -0.25) -> Dual({trunc.re}, {trunc.eps})")
+            assert evaluate_float(node, tt) == evaluate_jet(node, tt).f
+    print("  float == f over 3 formulas x 3 points")
+    node = parse_expr("sqrt(t)")
+    try:
+        evaluate_jet(node, 0.0)
+    except DomainError as exc:
+        print(f"  sqrt(t) at 0: float {evaluate_float(node, 0.0)}; "
+              f"jet DomainError: {exc}")
+    else:
+        raise AssertionError("the jet of sqrt(t) exists at 0")
 
     print("\nParse errors point at the offending character:")
     try:

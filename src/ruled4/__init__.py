@@ -1,7 +1,7 @@
 """ruled4: 2-ruled hypersurfaces of Lorentzian 4-space.
 
 Vector algebra with signature (-,+,+,+), ternary cross products, octonion
-and dual-number arithmetic, construction and curvature analysis of
+arithmetic, order-2 jets, construction and curvature analysis of
 hypersurfaces ruled by a moving 2-plane, claim checking against
 independent re-derivations, and mesh export.
 
@@ -25,10 +25,10 @@ _EXPORTS = {
         "Vec4", "CausalCharacter", "ModelSpace", "Characterization",
         "lorentz_dot", "euclid_dot", "lorentz_norm", "cross4",
         "characterize", "DEFAULT_I"),
-    "dual": ("Dual", "Jet2"),
+    "dual": ("Jet2",),
     "expr": (
-        "parse_expr", "to_text", "evaluate_jet", "evaluate_dual",
-        "evaluate_float", "CurveSpec", "DirectorReport", "validate_director"),
+        "parse_expr", "to_text", "evaluate_jet", "evaluate_float",
+        "CurveSpec", "DirectorReport", "validate_director"),
     "octonion": (
         "Octonion", "ParticularOctonion", "MulTable", "build_mul_table",
         "default_table", "oct_mul", "particular_product", "table_to_csv"),

@@ -27,7 +27,8 @@ from .hypersurface import ORTHOGONAL_TOL, SurfaceKind
 from .lorentz import Vec4, _require_axis, cross4, lorentz_dot
 from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
 from .pointwise import _matmul, _metric, inverse_metric
-from .scene import _CURVE_KEYS, SceneConfig, build_hypersurface
+from .scene import (_CURVE_KEYS, _REFERENCE_ROLES, SceneConfig,
+                    build_hypersurface)
 
 __all__ = ["ClaimResult", "CheckReport", "check_scene", "report_document",
            "FLAT_TOL", "ZERO_TOL", "INTERNAL_REL_TOL", "LINKAGE_REL_TOL",
@@ -397,13 +398,6 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
         {"vector_gap": worst_vec, "scalar_defect": worst_scalar})
 
 
-# The surface curve each reference key describes, by its index in
-# (alpha, beta, gamma).
-_REFERENCE_ROLES = {
-    "alpha": 0, "beta": 1, "gamma": 2, "s_director": 1, "r_director": 2,
-}
-
-
 def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
     if not s.cfg.reference:
         return None
@@ -411,9 +405,7 @@ def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
     per_curve = {}
     worst = 0.0
     for key, ref in s.cfg.reference.items():
-        role = _REFERENCE_ROLES.get(key)
-        if role is None:
-            continue
+        role = _REFERENCE_ROLES[key]
         dev = [0.0, 0.0, 0.0, 0.0]
         for t in s.xs:
             # the walk's jets, or this one curve where the walk flagged the

@@ -1,16 +1,10 @@
-"""Dual numbers and order-2 jets.
+"""Order-2 jets: exact first and second derivatives.
 
-A dual number a + eps*a' has eps*eps == 0, which makes multiplication carry
-first derivatives.  A :class:`Jet2` carries value, first and second
-derivative through the same elementary operations, so a curve evaluated on
-jets yields exact derivatives with no finite differencing.
-
-The derivative slot of every operation here is written with the identical
-expression shape in Dual and Jet2 (same operands, same order), so evaluating
-one expression both ways produces bit-identical first derivatives.  Tests
-rely on that equality being exact, not approximate.  Each smooth function
-is stated once, as its value and two derivatives at a float, and the chain
-rule lifts that triple to both types.
+A :class:`Jet2` carries value, first and second derivative through the
+elementary operations, so a curve evaluated on jets yields exact
+derivatives with no finite differencing.  Each smooth function is stated
+once, as its value and two derivatives at a float; the chain rule lifts
+that triple to jets, and the float evaluator reads its slot 0.
 """
 
 from __future__ import annotations
@@ -22,39 +16,7 @@ from typing import Callable
 from ._frozen import Frozen, _set
 from .errors import DomainError
 
-__all__ = [
-    "Dual",
-    "Jet2",
-]
-
-
-class Dual(Frozen):
-    """a + eps*a' with eps nilpotent of order two."""
-
-    __slots__ = _fields = ("re", "eps")
-
-    def __init__(self, re: float, eps: float):
-        _set(self, "re", float(re))
-        _set(self, "eps", float(eps))
-
-    def __add__(self, other: "Dual") -> "Dual":
-        return Dual(self.re + other.re, self.eps + other.eps)
-
-    def __sub__(self, other: "Dual") -> "Dual":
-        return Dual(self.re - other.re, self.eps - other.eps)
-
-    def __neg__(self) -> "Dual":
-        return Dual(-self.re, -self.eps)
-
-    def __mul__(self, other: "Dual") -> "Dual":
-        return Dual(self.re * other.re,
-                    self.eps * other.re + self.re * other.eps)
-
-    def __truediv__(self, other: "Dual") -> "Dual":
-        if other.re == 0.0:
-            raise DomainError("division by a dual number with zero real part")
-        q = self.re / other.re
-        return Dual(q, (self.eps - q * other.eps) / other.re)
+__all__ = ["Jet2"]
 
 
 class Jet2(Frozen):
@@ -138,20 +100,6 @@ def jet_pow(x: Jet2, p: Fraction) -> Jet2:
     return Jet2(value, d1, d2)
 
 
-def dual_pow(x: Dual, p: Fraction) -> Dual:
-    """x**p on dual numbers; eps slot matches jet_pow's d1 bit-for-bit."""
-    p = Fraction(p)
-    if p == 0:
-        return Dual(1.0, 0.0)
-    if p == 1:
-        return x
-    pf = float(p)
-    integral = p.denominator == 1
-    value = _safe_pow(x.re, pf, integral)
-    u1 = _safe_pow(x.re, pf - 1.0, integral)
-    return Dual(value, pf * u1 * x.eps)
-
-
 def _sqrt(v: float) -> float:
     if v < 0.0:
         raise DomainError("sqrt of a negative value")
@@ -168,15 +116,6 @@ def _jet_sqrt(x: Jet2) -> Jet2:
     # x''/(2u) - x'^2/(4u^3) rewritten via d1 so u^3 never underflows alone
     d2 = (0.5 * x.d2 - d1 * d1) / u
     return Jet2(u, d1, d2)
-
-
-def _dual_sqrt(x: Dual) -> Dual:
-    u = _sqrt(x.re)
-    if u == 0.0:
-        if x.eps == 0.0:
-            return Dual(0.0, 0.0)
-        raise DomainError("sqrt derivative is singular at zero")
-    return Dual(u, x.eps / (2.0 * u))
 
 
 def _exp(v: float) -> tuple[float, float, float]:
@@ -205,8 +144,7 @@ def _cosh(v: float) -> tuple[float, float, float]:
 
 
 # Each smooth function as (value, first, second derivative) at a float.  The
-# chain rule below lifts it to jets and duals with matching shapes; u * x
-# with u = -s is bit-identical to -(s * x), and a + (-b) to a - b.
+# chain rule below lifts it to jets; expr's float kit reads slot 0.
 _DERIVATIVES = {"exp": _exp, "sin": _sin, "cos": _cos, "sinh": _sinh, "cosh": _cosh}
 
 
@@ -217,16 +155,5 @@ def _on_jet(fn: Callable[[float], tuple[float, float, float]]):
     return apply
 
 
-def _on_dual(fn: Callable[[float], tuple[float, float, float]]):
-    def apply(x: Dual) -> Dual:
-        u0, u1, _ = fn(x.re)
-        return Dual(u0, u1 * x.eps)
-    return apply
-
-
 JET_FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
     "sqrt": _jet_sqrt, **{name: _on_jet(fn) for name, fn in _DERIVATIVES.items()}}
-
-DUAL_FUNCTIONS: dict[str, Callable[[Dual], Dual]] = {
-    "sqrt": _dual_sqrt, **{name: _on_dual(fn) for name, fn in _DERIVATIVES.items()}}
-

@@ -19,11 +19,10 @@ _MAX_DEPTH levels (operators, calls, negations and groups count one each).
 Parsed expressions are immutable trees.  `to_text` prints a tree so that
 parsing the output reproduces an equal tree.  _BINOPS holds each binary
 operator's symbol, precedence and arithmetic for parser, printer and walk.
-One walk evaluates a tree over floats, dual numbers or order-2 jets, each
-type bringing a kit of constants, power, functions and division.  The dual
-eps slot is bit-identical to the jet d1, the float to the jet f wherever
-the jet exists, and a domain failure, overflow included, is a DomainError
-in all three.
+One walk evaluates a tree over floats or order-2 jets, each type bringing
+a kit of constants, power, functions and division.  The float equals the
+jet's f slot wherever the jet exists, and a domain failure, overflow
+included, is a DomainError in both.
 """
 
 from __future__ import annotations
@@ -35,15 +34,14 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
 from ._frozen import Frozen
-from .dual import (_DERIVATIVES, DUAL_FUNCTIONS, JET_FUNCTIONS, Dual, Jet2,
-                   _safe_pow, _sqrt, dual_pow, jet_pow)
+from .dual import _DERIVATIVES, JET_FUNCTIONS, Jet2, _safe_pow, _sqrt, jet_pow
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from .lorentz import MEMBERSHIP_TOL, ModelSpace, Vec4, lorentz_dot
 
 __all__ = [
     "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call",
     "ExprAst", "parse_expr", "to_text",
-    "evaluate_float", "evaluate_dual", "evaluate_jet",
+    "evaluate_float", "evaluate_jet",
     "CurveSpec", "DirectorReport", "validate_director",
 ]
 
@@ -389,7 +387,7 @@ def to_text(node: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one walk, three number types
+# Evaluation: one walk, two number types
 
 class _Kit(NamedTuple):
     """A number type's operations beyond its own +, -, * and negation."""
@@ -407,8 +405,6 @@ def _float_div(a: float, b: float) -> float:
 
 
 _JET = _Kit(Jet2.constant, jet_pow, JET_FUNCTIONS, operator.truediv)
-_DUAL = _Kit(lambda c: Dual(c, 0.0), dual_pow, DUAL_FUNCTIONS,
-             operator.truediv)
 _FLOAT = _Kit(float, lambda x, p: _safe_pow(x, float(p), p.denominator == 1),
               {"sqrt": _sqrt, **{name: (lambda v, fn=fn: fn(v)[0])
                                        for name, fn in _DERIVATIVES.items()}},
@@ -438,11 +434,6 @@ def _walk(node: ExprAst, var, kit: _Kit):
 def evaluate_jet(node: ExprAst, t: float) -> Jet2:
     """Evaluate with exact first and second derivatives at t."""
     return _walk(node, Jet2.variable(float(t)), _JET)
-
-
-def evaluate_dual(node: ExprAst, t: float) -> Dual:
-    """Evaluate over t + eps; the eps slot is the first derivative."""
-    return _walk(node, Dual(float(t), 1.0), _DUAL)
 
 
 def evaluate_float(node: ExprAst, t: float) -> float:
@@ -507,11 +498,13 @@ def validate_director(curve: CurveSpec, constraint: ModelSpace,
     The quadratic-form violation is reported as a max over samples; the sign
     condition (positive time slot on the hyperbolic sheet, nonzero time slot
     on the light cone) is a separate boolean.  `passed` requires both, the
-    violation within MEMBERSHIP_TOL.
+    violation within MEMBERSHIP_TOL.  An empty grid is a ValueError.
     """
+    if len(grid) == 0:
+        raise ValueError("validate_director needs at least one sample")
     target = _TARGETS[constraint]
     worst = -1.0
-    worst_t = float(grid[0]) if len(grid) else 0.0
+    worst_t = float(grid[0])
     sign_ok = True
     for t in grid:
         p = curve.position(t)

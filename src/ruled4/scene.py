@@ -36,6 +36,11 @@ _CURVE_KEYS = {
     "dual-octonion": ("a", "a_star", "b", "b_star"),
 }
 
+# The surface curve each "reference" key describes, by its index in
+# (alpha, beta, gamma); no other key is accepted.
+_REFERENCE_ROLES = {
+    "alpha": 0, "beta": 1, "gamma": 2, "s_director": 1, "r_director": 2,
+}
 _AXIS_ALIASES = (("x", "t"), ("y", "s"), ("z", "r"))
 _CLAIM_KEYS = ("flat", "minimal", "laplace_beltrami_zero")
 _OPTIONAL = {"intervals": {}, "resolution": [9, 5, 5], "strict": False,
@@ -62,7 +67,6 @@ class SceneConfig:
     projection_axis: int
     claims: Mapping[str, bool]
     reference: Mapping[str, CurveSpec]
-    source_path: Optional[str]
 
     def with_overrides(self, *, strict: Optional[bool] = None,
                        dual_norm: Optional[str] = None,
@@ -110,9 +114,10 @@ def _check_object(value, allowed, *path) -> None:
         _fail(f"additional properties {extra!r} are not allowed", *path)
 
 
-def _check_quads(value, *path) -> None:
-    """value is an object whose values are four expression strings each."""
-    _check_object(value, None, *path)
+def _check_quads(value, allowed, *path) -> None:
+    """value is an object, with no keys beyond `allowed` unless that is
+    None, whose values are four expression strings each."""
+    _check_object(value, allowed, *path)
     for key, exprs in value.items():
         _check_array(exprs, 4, "string", *path, key)
 
@@ -149,7 +154,7 @@ def _validate(raw) -> dict:
     if not raw["name"]:
         _fail("'' should be non-empty", "name")
     _check_enum(raw["mode"], sorted(_CURVE_KEYS), "mode")
-    _check_quads(raw["curves"], "curves")
+    _check_quads(raw["curves"], None, "curves")
     needed = _CURVE_KEYS[raw["mode"]]
     if set(raw["curves"]) != set(needed):
         missing = [k for k in needed if k not in raw["curves"]]
@@ -189,7 +194,7 @@ def _validate(raw) -> dict:
     _check_object(raw["claims"], _CLAIM_KEYS, "claims")
     for key, value in raw["claims"].items():
         _check_type(value, "boolean", "claims", key)
-    _check_quads(raw["reference"], "reference")
+    _check_quads(raw["reference"], _REFERENCE_ROLES, "reference")
     return raw
 
 
@@ -201,7 +206,7 @@ def _parse_curve(key: str, exprs: list[str]) -> CurveSpec:
                               exc.offset) from exc
 
 
-def scene_from_dict(raw: dict, source_path: Optional[str] = None) -> SceneConfig:
+def scene_from_dict(raw: dict) -> SceneConfig:
     raw = _validate(raw)
     box = {}
     for canonical, alias in _AXIS_ALIASES:
@@ -222,7 +227,6 @@ def scene_from_dict(raw: dict, source_path: Optional[str] = None) -> SceneConfig
         claims=dict(raw["claims"]),
         reference={key: _parse_curve(f"reference.{key}", exprs)
                    for key, exprs in sorted(raw["reference"].items())},
-        source_path=source_path,
     )
 
 
@@ -238,7 +242,7 @@ def load_scene(path: str) -> SceneConfig:
             raw = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or an overlong integer
             raise SceneSchemaError(f"not valid JSON: {exc}", "/") from exc
-    return scene_from_dict(raw, source_path=path)
+    return scene_from_dict(raw)
 
 
 def build_hypersurface(cfg: SceneConfig) -> RuledHypersurface:

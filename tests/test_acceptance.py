@@ -18,8 +18,7 @@ import pytest
 
 from ruled4.check import check_scene
 from ruled4.crosscheck import lorentz_gram, normal_components_expanded
-from ruled4.dual import Dual
-from ruled4.expr import evaluate_dual, evaluate_jet, parse_expr
+from ruled4.expr import evaluate_jet, parse_expr
 from ruled4.hypersurface import SurfaceKind, make_ruled
 from ruled4.lorentz import Vec4, cross4, lorentz_dot
 from ruled4.mesh import export_obj, sample_grid
@@ -282,11 +281,7 @@ def _scene_expression_corpus():
 
 def test_criterion_07_jets_vs_high_precision_differences():
     """Second-order jets of every shipped curve expression match 40-digit
-    central differences; the dual eps slot equals the jet d1 bit for bit."""
-    for b in (1.0, -3.5, 0.125):
-        sq = Dual(0.0, b) * Dual(0.0, b)
-        assert sq.re == 0.0 and sq.eps == 0.0  # eps^2 = 0 exactly
-
+    central differences."""
     checked = 0
     worst_d1 = worst_d2 = 0.0
     for name, lo, hi, texts in _scene_expression_corpus():
@@ -296,9 +291,6 @@ def test_criterion_07_jets_vs_high_precision_differences():
             ast = parse_expr(text)
             for t in ts:
                 jet = evaluate_jet(ast, t)
-                dual = evaluate_dual(ast, t)
-                assert dual.eps == jet.d1
-                assert dual.re == jet.f
                 _, ref_d1, ref_d2 = mp_reference(text, t)
                 gap1 = abs(jet.d1 - ref_d1) / max(1.0, abs(ref_d1))
                 gap2 = abs(jet.d2 - ref_d2) / max(1.0, abs(ref_d2))
@@ -309,7 +301,7 @@ def test_criterion_07_jets_vs_high_precision_differences():
                 checked += 1
     assert checked >= 100
     print(f"criterion 7: PASS - {checked} expression/point pairs; d1 gap "
-          f"{worst_d1:.3e}, d2 gap {worst_d2:.3e}; dual eps == jet d1 exact")
+          f"{worst_d1:.3e}, d2 gap {worst_d2:.3e}")
 
 
 def test_criterion_08_laplacian_against_flux_differences():

@@ -324,6 +324,22 @@ def test_unrepresentable_literal_is_one_error_line(capsys, tmp_path, literal,
         assert not out.exists()
 
 
+def test_unknown_reference_key_is_one_error_line(capsys, tmp_path):
+    # a misspelled key would otherwise grade reference_curves over nothing
+    doc = json.loads(Path(scene("exampleEx3.json")).read_text())
+    doc["resolution"] = [4, 2, 2]
+    doc["reference"]["alpah"] = doc["reference"].pop("alpha")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "check.json"
+    assert main(["check", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ruled4: error:") and "/reference" in err
+    assert "'alpah'" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def _row_lines(text, key):
     """The lines between '"key": [' and its closing bracket."""
     lines = text.split("\n")

@@ -1,4 +1,4 @@
-"""Dual numbers and order-2 jets."""
+"""Order-2 jets against closed-form derivatives."""
 
 import math
 from fractions import Fraction
@@ -7,58 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ruled4.dual import (
-    DUAL_FUNCTIONS,
-    JET_FUNCTIONS,
-    Dual,
-    Jet2,
-    dual_pow,
-    jet_pow,
-)
+from ruled4.dual import JET_FUNCTIONS, Jet2, jet_pow
 from ruled4.errors import DomainError
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
-duals = st.builds(Dual, finite, finite)
 jets = st.builds(Jet2, finite, finite, finite)
-
-
-def test_epsilon_squares_to_zero_exactly():
-    eps = Dual(0.0, 1.0)
-    sq = eps * eps
-    assert sq.re == 0.0 and sq.eps == 0.0
-
-
-@given(duals, duals)
-def test_dual_commutativity_exact(a, b):
-    assert a + b == b + a
-    assert (a * b).re == (b * a).re
-    assert (a * b).eps == (b * a).eps
-
-
-@given(duals, duals)
-def test_dual_product_rule(a, b):
-    p = a * b
-    assert p.re == a.re * b.re
-    assert p.eps == a.eps * b.re + a.re * b.eps
-
-
-def test_dual_division_inverts_multiplication():
-    a = Dual(3.0, 2.0)
-    b = Dual(-1.5, 0.25)
-    q = (a * b) / b
-    assert abs(q.re - a.re) <= 1e-14
-    assert abs(q.eps - a.eps) <= 1e-14
-    with pytest.raises(DomainError):
-        a / Dual(0.0, 1.0)
-
-
-def test_dual_derivative_of_rational_function():
-    # f(t) = (t^2 + 1) / t at t = 2: f = 2.5, f' = 1 - 1/t^2 = 0.75
-    t = Dual(2.0, 1.0)
-    f = (t * t + Dual(1.0, 0.0)) / t
-    assert abs(f.re - 2.5) <= 1e-15
-    assert abs(f.eps - 0.75) <= 1e-15
 
 
 def test_jet_variable_and_constant():
@@ -80,6 +34,14 @@ def test_jet_quotient_derivatives():
     assert abs(f.f - 0.5) <= 1e-15
     assert abs(f.d1 + 0.25) <= 1e-15
     assert abs(f.d2 - 0.25) <= 1e-15
+    # f(t) = (t^2 + 1) / t at t = 2: f' = 1 - 1/t^2 = 0.75, f'' = 2/t^3
+    t = Jet2.variable(2.0)
+    g = (t * t + Jet2.constant(1.0)) / t
+    assert (g.f, g.d1, g.d2) == pytest.approx((2.5, 0.75, 0.25), abs=1e-15)
+    # division undoes multiplication in every slot
+    a, b = Jet2(3.0, 2.0, -1.0), Jet2(-1.5, 0.25, 0.5)
+    q = (a * b) / b
+    assert (q.f, q.d1, q.d2) == pytest.approx((a.f, a.d1, a.d2), abs=1e-14)
     with pytest.raises(DomainError):
         Jet2.constant(1.0) / Jet2.variable(0.0)
 
@@ -103,6 +65,15 @@ def test_jet_pow_values():
     # integer exponents accept negative bases
     cube = jet_pow(Jet2.variable(-2.0), Fraction(3))
     assert (cube.f, cube.d1, cube.d2) == (-8.0, 12.0, -12.0)
+    # d/dx x^p = p x^(p-1) and d2 = p (p-1) x^(p-2), bases across (0, 10]
+    for p in (Fraction(1, 2), Fraction(3), Fraction(-2), Fraction(2, 3),
+              Fraction(-5, 2), Fraction(7)):
+        pf = float(p)
+        for base in (0.05, 0.7, 1.0, 3.3, 10.0):
+            j = jet_pow(Jet2.variable(base), p)
+            want = (base ** pf, pf * base ** (pf - 1.0),
+                    pf * (pf - 1.0) * base ** (pf - 2.0))
+            assert (j.f, j.d1, j.d2) == pytest.approx(want, rel=1e-14)
 
 
 def test_pow_domain_errors():
@@ -111,54 +82,30 @@ def test_pow_domain_errors():
     with pytest.raises(DomainError):
         jet_pow(Jet2.variable(0.0), Fraction(-1))
     with pytest.raises(DomainError):
-        dual_pow(Dual(-2.0, 1.0), Fraction(1, 2))
-    with pytest.raises(DomainError):
-        dual_pow(Dual(0.0, 1.0), Fraction(-2))
-
-
-@given(st.floats(min_value=0.05, max_value=10.0),
-       st.sampled_from([Fraction(1, 2), Fraction(3), Fraction(-2),
-                        Fraction(2, 3), Fraction(-5, 2), Fraction(7)]))
-def test_dual_pow_eps_equals_jet_pow_d1(base, expo):
-    d = dual_pow(Dual(base, 1.0), expo)
-    j = jet_pow(Jet2.variable(base), expo)
-    assert d.re == j.f
-    assert d.eps == j.d1
-
-
-@given(st.sampled_from(sorted(JET_FUNCTIONS)), duals)
-def test_function_table_eps_equals_d1(name, x):
-    if name == "sqrt" and x.re <= 0.0:
-        x = Dual(abs(x.re) + 0.5, x.eps)
-    if name in ("exp", "sinh", "cosh"):
-        x = Dual(max(-5.0, min(5.0, x.re)), x.eps)
-    d = DUAL_FUNCTIONS[name](x)
-    j = JET_FUNCTIONS[name](Jet2(x.re, x.eps, 0.0))
-    assert d.re == j.f
-    assert d.eps == j.d1
+        jet_pow(Jet2.variable(0.0), Fraction(-2))
 
 
 def test_function_second_derivatives():
-    x = Jet2.variable(0.7)
-    s = JET_FUNCTIONS["sin"](x)
-    assert abs(s.d2 + math.sin(0.7)) <= 1e-15
-    c = JET_FUNCTIONS["cos"](x)
-    assert abs(c.d2 + math.cos(0.7)) <= 1e-15
-    e = JET_FUNCTIONS["exp"](x)
-    assert abs(e.d2 - math.exp(0.7)) <= 1e-15
-    sh = JET_FUNCTIONS["sinh"](x)
-    assert abs(sh.d2 - math.sinh(0.7)) <= 1e-15
-    ch = JET_FUNCTIONS["cosh"](x)
-    assert abs(ch.d2 - math.cosh(0.7)) <= 1e-15
-    r = JET_FUNCTIONS["sqrt"](x)
-    assert abs(r.d2 + 0.25 * 0.7 ** -1.5) <= 1e-15
+    v = 0.7
+    x = Jet2.variable(v)
+    closed_forms = {  # name: (d1, d2) at v
+        "sin": (math.cos(v), -math.sin(v)),
+        "cos": (-math.sin(v), -math.cos(v)),
+        "exp": (math.exp(v), math.exp(v)),
+        "sinh": (math.cosh(v), math.sinh(v)),
+        "cosh": (math.sinh(v), math.cosh(v)),
+        "sqrt": (0.5 * v ** -0.5, -0.25 * v ** -1.5),
+    }
+    assert set(closed_forms) == set(JET_FUNCTIONS)
+    for name, (d1, d2) in closed_forms.items():
+        j = JET_FUNCTIONS[name](x)
+        assert abs(j.d1 - d1) <= 1e-15, name
+        assert abs(j.d2 - d2) <= 1e-15, name
 
 
 def test_sqrt_at_zero():
     assert JET_FUNCTIONS["sqrt"](Jet2.constant(0.0)) == Jet2(0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         JET_FUNCTIONS["sqrt"](Jet2.variable(0.0))
-    with pytest.raises(DomainError):
-        DUAL_FUNCTIONS["sqrt"](Dual(0.0, 1.0))
     with pytest.raises(DomainError):
         JET_FUNCTIONS["sqrt"](Jet2.constant(-1.0))
