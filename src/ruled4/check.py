@@ -22,11 +22,10 @@ from __future__ import annotations
 from itertools import groupby
 from typing import NamedTuple, Optional
 
-from . import crosscheck
-from .hypersurface import ORTHOGONAL_TOL, SurfaceKind
+from .crosscheck import _det, _normal_expanded, lorentz_gram
+from .hypersurface import _RULING_DIAGONAL, ORTHOGONAL_TOL, SurfaceKind
 from .lorentz import Vec4, _require_axis, cross4, lorentz_dot
 from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
-from .pointwise import _matmul, _metric, inverse_metric
 from .scene import (_CURVE_KEYS, _REFERENCE_ROLES, SceneConfig,
                     build_hypersurface)
 
@@ -126,7 +125,7 @@ class _Session:
             self.points += points
             if s is not None:
                 self.slices[x] = s
-        self.xs = sorted({pt.params[0] for pt in self.points})
+        self.flagged_slices = cfg.resolution[0] - len(self.slices)
         self.graded = [pt for pt in self.points if pt.flag is None]
         self.degenerate = len(self.points) - len(self.graded)
         self._positions = {}
@@ -206,30 +205,54 @@ def _claim_lb_zero(s: _Session) -> ClaimResult:
                        {"max_abs_component": worst})
 
 
+def _gram(jets):
+    """The Gram of (phi_x, beta, gamma) at one x as a function of (y, z),
+    from lorentz_gram on the slice basis (A1, B1, G1, B0, G0) once: <phi_x,
+    phi_x> is quadratic in (y, z), <phi_x, beta> and <phi_x, gamma> are
+    affine, and the rest is constant."""
+    (_, a1, _), (b0, b1, _), (g0, g1, _) = jets
+    ((aa, ab, ag, ap, aq), (_, bb, bg, bp, bq), (_, _, gg, gp, gq),
+     (*_, pp, pq), (*_, qq)) = lorentz_gram((a1, b1, g1, b0, g0))
+    ab, ag, bg = 2.0 * ab, 2.0 * ag, 2.0 * bg
+
+    def at(y: float, z: float) -> tuple:
+        a = aa + y * (ab + y * bb + z * bg) + z * (ag + z * gg)
+        b = ap + y * bp + z * gp
+        c = aq + y * bq + z * gq
+        return (a, b, c), (b, pp, pq), (c, pq, qq)
+    return at
+
+
 def _claim_gauss_consistency(s: _Session) -> ClaimResult:
     worst_exp = worst_orth = worst_lag = 0.0
-    for pt in s.graded:
-        # the tangents from the walk's curve jets, not the kernel's tables
-        x, y, z = pt.params
-        (_, a1, _), (b0, b1, _), (g0, g1, _) = s.slices[x].jets
-        phi_x = Vec4(*[p + y * q + z * r for p, q, r in zip(
-            a1.components(), b1.components(), g1.components())])
-        tangents = (phi_x, b0, g0)
-        expanded = crosscheck._normal_expanded(
-            *(t.components() for t in tangents))
-        n0, n1, n2, n3 = pt.n_raw.components()
-        e0, e1, e2, e3 = expanded
-        gap = max(abs(e0 - n0), abs(e1 - n1), abs(e2 - n2), abs(e3 - n3))
-        scale = max(1.0, abs(n0), abs(n1), abs(n2), abs(n3))
-        worst_exp = max(worst_exp, gap / scale)
-        gram = crosscheck.lorentz_gram(tangents)
-        for k, tangent in enumerate(tangents):
-            worst_orth = max(worst_orth,
-                             abs(lorentz_dot(pt.unit, tangent))
-                             / max(1.0, abs(gram[k][k])))
-        det_gram = crosscheck._det(gram)
-        nn = lorentz_dot(pt.n_raw, pt.n_raw)
-        worst_lag = max(worst_lag, abs(nn + det_gram) / max(1.0, abs(nn)))
+    for x, pts in groupby(s.graded, key=lambda pt: pt.params[0]):
+        # from the walk's jets; the normal is linear in phi_x = A1+y*B1+z*G1
+        jets = (_, a1, _), (b0, b1, _), (g0, g1, _) = s.slices[x].jets
+        beta, gamma = b0.components(), g0.components()
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3) = [
+            _normal_expanded(v.components(), beta, gamma)
+            for v in (a1, b1, g1)]
+        gram_at = _gram(jets)
+        for pt in pts:
+            _, y, z = pt.params
+            n_raw, u = pt.n_raw, pt.unit
+            n0, n1, n2, n3 = n_raw.components()
+            gap = max(abs(p0 + y * q0 + z * r0 - n0),
+                      abs(p1 + y * q1 + z * r1 - n1),
+                      abs(p2 + y * q2 + z * r2 - n2),
+                      abs(p3 + y * q3 + z * r3 - n3))
+            worst_exp = max(worst_exp, gap / max(1.0, abs(n0), abs(n1),
+                                                 abs(n2), abs(n3)))
+            gram = (a, _, _), (_, bb, _), (_, _, gg) = gram_at(y, z)
+            worst_orth = max(
+                worst_orth,
+                abs(lorentz_dot(u, a1) + y * lorentz_dot(u, b1)
+                    + z * lorentz_dot(u, g1)) / max(1.0, abs(a)),
+                abs(lorentz_dot(u, b0)) / max(1.0, abs(bb)),
+                abs(lorentz_dot(u, g0)) / max(1.0, abs(gg)))
+            nn = lorentz_dot(n_raw, n_raw)
+            worst_lag = max(worst_lag, abs(nn + _det(gram))
+                            / max(1.0, abs(nn)))
     bad = (worst_exp > EXPANDED_NORMAL_TOL or worst_orth > INTERNAL_REL_TOL
            or worst_lag > INTERNAL_REL_TOL)
     return ClaimResult(
@@ -245,17 +268,29 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
 
 
 def _claim_metric_consistency(s: _Session) -> ClaimResult:
+    # the record's adj / det g times the g that _gram assembles from the jets
+    sigma = _RULING_DIAGONAL.get(s.surface.kind)
     worst_det = worst_inv = 0.0
-    for pt in s.graded:
-        if pt.detg_closed is not None:
-            worst_det = max(worst_det, abs(pt.detg - pt.detg_closed)
-                            / max(1.0, abs(pt.detg)))
-        md = _metric(s.surface.kind, pt)
-        ident = _matmul(inverse_metric(md), md.g)
-        for i in range(3):
-            for j in range(3):
-                unit = 1.0 if i == j else 0.0
-                worst_inv = max(worst_inv, abs(ident[i][j] - unit))
+    for x, pts in groupby(s.graded, key=lambda pt: pt.params[0]):
+        gram_at = _gram(s.slices[x].jets)
+        for pt in pts:
+            d = pt.detg
+            if pt.detg_closed is not None:
+                worst_det = max(worst_det,
+                                abs(d - pt.detg_closed) / max(1.0, abs(d)))
+            (a, b, c), (_, m22, e), (_, _, m33) = gram_at(*pt.params[1:])
+            if sigma is not None:
+                m22 = m33 = sigma
+            i0, i1, i2, i4, i5, i8 = [v / d for v in pt.adj]
+            # ginv . g - I, row by row
+            worst_inv = max(
+                worst_inv, abs(i0 * a + i1 * b + i2 * c - 1.0),
+                abs(i0 * b + i1 * m22 + i2 * e),
+                abs(i0 * c + i1 * e + i2 * m33), abs(i1 * a + i4 * b + i5 * c),
+                abs(i1 * b + i4 * m22 + i5 * e - 1.0),
+                abs(i1 * c + i4 * e + i5 * m33), abs(i2 * a + i5 * b + i8 * c),
+                abs(i2 * b + i5 * m22 + i8 * e),
+                abs(i2 * c + i5 * e + i8 * m33 - 1.0))
     bad = worst_det > INTERNAL_REL_TOL or worst_inv > INTERNAL_REL_TOL
     return ClaimResult(
         "metric_consistency",
@@ -371,7 +406,9 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
     if s.cfg.mode not in ("octonion", "dual-octonion"):
         return None
     from .octo import _star, _star_dual
-    star = _star if s.cfg.mode == "octonion" else _star_dual
+    # the star sum at (y, z) is its value at (0, 0) plus y w + z v (y a + z b)
+    star, rulings = ((_star, (2, 1)) if s.cfg.mode == "octonion"
+                     else (_star_dual, (0, 2)))
     _require_axis(s.cfg.i_vec)
     axis = s.cfg.i_vec.components()
     worst_vec = 0.0
@@ -382,11 +419,16 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
         if not placed:
             continue
         positions = [p.components() for p in s.construction_positions(x)]
+        scalar, (c0, c1, c2, c3) = star(*positions, 0.0, 0.0, axis)
+        worst_scalar = max(worst_scalar, abs(scalar))
+        (w0, w1, w2, w3), (v0, v1, v2, v3) = [positions[k] for k in rulings]
         for pt in placed:
-            scalar, vector = star(*positions, pt.params[1], pt.params[2], axis)
-            worst_vec = max(worst_vec, max(
-                abs(a - b) for a, b in zip(vector, pt.position.components())))
-            worst_scalar = max(worst_scalar, abs(scalar))
+            _, y, z = pt.params
+            p0, p1, p2, p3 = pt.position.components()
+            worst_vec = max(worst_vec, abs(c0 + y * w0 + z * v0 - p0),
+                            abs(c1 + y * w1 + z * v1 - p1),
+                            abs(c2 + y * w2 + z * v2 - p2),
+                            abs(c3 + y * w3 + z * v3 - p3))
         graded += len(placed)
     return ClaimResult(
         "construction_equivalence",
@@ -401,18 +443,14 @@ def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
 def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
     if not s.cfg.reference:
         return None
-    curves = (s.surface.alpha, s.surface.beta, s.surface.gamma)
     per_curve = {}
     worst = 0.0
     for key, ref in s.cfg.reference.items():
         role = _REFERENCE_ROLES[key]
         dev = [0.0, 0.0, 0.0, 0.0]
-        for t in s.xs:
-            # the walk's jets, or this one curve where the walk flagged the
-            # slice: it is graded if it evaluates and raises if it fails
-            walked = s.slices.get(t)
-            got = (walked.jets[role] if walked
-                   else curves[role].evaluate(t))[0]
+        # the walk's jets; a slice the walk flagged is skipped and counted
+        for t, walked in s.slices.items():
+            got = walked.jets[role][0]
             want = ref.position(t)
             for i, (a, b) in enumerate(zip(got.components(),
                                            want.components())):
@@ -426,9 +464,9 @@ def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
         f"max component deviation {_fmt(worst)} "
         + ("(all components match)" if matches
            else "(at least one published component deviates)"),
-        "pass" if matches else "discrepancy",
+        _over(len(s.slices), "pass" if matches else "discrepancy"),
         {"per_curve_component_deviation": per_curve,
-         "samples": len(s.xs)})
+         "samples": len(s.slices), "samples_skipped": s.flagged_slices})
 
 
 def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
@@ -439,7 +477,7 @@ def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
             for slot in range(4)
             for sign, label in ((1.0, "+"), (-1.0, "-"))}
     candidates = dict.fromkeys(axes, 0.0)
-    for t in s.xs:
+    for t in s.slices:
         pu, pv, pw = s.construction_positions(t)
         want = ref.position(t)
         for label, axis in axes.items():
@@ -452,8 +490,9 @@ def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
         "the published base curve arises from the ternary-product "
         "construction for some reference axis",
         f"matched candidates: {matched if matched else 'none'}",
-        "pass" if matched else "discrepancy",
-        {"max_deviation_per_candidate": candidates, "matched": matched})
+        _over(len(s.slices), "pass" if matched else "discrepancy"),
+        {"max_deviation_per_candidate": candidates, "matched": matched,
+         "samples": len(s.slices), "samples_skipped": s.flagged_slices})
 
 
 def check_scene(cfg: SceneConfig) -> CheckReport:

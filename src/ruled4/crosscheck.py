@@ -7,8 +7,9 @@ whose determinants are Leibniz permutation sums (_det), not the cofactor
 expansion behind cross4.  lb_closed_full_p is an intentionally wrong
 variant of the orthogonal Laplacian closed form, kept as a probe:
 lb_closed_orthogonal's kernel with full weight on the P_k terms.  check.py's
-gauss_map_consistency runs the normal and Gram probes at each graded
-vertex; tests and the traced benchmark call the public functions.
+gauss_map_consistency runs the normal probe three times per x slice (the
+normal is linear in phi_x) and _det at each graded vertex; tests and the
+traced benchmark call the public functions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Sequence
 
 from .hypersurface import RuledHypersurface
 from .lorentz import Vec4, cross4, lorentz_dot
-from .pointwise import _lb_closed_at
 
 __all__ = [
     "normal_components_expanded",
@@ -105,4 +105,5 @@ def lb_closed_full_p(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4
     deviates from the general divergence path whenever the metric varies,
     as check.py's lb_closed_form_weights reports from the slice kernel.
     """
+    from .pointwise import _lb_closed_at  # here, so check never loads it
     return _lb_closed_at(h, x, y, z, 1.0)

@@ -27,11 +27,11 @@ from typing import NamedTuple, Optional
 from .expr import CurveSpec
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _axis,
                            make_ruled)
-from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
-                      lorentz_dot)
+from .lorentz import (DEFAULT_I, Vec4, _require_axis, _star_product, cross4,
+                      euclid_dot, lorentz_dot)
 
-# The star-product functions import ruled4.octonion themselves, so that
-# building a surface does not load the octonion algebra.
+# star_point and star_point_dual import ruled4.octonion themselves, so that
+# building a surface or grading its claims does not load the algebra.
 
 __all__ = [
     "PairCrossCurve", "construct_from_octonions", "construct_from_dual_curves",
@@ -211,7 +211,6 @@ def _star(pu: tuple, pv: tuple, pw: tuple, y: float, z: float,
 
     The axis i is taken as unit; star_point checks it.
     """
-    from .octonion import _star_product
     return _plus(_star_product(float(y), pu, 0.0, pw, i),
                  _star_product(float(z), pu, 0.0, pv, i))
 
@@ -239,7 +238,6 @@ def _star_dual(pa: tuple, pas: tuple, pb: tuple, pbs: tuple, y: float,
 
     The axis i is taken as unit; star_point_dual checks it.
     """
-    from .octonion import _star_product
     return _plus(_star_product(0.0, pa, float(y), pas, i),
                  _star_product(0.0, pb, float(z), pbs, i))
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _set
 from .errors import InconsistentSeed
-from .lorentz import DEFAULT_I, Vec4, _det3, _require_axis
+from .lorentz import DEFAULT_I, Vec4, _require_axis, _star_product
 
 __all__ = [
     "MulTable", "build_mul_table", "default_table", "table_to_csv",
@@ -253,23 +253,3 @@ def particular_product(q: ParticularOctonion, p: ParticularOctonion,
     scalar, vector = _star_product(q.scalar, q.vector.components(), p.scalar,
                                    p.vector.components(), i_vec.components())
     return ParticularOctonion(scalar, Vec4(*vector))
-
-
-def _star_product(qs: float, qv: tuple, ps: float, pv: tuple, i: tuple
-                  ) -> tuple[float, tuple[float, float, float, float]]:
-    """particular_product on scalars and component tuples, unchecked.
-
-    The caller checks the axis.  The m_k are cross4's minors and the scalar
-    part repeats lorentz_dot, operation for operation, so the floats equal
-    those of the same product taken with Vec4 arithmetic bit for bit.
-    """
-    x0, x1, x2, x3 = qv
-    y0, y1, y2, y3 = pv
-    z0, z1, z2, z3 = i
-    scalar = qs * ps - (-x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3)
-    m0 = _det3(x1, x2, x3, y1, y2, y3, z1, z2, z3)
-    m1 = _det3(x0, x2, x3, y0, y2, y3, z0, z2, z3)
-    m2 = _det3(x0, x1, x3, y0, y1, y3, z0, z1, z3)
-    m3 = _det3(x0, x1, x2, y0, y1, y2, z0, z1, z2)
-    return scalar, (y0 * qs + x0 * ps - m0, y1 * qs + x1 * ps - m1,
-                    y2 * qs + x2 * ps + m2, y3 * qs + x3 * ps - m3)

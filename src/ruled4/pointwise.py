@@ -147,18 +147,6 @@ def inverse_metric(md: MetricData) -> Mat3:
             (a13 / d, a23 / d, a33 / d))
 
 
-def _matmul(p: Mat3, q: Mat3) -> Mat3:
-    """Row-by-column product of two 3x3 matrices."""
-    (a, b, c), (d, e, f), (g, h, i) = q
-    (p0, p1, p2), (p3, p4, p5), (p6, p7, p8) = p
-    return ((p0 * a + p1 * d + p2 * g, p0 * b + p1 * e + p2 * h,
-             p0 * c + p1 * f + p2 * i),
-            (p3 * a + p4 * d + p5 * g, p3 * b + p4 * e + p5 * h,
-             p3 * c + p4 * f + p5 * i),
-            (p6 * a + p7 * d + p8 * g, p6 * b + p7 * e + p8 * h,
-             p6 * c + p7 * f + p8 * i))
-
-
 def second_form(h: RuledHypersurface, x: float, y: float, z: float,
                 fr: Optional[Frame] = None,
                 gm: Optional[GaussMapData] = None) -> Mat3:

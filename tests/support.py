@@ -214,9 +214,14 @@ def lb_fd(h, x: float, y: float, z: float, step: float = 1e-4) -> Vec4:
 
 
 # ---------------------------------------------------------------------------
-# Independent jet oracle: parse the same text with sympy, differentiate
-# symbolically, evaluate under mpmath at 40 digits.  Central differences at
-# h = 1e-5 on the mpmath values stay far below the 1e-6 comparison band.
+# Independent jet oracle: parse the same text with sympy and evaluate it
+# under mpmath at 40 digits.  The central differences' truncation errors
+# are h^2 f'''/6 for d1 and h^2 f''''/12 for d2.  At the default h = 1e-5
+# they stay below the 1e-6 comparison band only
+# where the curve is smooth at scale h: next to a singularity it does not
+# (on (-(t - 1.0))^(1/2) at t = 0.996, d2 is off by 2.0e-6 relative).
+# Callers that sample near one pass a smaller `step`, as test_expr's random
+# trees do (1e-9; 40 digits keep the cancellation below 1e-12).
 
 def mp_reference(text: str, t: float, step: float = 1e-5, dps: int = 40):
     """(value, d1_central, d2_central) of one expression at t, high precision."""

@@ -293,6 +293,39 @@ def test_cross_checks_fail_on_a_perturbed_vertex(scene, part, claim):
 
 
 # ---------------------------------------------------------------------------
+# The cross-check claims do not read the kernel's tables: corrupting one
+# table after the kernel builds it must fail the claim that checks it.  The
+# raw second-form row `_rn` has no independent check yet: H and the
+# minimality residual both come from it, so minimality_linkage cannot see a
+# wrong row until it gets a route of its own (ROADMAP item 1).
+
+def _corrupt(monkeypatch, table):
+    """Every _Slice built from here on has `table`'s first entry moved 1e-6."""
+    build = kernel._Slice.__init__
+
+    def corrupted(self, *args):
+        build(self, *args)
+        first, *rest = getattr(self, table)
+        setattr(self, table, (first + 1e-6, *rest))
+
+    monkeypatch.setattr(kernel._Slice, "__init__", corrupted)
+
+
+@pytest.mark.parametrize("scene", ["example1.json", "exampleE1.json",
+                                   "exampleEx3.json"])
+@pytest.mark.parametrize("table, claim", [
+    ("_nrm", "gauss_map_consistency"),      # the normal's constant term
+    ("_forms", "metric_consistency"),       # the a-quadratic's constant term
+])
+def test_cross_checks_fail_on_a_corrupted_kernel_table(monkeypatch, scene,
+                                                        table, claim):
+    cfg = shipped(scene)
+    assert by_name(check_scene(cfg))[claim].verdict == "pass"
+    _corrupt(monkeypatch, table)
+    assert by_name(check_scene(cfg))[claim].verdict == "fail"
+
+
+# ---------------------------------------------------------------------------
 # Output bytes do not depend on how sum() rounds
 
 _BUILTIN_SUM = builtins.sum

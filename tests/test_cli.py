@@ -267,6 +267,52 @@ def test_overflowing_curve_flags_vertices(tmp_path):
     assert flatness["details"]["points_degenerate"] == 16
 
 
+def test_curve_claims_skip_a_flagged_slice(tmp_path):
+    # u cannot be evaluated at t = 1/3, so the walk flags that slice; the
+    # claims that compare curves per x sample skip it and count it
+    doc = json.loads(Path(scene("exampleEx3.json")).read_text())
+    doc["curves"]["u"][2] = "0*(t - 0.3333333333333333)^-1"
+    doc["intervals"]["t"] = [0, 1]
+    doc["resolution"] = [4, 3, 3]
+    path = tmp_path / "flagged.json"
+    path.write_text(json.dumps(doc))
+    out = {}
+    for command, extra in (("mesh", ["--format", "json"]), ("check", []),
+                           ("report", [])):
+        out[command] = tmp_path / f"{command}.json"
+        assert main([command, str(path), *extra,
+                     "--out", str(out[command])]) == 0, command
+    flags = {tuple(v["flags"])
+             for v in json.loads(out["mesh"].read_text())["vertices"]
+             if v["params"][0] == 1 / 3}
+    assert flags == {("DomainError",)}
+    claims = {c["name"]: c
+              for c in json.loads(out["check"].read_text())["claims"]}
+    for name in ("reference_curves", "alpha_probe"):
+        details = claims[name]["details"]
+        assert claims[name]["verdict"] == "discrepancy", name
+        assert (details["samples"], details["samples_skipped"]) == (3, 1)
+    assert json.loads(out["report"].read_text())["claims"] == \
+        json.loads(out["check"].read_text())["claims"]
+
+
+def test_curve_claim_over_no_sample_is_inconclusive(tmp_path):
+    # alpha fails at every x, so every slice is flagged and reference_curves
+    # compares nothing
+    doc = json.loads(Path(scene("example1.json")).read_text())
+    doc["curves"]["alpha"][0] = "0*(t - t)^-1"
+    doc["reference"] = {"beta": doc["curves"]["beta"]}
+    path = tmp_path / "unevaluable.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "check.json"
+    assert main(["check", str(path), "--out", str(out)]) == 1
+    claims = {c["name"]: c for c in json.loads(out.read_text())["claims"]}
+    reference = claims["reference_curves"]
+    assert reference["verdict"] == "inconclusive"
+    assert reference["details"]["samples"] == 0
+    assert reference["details"]["samples_skipped"] == 3
+
+
 @pytest.mark.parametrize("command", ["check", "mesh", "report"])
 @pytest.mark.parametrize("text", [
     '"i_vector": [0, 0, 0, 1' + "0" * 400 + ']',    # past the float range

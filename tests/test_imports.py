@@ -15,6 +15,7 @@ import ruled4
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TYPED = str(resources.files("ruled4.scenes") / "exampleE1.json")
 OCTONION = str(resources.files("ruled4.scenes") / "exampleEx3.json")
+DUAL = str(resources.files("ruled4.scenes") / "dualsphere.json")
 
 
 def loaded_after(code: str) -> set[str]:
@@ -55,7 +56,7 @@ def test_typed_build_loads_no_construction_check_or_export():
 
 
 def test_octonion_build_loads_the_construction():
-    # the octonion algebra is loaded only for the star products
+    # the octonion algebra is loaded only for the values star_point returns
     loaded = after_build(OCTONION)
     assert "octo" in loaded and "octonion" not in loaded
 
@@ -68,9 +69,21 @@ def test_typed_mesh_loads_no_claims_or_construction(tmp_path):
 
 @pytest.mark.parametrize("command", ["check", "report"])
 def test_typed_check_and_report_load_no_construction(tmp_path, command):
+    # the claims grade the walk's records; the scalar API is not theirs
     loaded = after_command(command, TYPED, "--out", str(tmp_path / "out"))
     assert "check" in loaded
-    assert not loaded & {"octo", "octonion"}
+    assert not loaded & {"octo", "octonion", "pointwise"}
+
+
+@pytest.mark.parametrize("scene", [OCTONION, DUAL],
+                         ids=["exampleEx3", "dualsphere"])
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_construction_check_and_report_load_no_algebra(tmp_path, command,
+                                                      scene):
+    # the star products come from lorentz, not the octonion algebra
+    loaded = after_command(command, scene, "--out", str(tmp_path / "out"))
+    assert {"check", "octo"} <= loaded
+    assert not loaded & {"octonion", "pointwise"}
 
 
 def test_octtable_loads_no_scene_machinery(tmp_path):
