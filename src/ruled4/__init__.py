@@ -10,7 +10,7 @@ named as an attribute (`ruled4.crosscheck`), is imported on first use
 (PEP 562), so a command compiles only the modules it runs.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -54,14 +54,19 @@ __all__ = [*_ORIGIN, "__version__"]
 _SUBMODULES = {*_EXPORTS, "_frozen", "cli", "crosscheck", "kernel"}
 
 
+def _load(module: str):
+    # __import__, unlike importlib.import_module, is timed by -X importtime
+    __import__(f"{__name__}.{module}")
+    return sys.modules[f"{__name__}.{module}"]
+
+
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
+        return _load(name)
     module = _ORIGIN.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(
-        import_module(f"{__name__}.{module}"), name)
+    value = globals()[name] = getattr(_load(module), name)
     return value
 
 

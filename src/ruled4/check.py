@@ -328,8 +328,10 @@ def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
     worst_half = worst_full = 0.0
     for pt in s.graded:
         x, y, z = pt.params
-        full = s.slices[x].closed(y, z, pt.a, pt.b, pt.c, pt.grads, 1.0)
-        worst_half = max(worst_half, _gap(pt.laplacian_closed, pt.laplacian))
+        closed = s.slices[x].closed
+        half = closed(y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
+        full = closed(y, z, pt.a, pt.b, pt.c, pt.grads, 1.0)
+        worst_half = max(worst_half, _gap(half, pt.laplacian))
         worst_full = max(worst_full, _gap(full, pt.laplacian))
     return worst_half, worst_full
 

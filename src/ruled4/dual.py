@@ -10,7 +10,6 @@ that triple to jets, and the float evaluator reads its slot 0.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable
 
 from ._frozen import Frozen, _set
@@ -79,15 +78,19 @@ def _safe_pow(base: float, expo: float, integral: bool) -> float:
     return _no_overflow(pow, base, expo)
 
 
-def jet_pow(x: Jet2, p: Fraction) -> Jet2:
-    """x**p for a literal rational exponent, with exact derivative slots."""
-    p = Fraction(p)
-    if p == 0:
+def jet_pow(x: Jet2, p) -> Jet2:
+    """x**p for a literal rational exponent p, with exact derivative slots.
+
+    p is read through its lowest-terms .numerator and .denominator, as an
+    int, an expr.Ratio or a fractions.Fraction provides them.
+    """
+    num, den = p.numerator, p.denominator
+    if num == 0:
         return Jet2(1.0, 0.0, 0.0)
-    if p == 1:
+    if num == den:
         return x
-    pf = float(p)
-    integral = p.denominator == 1
+    pf = num / den
+    integral = den == 1
     value = _safe_pow(x.f, pf, integral)
     u1 = _safe_pow(x.f, pf - 1.0, integral)
     d1 = pf * u1 * x.d1

@@ -16,13 +16,16 @@ ExprSyntaxError carrying the character offset, as do a number (or a
 literal exponent) that is not a finite float and nesting deeper than
 _MAX_DEPTH levels (operators, calls, negations and groups count one each).
 
-Parsed expressions are immutable trees.  `to_text` prints a tree so that
-parsing the output reproduces an equal tree.  _BINOPS holds each binary
-operator's symbol, precedence and arithmetic for parser, printer and walk.
-One walk evaluates a tree over floats or order-2 jets, each type bringing
-a kit of constants, power, functions and division.  The float equals the
-jet's f slot wherever the jet exists, and a domain failure, overflow
-included, is a DomainError in both.
+Parsed expressions are immutable trees.  A literal exponent is exact: an
+int where it is integral, else a Ratio of two ints in lowest terms.
+`to_text` prints a tree so that parsing the output reproduces an equal
+tree.  _BINOPS holds each binary operator's symbol, precedence and
+arithmetic for parser, printer and walk.  One walk evaluates a tree over
+floats or order-2 jets, each type bringing a kit of constants, power,
+functions and division.  The float equals the jet's f slot wherever the
+jet exists, and a domain failure, overflow included, is a DomainError in
+both.  A CurveSpec walks its components with each t-free operation, such
+as -2/sqrt(3), folded once into the float and the jet the walk gives it.
 """
 
 from __future__ import annotations
@@ -30,16 +33,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _set
 from .dual import _DERIVATIVES, JET_FUNCTIONS, Jet2, _safe_pow, _sqrt, jet_pow
-from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
+from .errors import (DomainError, ExprSyntaxError, NonFiniteValue,
+                     UnknownIdentifier)
 from .lorentz import MEMBERSHIP_TOL, ModelSpace, Vec4, lorentz_dot
 
 __all__ = [
-    "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call",
+    "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call", "Ratio",
     "ExprAst", "parse_expr", "to_text",
     "evaluate_float", "evaluate_jet",
     "CurveSpec", "DirectorReport", "validate_director",
@@ -86,14 +89,25 @@ class Neg(Frozen):
 
 
 class Pow(Frozen):
-    __slots__ = _fields = ("base", "expo")  # expo is a Fraction
+    __slots__ = _fields = ("base", "expo")  # expo is an int or a Ratio
+
+
+class Ratio(Frozen):
+    """A non-integral literal exponent: numerator / denominator in lowest
+    terms, the denominator above 1."""
+
+    __slots__ = _fields = ("numerator", "denominator")
+
+    def __float__(self) -> float:
+        return self.numerator / self.denominator
 
 
 class Call(Frozen):
     __slots__ = _fields = ("fn", "arg")
 
 
-ExprAst = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow, Call]
+_NODES = (Const, Var, Add, Sub, Mul, Div, Neg, Pow, Call)
+ExprAst = Union[_NODES]
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
@@ -268,12 +282,13 @@ class _Parser:
             raise ExprSyntaxError(message, tok.pos)
         return self.advance()
 
-    def exponent_literal(self) -> Fraction:
+    def exponent_literal(self) -> Union[int, Ratio]:
         sign = self.sign()
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return sign * _number_fraction(tok)
+            num, den = _number_ratio(tok)
+            return _exponent(sign * num, den)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
             sign *= self.sign()
@@ -281,10 +296,10 @@ class _Parser:
             self.expect_op("/")
             den = self.expect_num("expected a denominator in exponent")
             self.expect_op(")")
-            den_frac = _number_fraction(den)
-            if den_frac == 0:
+            (p, q), (r, s) = _number_ratio(num), _number_ratio(den)
+            if r == 0:
                 raise ExprSyntaxError("zero denominator in exponent", den.pos)
-            expo = sign * _number_fraction(num) / den_frac
+            expo = _exponent(sign * p * s, q * r)
             _finite_literal(expo, f"{num.text}/{den.text}", num.pos)
             return expo
         raise ExprSyntaxError("expected a literal exponent after '^'", tok.pos)
@@ -320,7 +335,7 @@ class _Parser:
             if tok.kind != "END" else "unexpected end of input", tok.pos)
 
 
-def _finite_literal(value: str | Fraction, text: str, pos: int) -> float:
+def _finite_literal(value: str | int | Ratio, text: str, pos: int) -> float:
     """float(value) if that is finite, else ExprSyntaxError at pos."""
     try:
         number = float(value)
@@ -331,14 +346,25 @@ def _finite_literal(value: str | Fraction, text: str, pos: int) -> float:
     return number
 
 
-def _number_fraction(tok: _Token) -> Fraction:
-    # float first: Fraction("1e-999999999") would compute 10**999999999
+def _number_ratio(tok: _Token) -> tuple[int, int]:
+    """The exact value of a NUM token as (numerator, denominator)."""
+    # float first: 1e-999999999 would build a billion-digit power of 10
     if not _finite_literal(tok.text, tok.text, tok.pos):
-        return Fraction(0)
+        return 0, 1
+    mantissa, _, power = tok.text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
     try:
-        return Fraction(tok.text)
+        num = int(whole + frac)
     except ValueError as exc:  # past int()'s digit limit
         raise ExprSyntaxError(f"bad numeric literal {tok.text!r}", tok.pos) from exc
+    scale = int(power or 0) - len(frac)
+    return (num * 10 ** scale, 1) if scale >= 0 else (num, 10 ** -scale)
+
+
+def _exponent(num: int, den: int) -> Union[int, Ratio]:
+    """num / den (den > 0) in lowest terms: an int where it is integral."""
+    g = math.gcd(num, den)
+    return num // g if den == g else Ratio(num // g, den // g)
 
 
 def parse_expr(text: str) -> ExprAst:
@@ -393,7 +419,7 @@ class _Kit(NamedTuple):
     """A number type's operations beyond its own +, -, * and negation."""
 
     lift: Callable       # float -> constant
-    pow: Callable        # (x, Fraction) -> x**p
+    pow: Callable        # (x, int or Ratio) -> x**p
     functions: dict      # name -> function, for each of _FUNCTIONS
     div: Callable        # (x, y) -> x/y, DomainError where y has no inverse
 
@@ -405,10 +431,17 @@ def _float_div(a: float, b: float) -> float:
 
 
 _JET = _Kit(Jet2.constant, jet_pow, JET_FUNCTIONS, operator.truediv)
-_FLOAT = _Kit(float, lambda x, p: _safe_pow(x, float(p), p.denominator == 1),
+_FLOAT = _Kit(float, lambda x, p: _safe_pow(x, p.numerator / p.denominator,
+                                            p.denominator == 1),
               {"sqrt": _sqrt, **{name: (lambda v, fn=fn: fn(v)[0])
                                        for name, fn in _DERIVATIVES.items()}},
               _float_div)
+
+
+class _Folded(Frozen):
+    """A t-free subtree as the walk gives it in each kit."""
+
+    __slots__ = _fields = ("number", "jet")
 
 
 def _walk(node: ExprAst, var, kit: _Kit):
@@ -428,7 +461,30 @@ def _walk(node: ExprAst, var, kit: _Kit):
         return kit.pow(_walk(node.base, var, kit), node.expo)
     if cls is Call:
         return kit.functions[node.fn](_walk(node.arg, var, kit))
+    if cls is _Folded:
+        return node.jet if kit is _JET else node.number
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _fold(node: ExprAst) -> tuple[ExprAst, bool]:
+    """(node with each t-free subtree but a bare constant replaced by a
+    _Folded of the float and the jet its walk gives, whether node is
+    t-free).  The walk of the result is the walk of node, bit for bit: a
+    subtree whose walk raises stays, and a tree with nothing to fold comes
+    back as itself."""
+    cls = type(node)
+    if cls is Const or cls is Var:
+        return node, cls is Const
+    values = node._values()
+    parts = [_fold(v) if isinstance(v, _NODES) else (v, True) for v in values]
+    if any(new is not old for (new, _), old in zip(parts, values)):
+        node = cls(*[new for new, _ in parts])
+    if not all(free for _, free in parts):
+        return node, False
+    try:
+        return _Folded(_walk(node, None, _FLOAT), _walk(node, None, _JET)), True
+    except (DomainError, ArithmeticError, ValueError):
+        return node, False
 
 
 def evaluate_jet(node: ExprAst, t: float) -> Jet2:
@@ -446,9 +502,26 @@ def evaluate_float(node: ExprAst, t: float) -> float:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A curve in 4-space: four component expressions of t."""
+    """A curve in 4-space: four component expressions of t.
+
+    The walk reads the components with their t-free operations folded
+    once, here (_fold); a curve whose four components are t-free returns
+    the same Vec4s at every t.
+    """
 
     comps: tuple[ExprAst, ExprAst, ExprAst, ExprAst]
+
+    def __post_init__(self):
+        walked, free = zip(*(_fold(comp) for comp in self.comps))
+        _set(self, "_walked", walked)
+        _set(self, "_fixed", None)
+        if all(free):
+            try:
+                # CurveSpec's own walks: a subclass may count its calls
+                _set(self, "_fixed", (CurveSpec.evaluate(self, 0.0),
+                                      CurveSpec.position(self, 0.0)))
+            except NonFiniteValue:
+                pass  # the walk raises it at every t
 
     @staticmethod
     def from_strings(texts: Sequence[str]) -> "CurveSpec":
@@ -458,16 +531,20 @@ class CurveSpec:
 
     def evaluate(self, t: float) -> tuple[Vec4, Vec4, Vec4]:
         """Position, velocity, acceleration at t."""
+        if self._fixed:
+            return self._fixed[0]
         var = Jet2.variable(float(t))
-        jets = [_walk(comp, var, _JET) for comp in self.comps]
+        jets = [_walk(comp, var, _JET) for comp in self._walked]
         f, d1, d2 = zip(*((j.f, j.d1, j.d2) for j in jets))
         return Vec4(*f), Vec4(*d1), Vec4(*d2)
 
     def position(self, t: float) -> Vec4:
         """evaluate(t)[0] without the derivatives: the float walk of each
         component, equal to the jet's f slot wherever the jet exists."""
+        if self._fixed:
+            return self._fixed[1]
         t = float(t)
-        return Vec4(*(_walk(comp, t, _FLOAT) for comp in self.comps))
+        return Vec4(*(_walk(comp, t, _FLOAT) for comp in self._walked))
 
     def to_texts(self) -> tuple[str, str, str, str]:
         return tuple(to_text(c) for c in self.comps)

@@ -19,8 +19,8 @@ from .lorentz import CausalCharacter, Vec4, _det3, cross4, lorentz_dot
 class GridPoint(namedtuple(
         "GridPoint", "params position flag n_raw unit magnitude character"
         " a b c e m22 m33 detg detg_closed adj gauss_k mean_h rn minimality"
-        " minimality_orthogonal grads laplacian laplacian_closed",
-        defaults=(None,) * 22)):
+        " grads laplacian",
+        defaults=(None,) * 20)):
     """One vertex as the slice kernel leaves it, in one flat record: n_raw
     to character are GaussMapData's fields, a to adj MetricData's, rn and
     grads are _Slice's.  A flagged vertex has its flag, its position where
@@ -196,6 +196,14 @@ class _Slice:
             - (a13 * j0 + a23 * j1 + a33 * j2),
             inv * a11, inv * 2.0 * a12, inv * 2.0 * a13)
 
+    def orthogonal_q(self, a: float, b: float, c: float) -> float:
+        """Q = a - sigma (b^2 + c^2), the closed form's determinant; a
+        vanishing one raises SingularMetric."""
+        q = a - self.sigma * (b * b + c * c)
+        if abs(q) <= SINGULAR_METRIC_TOL:
+            raise SingularMetric(f"orthogonal-form determinant {q!r}")
+        return q
+
     def closed(self, y: float, z: float, a: float, b: float, c: float,
                grads: tuple, p_weight: float) -> Vec4:
         """The orthogonal closed form with weight `p_weight` on the P_k terms.
@@ -209,9 +217,7 @@ class _Slice:
         sigma = self.sigma
         tau = -sigma
         da, db, dc = grads[:3]
-        q = a - sigma * (b * b + c * c)
-        if abs(q) <= SINGULAR_METRIC_TOL:
-            raise SingularMetric(f"orthogonal-form determinant {q!r}")
+        q = self.orthogonal_q(a, b, c)
         p = [da[k] - sigma * (2.0 * b * db[k] + 2.0 * c * dc[k]) for k in range(3)]
         div_n = (tau * (db[1] + dc[2]),
                  tau * db[0] + sigma * da[1] - 2.0 * c * dc[1] + db[2] * c + b * dc[2],
@@ -237,13 +243,15 @@ class _Slice:
 
     def vertex(self, y: float, z: float) -> GridPoint:
         """The record at (y, z); NonFiniteValue, DegenerateNormal or
-        SingularMetric where there is none."""
+        SingularMetric where there is none.  With orthogonal directors of a
+        constrained kind, a vanishing closed-form Q is SingularMetric too:
+        check evaluates the closed form at every graded vertex."""
         position = self.position(y, z)
         n_raw, unit, mag, character = self.normal(y, z)
         m, grads = self.forms(y, z)
         a, b, c, e, m22, m33, detg, closed, adj = m
         _regular(detg)
-        rn = r11, r12, r13 = self.second_raw(y, z)
+        rn = self.second_raw(y, z)
         (h11, h12, h13), _, _ = _second(rn, mag)
         i00, i01, i02 = adj[0] / detg, adj[1] / detg, adj[2] / detg
         # det h is exactly +-0.0 (a block of literal zeros); 0.0 is added
@@ -251,15 +259,12 @@ class _Slice:
         gauss = _det3(h11, h12, h13, h12, 0.0, 0.0, h13, 0.0, 0.0) / detg + 0.0
         # the trace of ginv . h, whose rows 2 and 3 hold h12 and h13 alone
         mean = (i00 * h11 + i01 * h12 + i02 * h13 + i01 * h12 + i02 * h13) / 3.0
-        corollary = lb_closed = None
         if self.sigma is not None and abs(e) <= ORTHOGONAL_TOL:
-            tau = -self.sigma
-            corollary = r11 + 2.0 * tau * b * r12 + 2.0 * tau * c * r13
-            lb_closed = self.closed(y, z, a, b, c, grads, 0.5)
+            self.orthogonal_q(a, b, c)
         return GridPoint((self.x, y, z), position, None, n_raw, unit, mag,
                          character, a, b, c, e, m22, m33, detg, closed, adj,
-                         gauss, mean, rn, _residual(adj, rn), corollary, grads,
-                         self.laplacian(y, z, m, grads), lb_closed)
+                         gauss, mean, rn, _residual(adj, rn), grads,
+                         self.laplacian(y, z, m, grads))
 
 
 def _products(u, v) -> tuple[float, ...]:

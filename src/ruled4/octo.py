@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .errors import DomainError
 from .expr import CurveSpec
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _axis,
                            make_ruled)
@@ -83,20 +84,36 @@ def _position(curve: Curve, t: float) -> Vec4:
 
 
 def _positions(curves: dict[str, Curve],
-               grid: list[float]) -> dict[str, list[Vec4]]:
-    """Each curve's position at every grid point, one evaluation apiece."""
-    return {name: [_position(curve, t) for t in grid]
-            for name, curve in curves.items()}
+               grid: list[float]) -> tuple[dict[str, list[Vec4]], int]:
+    """(each curve's position at every grid point where all of them have
+    one, one evaluation apiece; the number of grid points skipped)."""
+    pos: dict[str, list[Vec4]] = {name: [] for name in curves}
+    skipped = 0
+    for t in grid:
+        try:
+            row = [_position(curve, t) for curve in curves.values()]
+        except DomainError:
+            skipped += 1
+            continue
+        for samples, p in zip(pos.values(), row):
+            samples.append(p)
+    return pos, skipped
 
 
-def _advisory_checks(pos: dict[str, list[Vec4]], units: list[str],
+def _advisory_checks(pos: dict[str, list[Vec4]], skipped: int,
+                     units: list[str],
                      ortho_pairs: list[tuple[str, str]],
                      dual_pairs: list[tuple[str, str]],
                      dual_norm: str) -> list[str]:
-    """The advisories under the `dual_norm` product.  A dual curve a + eps a*
-    is on the dual unit sphere when a is unit and 2<a, a*> = 0."""
+    """The advisories under the `dual_norm` product, over the samples that
+    _positions kept.  A dual curve a + eps a* is on the dual unit sphere
+    when a is unit and 2<a, a*> = 0."""
     dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     warnings: list[str] = []
+    if skipped:
+        kept = len(next(iter(pos.values())))
+        warnings.append(f"advisory checks skipped {skipped} of "
+                        f"{kept + skipped} samples, where a curve is undefined")
     for name in units:
         worst = 0.0
         for p in pos[name]:
@@ -123,6 +140,8 @@ def _advisory_checks(pos: dict[str, list[Vec4]], units: list[str],
 
 
 def _degenerate_ruling(pos_v: list[Vec4], pos_w: list[Vec4]) -> Optional[str]:
+    if not pos_v:
+        return None
     worst_minus = 0.0
     worst_plus = 0.0
     for pv, pw in zip(pos_v, pos_w):
@@ -146,12 +165,13 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                              ) -> RuledHypersurface:
     """Surface alpha(t) + y*w(t) + z*v(t) with alpha = u x v + u x w."""
     _require_axis(i_vec)
-    pos = _positions({"u": u, "v": v, "w": w}, _axis(*x_interval, 33))
+    pos, skipped = _positions({"u": u, "v": v, "w": w},
+                              _axis(*x_interval, 33))
     alpha = PairCrossCurve(((u, v), (u, w)), i_vec)
     base = make_ruled(alpha, w, v, SurfaceKind.UNCONSTRAINED,
                       x_interval=x_interval)
     warnings = list(base.warnings)
-    warnings += _advisory_checks(pos, ["u", "v", "w"],
+    warnings += _advisory_checks(pos, skipped, ["u", "v", "w"],
                                  [("u", "v"), ("u", "w")], [], dual_norm)
     degenerate = _degenerate_ruling(pos["v"], pos["w"])
     if degenerate:
@@ -174,13 +194,14 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     product 0.
     """
     _require_axis(i_vec)
-    pos = _positions({"a": a, "a_star": a_star, "b": b, "b_star": b_star},
-                     _axis(*x_interval, 33))
+    pos, skipped = _positions(
+        {"a": a, "a_star": a_star, "b": b, "b_star": b_star},
+        _axis(*x_interval, 33))
     alpha = PairCrossCurve(((a, a_star), (b, b_star)), i_vec)
     base = make_ruled(alpha, a, b, SurfaceKind.UNCONSTRAINED,
                       x_interval=x_interval)
     warnings = list(base.warnings)
-    warnings += _advisory_checks(pos, ["a", "b"], [],
+    warnings += _advisory_checks(pos, skipped, ["a", "b"], [],
                                  [("a", "a_star"), ("b", "b_star")], dual_norm)
     degenerate = _degenerate_ruling(pos["a"], pos["b"])
     if degenerate:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .hypersurface import (_RULING_DIAGONAL, Mat3, RuledHypersurface,
-                           SurfaceKind)
+from .hypersurface import (_RULING_DIAGONAL, ORTHOGONAL_TOL, Mat3,
+                           RuledHypersurface, SurfaceKind)
 from .kernel import GridPoint, _jets, _regular, _residual, _second, _Slice
 from .lorentz import CausalCharacter, Vec4
 
@@ -207,22 +207,25 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
     """Full pointwise pipeline: normal, forms, curvatures, Laplacian.
 
     Raises DegenerateNormal or SingularMetric where no report exists; grid
-    samplers catch those and mark the vertex instead.
+    samplers catch those and mark the vertex instead.  The corollary and
+    the closed form, which the grid record leaves out, come from the same
+    slice, for orthogonal directors of a constrained kind.
     """
     s, y, z = _at(h, x, y, z)
-    return _report(h, s.vertex(y, z))
+    pt = s.vertex(y, z)
+    corollary = closed = None
+    if s.sigma is not None and abs(pt.e) <= ORTHOGONAL_TOL:
+        tau = -s.sigma
+        r11, r12, r13 = pt.rn
+        corollary = r11 + 2.0 * tau * pt.b * r12 + 2.0 * tau * pt.c * r13
+        closed = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
+    return CurvatureReport(
+        pt.position, _metric(h.kind, pt),
+        GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),
+        _second(pt.rn, pt.magnitude), pt.gauss_k, pt.mean_h,
+        pt.minimality, corollary, pt.laplacian, closed, h.warnings)
 
 
 def _metric(kind: SurfaceKind, pt: GridPoint) -> MetricData:
     """The MetricData of an unflagged kernel.GridPoint."""
     return MetricData(kind, *pt[7:16])
-
-
-def _report(h: RuledHypersurface, pt: GridPoint) -> CurvatureReport:
-    """The CurvatureReport of an unflagged kernel.GridPoint."""
-    return CurvatureReport(
-        pt.position, _metric(h.kind, pt),
-        GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),
-        _second(pt.rn, pt.magnitude), pt.gauss_k, pt.mean_h,
-        pt.minimality, pt.minimality_orthogonal, pt.laplacian,
-        pt.laplacian_closed, h.warnings)

@@ -296,6 +296,25 @@ def test_curve_claims_skip_a_flagged_slice(tmp_path):
         json.loads(out["check"].read_text())["claims"]
 
 
+def test_advisory_samples_skip_where_a_curve_is_undefined(tmp_path, capsys):
+    # u cannot be evaluated at t = 0.5, one of the 33 advisory samples of
+    # [0, 1] but no grid sample; the advisories skip it and say so
+    doc = json.loads(Path(scene("exampleEx3.json")).read_text())
+    doc["curves"]["u"][2] = "0*(t - 0.5)^-1"
+    doc["intervals"]["t"] = [0, 1]
+    doc["resolution"] = [4, 3, 3]
+    path = tmp_path / "advisory.json"
+    path.write_text(json.dumps(doc))
+    for command in ("mesh", "check"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, str(path), "--out", str(out)]) == 0, command
+        assert "ruled4: error:" not in capsys.readouterr().err
+    warnings = json.loads((tmp_path / "check.out").read_text())["warnings"]
+    assert warnings[0] == ("advisory checks skipped 1 of 33 samples, where "
+                           "a curve is undefined")
+    assert any(w.startswith("curve u is not unit") for w in warnings)
+
+
 def test_curve_claim_over_no_sample_is_inconclusive(tmp_path):
     # alpha fails at every x, so every slice is flagged and reference_curves
     # compares nothing

@@ -8,6 +8,7 @@ import pytest
 
 from ruled4.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from ruled4.expr import (
+    _fold,
     Add,
     Call,
     Const,
@@ -15,6 +16,7 @@ from ruled4.expr import (
     Mul,
     Neg,
     Pow,
+    Ratio,
     Var,
     evaluate_float,
     evaluate_jet,
@@ -22,7 +24,7 @@ from ruled4.expr import (
     to_text,
     validate_director,
 )
-from ruled4.lorentz import ModelSpace
+from ruled4.lorentz import ModelSpace, Vec4
 
 from support import mp_reference
 
@@ -123,8 +125,8 @@ def _random_ast(rng: random.Random, depth: int):
     if pick == 4:
         return Neg(_random_ast(rng, depth - 1))
     if pick == 5:
-        expo = rng.choice([Fraction(2), Fraction(3), Fraction(-1),
-                           Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+        # the parser's exponents: an int where integral, else a Ratio
+        expo = rng.choice([2, 3, -1, Ratio(1, 2), Ratio(-2, 3), Ratio(5, 4)])
         return Pow(_random_ast(rng, depth - 1), expo)
     fn = rng.choice(["sin", "cos", "sinh", "cosh", "exp", "sqrt"])
     return Call(fn, _random_ast(rng, depth - 1))
@@ -275,6 +277,55 @@ def test_curve_spec_basics():
     assert CurveSpec.from_strings(texts).comps == curve.comps
     with pytest.raises(ValueError):
         CurveSpec.from_strings(["t", "t", "t"])
+
+
+def _walk_text(walk, ast, t):
+    """repr of every slot of one walk, or of the error it raises, so that
+    signed zeros and error messages count."""
+    try:
+        value = walk(ast, t)
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(value, float):
+        return repr(value)
+    return repr((value.f, value.d1, value.d2))
+
+
+def test_folded_walk_is_the_walk_bit_for_bit():
+    # a curve walks its components with their t-free subtrees folded once;
+    # in both kits every slot, and every refusal, is the unfolded walk's
+    rng = random.Random(1807)
+    folded_nodes = 0
+    for _ in range(400):
+        ast = _random_ast(rng, rng.randrange(1, 6))
+        folded, _ = _fold(ast)
+        folded_nodes += repr(folded).count("_Folded(")
+        for t in (0.0, -0.0, 0.7, 1.5, -2.25):
+            for walk in (evaluate_float, evaluate_jet):
+                assert _walk_text(walk, folded, t) == \
+                    _walk_text(walk, ast, t), (to_text(ast), t)
+    assert folded_nodes > 200
+
+
+def test_constant_domain_error_raises_at_evaluation():
+    # folding keeps a t-free subtree that raises; the curve still builds
+    curve = CurveSpec.from_strings(["sqrt(-1)", "0", "0", "0"])
+    for walk in (curve.evaluate, curve.position):
+        with pytest.raises(DomainError, match="sqrt of a negative value"):
+            walk(0.5)
+    overflow = CurveSpec.from_strings(["1e308*10", "0", "0", "0"])
+    with pytest.raises(DomainError, match="must be finite"):
+        overflow.evaluate(0.5)
+
+
+def test_constant_curve_returns_equal_jets_at_every_t():
+    curve = CurveSpec.from_strings(
+        ["-2/sqrt(3)", "0", "1/sqrt(3)", "sqrt(6)/sqrt(7)"])
+    want = tuple(Vec4(*[getattr(evaluate_jet(c, 0.0), slot)
+                        for c in curve.comps]) for slot in ("f", "d1", "d2"))
+    for t in (-1.0, 0.0, 0.25, 3.0):
+        assert curve.evaluate(t) == want
+        assert curve.position(t) == want[0]
 
 
 def test_validate_director_de_sitter():

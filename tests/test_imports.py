@@ -18,11 +18,9 @@ OCTONION = str(resources.files("ruled4.scenes") / "exampleEx3.json")
 DUAL = str(resources.files("ruled4.scenes") / "dualsphere.json")
 
 
-def loaded_after(code: str) -> set[str]:
-    """The ruled4 submodules a fresh interpreter holds after running code."""
-    probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
-             "m.split('.', 1)[1] for m in sys.modules "
-             "if m.startswith('ruled4.'))))")
+def modules_after(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running code."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={"PATH": "/usr/bin:/bin",
                                           "PYTHONPATH": SRC})
@@ -30,15 +28,27 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def loaded_after(code: str) -> set[str]:
+    """The ruled4 submodules a fresh interpreter holds after running code."""
+    return {m.split(".", 1)[1] for m in modules_after(code)
+            if m.startswith("ruled4.")}
+
+
+def build_code(path: str) -> str:
+    return ("import ruled4\n"
+            f"ruled4.build_hypersurface(ruled4.load_scene({path!r}))")
+
+
+def command_code(*args: str) -> str:
+    return f"from ruled4.cli import main\nassert main({list(args)!r}) == 0"
+
+
 def after_build(path: str) -> set[str]:
-    return loaded_after(
-        "import ruled4\n"
-        f"ruled4.build_hypersurface(ruled4.load_scene({path!r}))")
+    return loaded_after(build_code(path))
 
 
 def after_command(*args: str) -> set[str]:
-    return loaded_after(
-        f"from ruled4.cli import main\nassert main({list(args)!r}) == 0")
+    return loaded_after(command_code(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +101,38 @@ def test_octtable_loads_no_scene_machinery(tmp_path):
     assert "octonion" in loaded
     assert not loaded & {"scene", "expr", "hypersurface", "mesh", "check",
                          "octo"}
+
+
+SCENES = pytest.mark.parametrize("scene", [TYPED, OCTONION, DUAL],
+                                 ids=["exampleE1", "exampleEx3", "dualsphere"])
+
+
+@SCENES
+@pytest.mark.parametrize("command", ["check", "mesh", "report"])
+def test_commands_load_neither_fractions_nor_decimal(tmp_path, command,
+                                                     scene):
+    # literal exponents are ints and expr.Ratio values
+    code = command_code(command, scene, "--out", str(tmp_path / "out"))
+    assert not modules_after(code) & {"fractions", "decimal"}
+
+
+@SCENES
+def test_build_loads_neither_fractions_nor_decimal(scene):
+    assert not modules_after(build_code(scene)) & {"fractions", "decimal"}
+
+
+def test_importtime_lists_the_lazily_loaded_modules():
+    # the namespace loads through __import__, which -X importtime records
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import ruled4; ruled4.load_scene"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {"ruled4", "ruled4.scene", "ruled4.expr"} <= timed
 
 
 def test_default_i_loads_only_its_defining_module():

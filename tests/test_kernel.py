@@ -17,13 +17,12 @@ import pytest
 
 from ruled4.cli import main
 from ruled4.expr import CurveSpec
-from ruled4.hypersurface import SurfaceKind, make_ruled
+from ruled4.hypersurface import ORTHOGONAL_TOL, SurfaceKind, make_ruled
 from ruled4.lorentz import Vec4
 from ruled4.kernel import _jets, _Slice
 from ruled4.pointwise import (
     GaussMapData,
     _metric,
-    _report,
     curvature_report,
     eval_point,
     first_form,
@@ -61,11 +60,11 @@ def graded(cfg):
 # Vec4 constructions per vertex
 
 @pytest.mark.parametrize("name,per_report", [
-    ("example1", 4), ("exampleE1", 4), ("exampleEx3", 3), ("dualsphere", 3)])
+    ("example1", 3), ("exampleE1", 3), ("exampleEx3", 3), ("dualsphere", 3)])
 def test_kernel_vec4_constructions(monkeypatch, name, per_report):
-    # A vertex builds its position, and the report's vectors: ruling
-    # normal, unit normal, Laplacian, and the closed form where the scene
-    # has one.
+    # A vertex builds its position, and the record's vectors: ruling
+    # normal, unit normal and Laplacian.  The closed form, which only the
+    # claims and the scalar API read, is built by them.
     h, points = graded(shipped(name))
     assert points
     built = [0]
@@ -97,12 +96,11 @@ def test_scalar_api_equals_the_grid_record(name):
     for pt in points[::5]:
         x, y, z = pt.params
         rep = curvature_report(h, x, y, z)
-        assert rep == _report(h, pt)
         assert (rep.position, rep.metric, rep.gauss_curvature,
                 rep.mean_curvature, rep.minimality, rep.laplacian,
-                rep.laplacian_closed) == (
+                rep.flags) == (
             pt.position, _metric(h.kind, pt), pt.gauss_k, pt.mean_h,
-            pt.minimality, pt.laplacian, pt.laplacian_closed)
+            pt.minimality, pt.laplacian, h.warnings)
         assert gauss_map(h, x, y, z) == rep.normal == GaussMapData(
             pt.n_raw, pt.unit, pt.magnitude, pt.character)
         assert first_form(h, x, y, z) == _metric(h.kind, pt)
@@ -111,8 +109,20 @@ def test_scalar_api_equals_the_grid_record(name):
         assert laplace_beltrami(h, x, y, z) == pt.laplacian
         assert eval_point(h, x, y, z) == frame(h, x, y, z).position \
             == pt.position
-        if pt.laplacian_closed is not None:
-            assert lb_closed_orthogonal(h, x, y, z) == pt.laplacian_closed
+        # the closed form and the corollary: from the record's slice, as
+        # the lb_closed_form claim evaluates it, and from the record's row
+        if h.kind in (SurfaceKind.TYPE1, SurfaceKind.TYPE2) \
+                and abs(pt.e) <= ORTHOGONAL_TOL:
+            s = _Slice(h.kind, x, _jets(h, x))
+            closed = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
+            assert rep.laplacian_closed == closed \
+                == lb_closed_orthogonal(h, x, y, z)
+            tau = -s.sigma
+            r11, r12, r13 = pt.rn
+            assert rep.minimality_orthogonal == (
+                r11 + 2.0 * tau * pt.b * r12 + 2.0 * tau * pt.c * r13)
+        else:
+            assert rep.laplacian_closed is rep.minimality_orthogonal is None
 
 
 def test_flagged_vertex_keeps_its_position(tmp_path):
@@ -226,7 +236,8 @@ def test_boost_covariance_on_typed_scenes(name):
     assert points and [pt.params for pt in points] == \
         [pt.params for pt in points_b]
     for pt, pt_b in zip(points, points_b):
-        assert_covariant(_report(h, pt), _report(h_b, pt_b))
+        assert_covariant(curvature_report(h, *pt.params),
+                         curvature_report(h_b, *pt_b.params))
 
 
 @pytest.mark.parametrize("seed", [3, 4])
