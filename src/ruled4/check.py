@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 
 from .crosscheck import _det, _normal_expanded, lorentz_gram
 from .hypersurface import _RULING_DIAGONAL, ORTHOGONAL_TOL, SurfaceKind
+from .kernel import _detg_closed
 from .lorentz import Vec4, _require_axis, cross4, lorentz_dot
 from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
 from .scene import (_CURVE_KEYS, _REFERENCE_ROLES, SceneConfig,
@@ -129,6 +130,8 @@ class _Session:
         self.graded = [pt for pt in self.points if pt.flag is None]
         self.degenerate = len(self.points) - len(self.graded)
         self._positions = {}
+        # x -> _gram of the walk's slice at x
+        self.grams = {x: _gram(sl.jets) for x, sl in self.slices.items()}
 
     def construction_positions(self, x: float) -> tuple:
         """The construction curves' positions at x, evaluated once apiece.
@@ -227,12 +230,12 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
     worst_exp = worst_orth = worst_lag = 0.0
     for x, pts in groupby(s.graded, key=lambda pt: pt.params[0]):
         # from the walk's jets; the normal is linear in phi_x = A1+y*B1+z*G1
-        jets = (_, a1, _), (b0, b1, _), (g0, g1, _) = s.slices[x].jets
+        (_, a1, _), (b0, b1, _), (g0, g1, _) = s.slices[x].jets
         beta, gamma = b0.components(), g0.components()
         (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3) = [
             _normal_expanded(v.components(), beta, gamma)
             for v in (a1, b1, g1)]
-        gram_at = _gram(jets)
+        gram_at = s.grams[x]
         for pt in pts:
             _, y, z = pt.params
             n_raw, u = pt.n_raw, pt.unit
@@ -272,15 +275,14 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
     sigma = _RULING_DIAGONAL.get(s.surface.kind)
     worst_det = worst_inv = 0.0
     for x, pts in groupby(s.graded, key=lambda pt: pt.params[0]):
-        gram_at = _gram(s.slices[x].jets)
+        gram_at = s.grams[x]
         for pt in pts:
             d = pt.detg
-            if pt.detg_closed is not None:
-                worst_det = max(worst_det,
-                                abs(d - pt.detg_closed) / max(1.0, abs(d)))
             (a, b, c), (_, m22, e), (_, _, m33) = gram_at(*pt.params[1:])
             if sigma is not None:
                 m22 = m33 = sigma
+                closed = _detg_closed(sigma, pt.a, pt.b, pt.c, pt.e)
+                worst_det = max(worst_det, abs(d - closed) / max(1.0, abs(d)))
             i0, i1, i2, i4, i5, i8 = [v / d for v in pt.adj]
             # ginv . g - I, row by row
             worst_inv = max(
@@ -328,9 +330,8 @@ def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
     worst_half = worst_full = 0.0
     for pt in s.graded:
         x, y, z = pt.params
-        closed = s.slices[x].closed
-        half = closed(y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
-        full = closed(y, z, pt.a, pt.b, pt.c, pt.grads, 1.0)
+        half, full = s.slices[x].closed(y, z, pt.a, pt.b, pt.c, pt.grads,
+                                        (0.5, 1.0))
         worst_half = max(worst_half, _gap(half, pt.laplacian))
         worst_full = max(worst_full, _gap(full, pt.laplacian))
     return worst_half, worst_full

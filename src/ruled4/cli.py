@@ -13,12 +13,15 @@ published statements are findings, not failures.  `report` grades its
 claims and writes its vertex table from one serial walk of the grid; a
 failing vertex is flagged (DegenerateNormal, SingularMetric, DomainError,
 NonFiniteValue), never fatal.  RULED4_THREADS is accepted and ignored.
-Each command imports only the modules it runs.
+Each command imports only the modules it runs.  `python -m ruled4.cli` and
+the `ruled4` script freeze the import-time heap before main() runs (see
+_entry); main() itself leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -185,5 +188,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def _entry() -> int:
+    """The process entry of `python -m ruled4.cli` and the `ruled4` script.
+
+    What the interpreter, argparse and ruled4 built at import lives until
+    exit, yet every collection, the interpreter's last ones at exit
+    included, would walk it again.  gc.freeze() moves it into the permanent
+    generation, which no collection visits.  main() stays free of it, so an
+    in-process caller's heap is never frozen.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_entry())

@@ -18,13 +18,14 @@ from .lorentz import CausalCharacter, Vec4, _det3, cross4, lorentz_dot
 
 class GridPoint(namedtuple(
         "GridPoint", "params position flag n_raw unit magnitude character"
-        " a b c e m22 m33 detg detg_closed adj gauss_k mean_h rn minimality"
-        " grads laplacian",
-        defaults=(None,) * 20)):
+        " a b c e m22 m33 detg adj gauss_k mean_h rn minimality grads"
+        " laplacian",
+        defaults=(None,) * 19)):
     """One vertex as the slice kernel leaves it, in one flat record: n_raw
-    to character are GaussMapData's fields, a to adj MetricData's, rn and
-    grads are _Slice's.  A flagged vertex has its flag, its position where
-    that exists, and None elsewhere."""
+    to character are GaussMapData's fields, a to adj MetricData's but for
+    detg_closed (which _detg_closed gives), rn and grads are _Slice's.  A
+    flagged vertex has its flag, its position where that exists, and None
+    elsewhere."""
 
     __slots__ = ()
 
@@ -36,6 +37,13 @@ def _regular(detg: float) -> float:
     if abs(detg) <= SINGULAR_METRIC_TOL:
         raise SingularMetric(f"metric determinant {detg!r}")
     return detg
+
+
+def _detg_closed(sigma: float, a: float, b: float, c: float,
+                 e: float) -> float:
+    """det g in closed form for a constrained kind, whose ruling diagonal
+    is (sigma, sigma): -sigma b^2 + 2 c b e - sigma c^2 - a e^2 + a."""
+    return -sigma * b * b + 2.0 * c * b * e - sigma * c * c - a * e * e + a
 
 
 def _second(rn: tuple, magnitude: float) -> Mat3:
@@ -137,8 +145,8 @@ class _Slice:
                 else CausalCharacter.TIMELIKE)
 
     def forms(self, y: float, z: float) -> tuple[tuple, tuple]:
-        """(MetricData's fields after kind, the metric gradients (da, db, dc,
-        e_x, m22_x, m33_x)): e, m22 and m33 depend on x alone."""
+        """((a, b, c, e, m22, m33, detg, adj), the metric gradients (da, db,
+        dc, e_x, m22_x, m33_x)): e, m22 and m33 depend on x alone."""
         (k0, k1, k2, k3, k4, k5, x0, x1, x2, x3, x4, x5, b0, by, bz, c0, cy,
          cz, bx, bxy, bxz, cx, cxy, cxz, e, m22, m33, ex, m22x, m33x
          ) = self._forms
@@ -147,11 +155,8 @@ class _Slice:
         c = c0 + y * cy + z * cz
         adj = (m22 * m33 - e * e, c * e - b * m33, b * e - c * m22,
                a * m33 - c * c, b * c - a * e, a * m22 - b * b)
-        sigma = self.sigma
-        closed = None if sigma is None else (
-            -sigma * b * b + 2.0 * c * b * e - sigma * c * c - a * e * e + a)
         return ((a, b, c, e, m22, m33, a * adj[0] + b * adj[1] + c * adj[2],
-                 closed, adj),
+                 adj),
                 ((x0 + y * (x1 + y * x3 + z * x4) + z * (x2 + z * x5),
                   k1 + 2.0 * k3 * y + k4 * z, k2 + k4 * y + 2.0 * k5 * z),
                  (bx + y * bxy + z * bxz, by, bz),
@@ -175,7 +180,7 @@ class _Slice:
         d_i g_jk; phi is affine in (y, z), so phi_xx, phi_xy and phi_xz get
         adj_11, 2 adj_12 and 2 adj_13 over det g.
         """
-        _, b, c, e, m22, m33, detg, _, (a11, a12, a13, a22, a23, a33) = m
+        _, b, c, e, m22, m33, detg, (a11, a12, a13, a22, a23, a33) = m
         (da0, da1, da2), (db0, db1, db2), (dc0, dc1, dc2), de, dp, dq = grads
         inv = 1.0 / detg
         # d_i det g / (2 det g^2); e, m22 and m33 depend on x alone
@@ -205,10 +210,11 @@ class _Slice:
         return q
 
     def closed(self, y: float, z: float, a: float, b: float, c: float,
-               grads: tuple, p_weight: float) -> Vec4:
-        """The orthogonal closed form with weight `p_weight` on the P_k terms.
+               grads: tuple, p_weights: tuple[float, ...]) -> list[Vec4]:
+        """The orthogonal closed form, once per weight w in `p_weights` on
+        the P_k terms; Q, P, div N and P . N are computed once for all.
 
-        (Q sum_k d_k N_k - p_weight sum_k P_k N_k) / Q^2 with Q = a - sigma
+        (Q sum_k d_k N_k - w sum_k P_k N_k) / Q^2 with Q = a - sigma
         (b^2 + c^2), P_k = d_k Q, tau = -sigma, N_1 = phi_x + tau (b beta +
         c gamma), N_2 = tau b phi_x + (sigma a - c^2) beta + b c gamma and
         N_3 = tau c phi_x + b c beta + (sigma a - b^2) gamma.  The quotient
@@ -226,10 +232,11 @@ class _Slice:
               tau * b * p[0] + (sigma * a - c * c) * p[1] + b * c * p[2],
               tau * c * p[0] + b * c * p[1] + (sigma * a - b * b) * p[2])
         scale = 1.0 / (q * q)
-        return self._span(y, z, *[(q * d - p_weight * m) * scale
-                                  for d, m in zip(div_n, pn)],
-                          q * scale, q * (2.0 * tau * b) * scale,
-                          q * (2.0 * tau * c) * scale)
+        ks = (q * scale, q * (2.0 * tau * b) * scale,
+              q * (2.0 * tau * c) * scale)
+        return [self._span(y, z, *[(q * d - w * m) * scale
+                                   for d, m in zip(div_n, pn)], *ks)
+                for w in p_weights]
 
     def _span(self, y: float, z: float, t0: float, t1: float, t2: float,
               k0: float, k1: float, k2: float) -> Vec4:
@@ -249,7 +256,7 @@ class _Slice:
         position = self.position(y, z)
         n_raw, unit, mag, character = self.normal(y, z)
         m, grads = self.forms(y, z)
-        a, b, c, e, m22, m33, detg, closed, adj = m
+        a, b, c, e, m22, m33, detg, adj = m
         _regular(detg)
         rn = self.second_raw(y, z)
         (h11, h12, h13), _, _ = _second(rn, mag)
@@ -262,7 +269,7 @@ class _Slice:
         if self.sigma is not None and abs(e) <= ORTHOGONAL_TOL:
             self.orthogonal_q(a, b, c)
         return GridPoint((self.x, y, z), position, None, n_raw, unit, mag,
-                         character, a, b, c, e, m22, m33, detg, closed, adj,
+                         character, a, b, c, e, m22, m33, detg, adj,
                          gauss, mean, rn, _residual(adj, rn), grads,
                          self.laplacian(y, z, m, grads))
 

@@ -11,7 +11,8 @@ from typing import NamedTuple, Optional
 
 from .hypersurface import (_RULING_DIAGONAL, ORTHOGONAL_TOL, Mat3,
                            RuledHypersurface, SurfaceKind)
-from .kernel import GridPoint, _jets, _regular, _residual, _second, _Slice
+from .kernel import (_detg_closed, _jets, _regular, _residual, _second,
+                     _Slice)
 from .lorentz import CausalCharacter, Vec4
 
 __all__ = [
@@ -126,7 +127,7 @@ def gauss_map(h: RuledHypersurface, x: float, y: float, z: float,
 def first_form(h: RuledHypersurface, x: float, y: float, z: float,
                fr: Optional[Frame] = None) -> MetricData:
     s, y, z = _at(h, x, y, z, fr)
-    return MetricData(h.kind, *s.forms(y, z)[0])
+    return _metric(h.kind, s.forms(y, z)[0])
 
 
 def inverse_metric(md: MetricData) -> Mat3:
@@ -200,7 +201,7 @@ def _lb_closed_at(h: RuledHypersurface, x: float, y: float, z: float,
         raise ValueError("closed form requires a constrained kind")
     s, y, z = _at(h, x, y, z)
     m, grads = s.forms(y, z)
-    return s.closed(y, z, *m[:3], grads, p_weight)
+    return s.closed(y, z, *m[:3], grads, (p_weight,))[0]
 
 
 def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> CurvatureReport:
@@ -218,14 +219,18 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
         tau = -s.sigma
         r11, r12, r13 = pt.rn
         corollary = r11 + 2.0 * tau * pt.b * r12 + 2.0 * tau * pt.c * r13
-        closed = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
+        closed, = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, (0.5,))
     return CurvatureReport(
-        pt.position, _metric(h.kind, pt),
+        pt.position, _metric(h.kind, pt[7:15]),
         GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),
         _second(pt.rn, pt.magnitude), pt.gauss_k, pt.mean_h,
         pt.minimality, corollary, pt.laplacian, closed, h.warnings)
 
 
-def _metric(kind: SurfaceKind, pt: GridPoint) -> MetricData:
-    """The MetricData of an unflagged kernel.GridPoint."""
-    return MetricData(kind, *pt[7:16])
+def _metric(kind: SurfaceKind, m: tuple) -> MetricData:
+    """The MetricData of m = (a, b, c, e, m22, m33, detg, adj), as
+    _Slice.forms gives it and an unflagged kernel.GridPoint holds it."""
+    a, b, c, e, m22, m33, detg, adj = m
+    sigma = _RULING_DIAGONAL.get(kind)
+    closed = None if sigma is None else _detg_closed(sigma, a, b, c, e)
+    return MetricData(kind, a, b, c, e, m22, m33, detg, closed, adj)

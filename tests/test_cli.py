@@ -1,5 +1,7 @@
 """End-to-end runs of the ruled4 command-line interface."""
 
+import gc
+import hashlib
 import json
 import math
 import subprocess
@@ -14,7 +16,8 @@ from ruled4.cli import main
 from ruled4.mesh import mesh_document, sample_grid
 from ruled4.scene import build_hypersurface, load_scene
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def scene(name):
@@ -184,6 +187,85 @@ def test_main_callable_in_process(capsys, tmp_path):
                  "--out", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ruled4: error:")
+
+
+def _collector_state():
+    return gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    before = _collector_state()
+    for command in ("check", "mesh", "report"):
+        assert main([command, scene("exampleE1.json"),
+                     "--out", str(tmp_path / command)]) == 0
+    assert _collector_state() == before
+
+
+def _script_target():
+    """What pyproject.toml's [project.scripts] names as `ruled4`."""
+    section = None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, _, target = line.partition("=")
+            if name.strip() == "ruled4":
+                return target.strip().strip('"')
+    raise AssertionError("pyproject.toml has no ruled4 script")
+
+
+# Starts the CLI in a child interpreter as `python -m ruled4.cli` does, or
+# as the installed script does (call its target, exit with the result),
+# and prints the exit code and the collector's permanent-generation count.
+ENTRY_PROBE = """
+import gc, importlib, runpy, sys
+route = sys.argv.pop(1)
+try:
+    if route == "-m":
+        runpy.run_module("ruled4.cli", run_name="__main__", alter_sys=True)
+    else:
+        module, _, name = route.partition(":")
+        raise SystemExit(getattr(importlib.import_module(module), name)())
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("route", ["-m", "script"])
+def test_process_entries_freeze_the_import_time_heap(tmp_path, route):
+    if route == "script":
+        route = _script_target()
+    out = tmp_path / "t.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE, route, "octtable",
+         "--out", str(out)],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    code, frozen = proc.stdout.split()
+    assert code == "0"
+    assert int(frozen) > 0
+    assert out.read_text().startswith(",e1,e2,e3,e4,e5,e6,e7")
+
+
+@pytest.mark.parametrize("file_name, args", [
+    ("exampleE1.check.json", ["check"]),
+    ("exampleE1.mesh.json", ["mesh", "--format", "json"]),
+    ("exampleE1.report.json", ["report"]),
+])
+def test_module_entry_writes_the_golden_bytes(tmp_path, file_name, args):
+    golden = Path(__file__).with_name("golden_sha256.txt")
+    table = {}
+    for line in golden.read_text().splitlines():
+        digest, name = line.split("  ")
+        table[name] = digest
+    out = tmp_path / file_name
+    command, *options = args
+    proc = run_cli([command, scene("exampleE1.json"), *options,
+                    "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == table[file_name]
 
 
 def test_determinism_across_threads(tmp_path):

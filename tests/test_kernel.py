@@ -99,11 +99,11 @@ def test_scalar_api_equals_the_grid_record(name):
         assert (rep.position, rep.metric, rep.gauss_curvature,
                 rep.mean_curvature, rep.minimality, rep.laplacian,
                 rep.flags) == (
-            pt.position, _metric(h.kind, pt), pt.gauss_k, pt.mean_h,
+            pt.position, _metric(h.kind, pt[7:15]), pt.gauss_k, pt.mean_h,
             pt.minimality, pt.laplacian, h.warnings)
         assert gauss_map(h, x, y, z) == rep.normal == GaussMapData(
             pt.n_raw, pt.unit, pt.magnitude, pt.character)
-        assert first_form(h, x, y, z) == _metric(h.kind, pt)
+        assert first_form(h, x, y, z) == _metric(h.kind, pt[7:15])
         assert second_form(h, x, y, z) == rep.second
         assert minimality_residual(h, x, y, z) == pt.minimality
         assert laplace_beltrami(h, x, y, z) == pt.laplacian
@@ -114,7 +114,7 @@ def test_scalar_api_equals_the_grid_record(name):
         if h.kind in (SurfaceKind.TYPE1, SurfaceKind.TYPE2) \
                 and abs(pt.e) <= ORTHOGONAL_TOL:
             s = _Slice(h.kind, x, _jets(h, x))
-            closed = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
+            closed, = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, (0.5,))
             assert rep.laplacian_closed == closed \
                 == lb_closed_orthogonal(h, x, y, z)
             tau = -s.sigma
