@@ -27,8 +27,9 @@ _EXPORTS = {
         "characterize", "DEFAULT_I"),
     "dual": ("Jet2",),
     "expr": (
-        "parse_expr", "to_text", "evaluate_jet", "evaluate_float",
+        "parse_expr", "evaluate_jet", "evaluate_float",
         "CurveSpec", "DirectorReport", "validate_director"),
+    "printer": ("to_text",),
     "octonion": (
         "Octonion", "ParticularOctonion", "MulTable", "build_mul_table",
         "default_table", "oct_mul", "particular_product", "table_to_csv"),
@@ -51,7 +52,8 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}
 __all__ = [*_ORIGIN, "__version__"]
-_SUBMODULES = {*_EXPORTS, "_frozen", "cli", "crosscheck", "kernel"}
+_SUBMODULES = {*_EXPORTS, "_frozen", "cli", "crosscheck", "kernel",
+               "octoclaims", "typedclaims"}
 
 
 def _load(module: str):

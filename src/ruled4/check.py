@@ -23,12 +23,10 @@ from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .crosscheck import _det, _normal_expanded, lorentz_gram
-from .hypersurface import _RULING_DIAGONAL, ORTHOGONAL_TOL, SurfaceKind
-from .kernel import _detg_closed
-from .lorentz import Vec4, _require_axis, cross4, lorentz_dot
-from .mesh import _dumps, _walk_slices, grid_mesh, mesh_document
-from .scene import (_CURVE_KEYS, _REFERENCE_ROLES, SceneConfig,
-                    build_hypersurface)
+from .hypersurface import _RULING_DIAGONAL
+from .kernel import _detg_closed, _walk_slices
+from .lorentz import lorentz_dot
+from .scene import SceneConfig, _dumps, build_hypersurface
 
 __all__ = ["ClaimResult", "CheckReport", "check_scene", "report_document",
            "FLAT_TOL", "ZERO_TOL", "INTERNAL_REL_TOL", "LINKAGE_REL_TOL",
@@ -92,11 +90,6 @@ def _fmt(value: float) -> str:
     return f"{value:.6e}"
 
 
-def _gap(u: Vec4, v: Vec4) -> float:
-    """Largest component-wise absolute difference of two 4-vectors."""
-    return max(abs(a - b) for a, b in zip(u.components(), v.components()))
-
-
 def _over(points: int, verdict: str) -> str:
     """`verdict`, or inconclusive for a claim graded over zero points."""
     return verdict if points else "inconclusive"
@@ -109,9 +102,6 @@ def _claimed(claimed: Optional[bool], holds: bool,
         return "pass", texts[2]
     verdict = "pass" if claimed == holds else "discrepancy"
     return verdict, texts[0] if claimed else texts[1]
-
-
-_TYPED = (SurfaceKind.TYPE1, SurfaceKind.TYPE2)
 
 
 class _Session:
@@ -129,22 +119,8 @@ class _Session:
         self.flagged_slices = cfg.resolution[0] - len(self.slices)
         self.graded = [pt for pt in self.points if pt.flag is None]
         self.degenerate = len(self.points) - len(self.graded)
-        self._positions = {}
         # x -> _gram of the walk's slice at x
         self.grams = {x: _gram(sl.jets) for x, sl in self.slices.items()}
-
-    def construction_positions(self, x: float) -> tuple:
-        """The construction curves' positions at x, evaluated once apiece.
-
-        These are the scene's own u, v, w (or a, a*, b, b*), not the walk's
-        base curve, so the claims built on them stay independent of it.
-        """
-        got = self._positions.get(x)
-        if got is None:
-            got = self._positions[x] = tuple(
-                self.cfg.curves[name].position(x)
-                for name in _CURVE_KEYS[self.cfg.mode])
-        return got
 
 
 def _claim_flatness(s: _Session) -> ClaimResult:
@@ -321,183 +297,6 @@ def _claim_minimality_linkage(s: _Session) -> ClaimResult:
         {"max_relative_gap": worst})
 
 
-def _lb_closed_gaps(s: _Session) -> Optional[tuple[float, float]]:
-    """(half-weight gap, full-weight gap) vs the general path, or None."""
-    if s.surface.kind not in _TYPED or not s.graded:
-        return None
-    if not all(abs(pt.e) <= ORTHOGONAL_TOL for pt in s.graded):
-        return None
-    worst_half = worst_full = 0.0
-    for pt in s.graded:
-        x, y, z = pt.params
-        half, full = s.slices[x].closed(y, z, pt.a, pt.b, pt.c, pt.grads,
-                                        (0.5, 1.0))
-        worst_half = max(worst_half, _gap(half, pt.laplacian))
-        worst_full = max(worst_full, _gap(full, pt.laplacian))
-    return worst_half, worst_full
-
-
-def _claim_lb_closed(worst_half: float, worst_full: float) -> ClaimResult:
-    return ClaimResult(
-        "lb_closed_form",
-        "for orthogonal directors the Laplacian reduces to the "
-        "half-weighted closed form",
-        f"max gap: half-weighted {_fmt(worst_half)}, full-weighted "
-        f"{_fmt(worst_full)}",
-        "fail" if worst_half > LB_CLOSED_TOL else "pass",
-        {"half_weight_gap": worst_half, "full_weight_gap": worst_full})
-
-
-def _claim_lb_weights(worst_half: float, worst_full: float) -> ClaimResult:
-    printed_matches = worst_full <= LB_CLOSED_TOL
-    verdict = "pass" if printed_matches else "discrepancy"
-    return ClaimResult(
-        "lb_closed_form_weights",
-        "the closed form carries full (unhalved) first-derivative weights",
-        f"full-weight gap {_fmt(worst_full)} vs half-weight gap "
-        f"{_fmt(worst_half)}: the half-weighted form "
-        + ("is indistinguishable here" if printed_matches
-           else "matches the divergence path, the full-weighted form does not"),
-        verdict,
-        {"full_weight_gap": worst_full, "half_weight_gap": worst_half})
-
-
-def _claim_director_membership(s: _Session) -> Optional[ClaimResult]:
-    if s.surface.kind not in _TYPED:
-        return None
-    space = "de Sitter sphere" if s.surface.kind is SurfaceKind.TYPE1 \
-        else "upper hyperbolic sheet"
-    reports = s.surface.director_reports
-    detail = {
-        "directors": [
-            {
-                "target": r.target,
-                "max_violation": r.max_violation,
-                "worst_t": r.worst_t,
-                "sign_ok": r.sign_ok,
-                "passed": r.passed,
-            } for r in reports
-        ]
-    }
-    all_ok = bool(reports) and all(r.passed for r in reports)
-    worst = max((r.max_violation for r in reports), default=float("nan"))
-    signs = all(r.sign_ok for r in reports) if reports else False
-    return ClaimResult(
-        "director_membership",
-        f"both director curves lie on the {space}",
-        f"max quadratic-form violation {_fmt(worst)}; sign conditions "
-        + ("hold" if signs else "violated"),
-        "pass" if all_ok else "discrepancy",
-        detail)
-
-
-def _claim_construction_hypotheses(s: _Session) -> Optional[ClaimResult]:
-    if s.cfg.mode not in ("octonion", "dual-octonion"):
-        return None
-    advisories = [w for w in s.surface.warnings]
-    return ClaimResult(
-        "construction_hypotheses",
-        "the generating curves are unit and mutually orthogonal "
-        f"(checked under the {s.cfg.dual_norm} product)",
-        "hypotheses hold" if not advisories
-        else f"{len(advisories)} hypothesis violations",
-        "pass" if not advisories else "discrepancy",
-        {"advisories": advisories})
-
-
-def _claim_construction_equivalence(s: _Session) -> Optional[ClaimResult]:
-    if s.cfg.mode not in ("octonion", "dual-octonion"):
-        return None
-    from .octo import _star, _star_dual
-    # the star sum at (y, z) is its value at (0, 0) plus y w + z v (y a + z b)
-    star, rulings = ((_star, (2, 1)) if s.cfg.mode == "octonion"
-                     else (_star_dual, (0, 2)))
-    _require_axis(s.cfg.i_vec)
-    axis = s.cfg.i_vec.components()
-    worst_vec = 0.0
-    worst_scalar = 0.0
-    graded = 0
-    for x, pts in groupby(s.points, key=lambda pt: pt.params[0]):
-        placed = [pt for pt in pts if pt.position is not None]
-        if not placed:
-            continue
-        positions = [p.components() for p in s.construction_positions(x)]
-        scalar, (c0, c1, c2, c3) = star(*positions, 0.0, 0.0, axis)
-        worst_scalar = max(worst_scalar, abs(scalar))
-        (w0, w1, w2, w3), (v0, v1, v2, v3) = [positions[k] for k in rulings]
-        for pt in placed:
-            _, y, z = pt.params
-            p0, p1, p2, p3 = pt.position.components()
-            worst_vec = max(worst_vec, abs(c0 + y * w0 + z * v0 - p0),
-                            abs(c1 + y * w1 + z * v1 - p1),
-                            abs(c2 + y * w2 + z * v2 - p2),
-                            abs(c3 + y * w3 + z * v3 - p3))
-        graded += len(placed)
-    return ClaimResult(
-        "construction_equivalence",
-        "the star-product path and the direct base-plus-ruling path give "
-        "the same points",
-        f"max vector gap {_fmt(worst_vec)}; max scalar defect "
-        f"{_fmt(worst_scalar)} (zero only under orthogonality)",
-        _over(graded, "fail" if worst_vec > INTERNAL_REL_TOL else "pass"),
-        {"vector_gap": worst_vec, "scalar_defect": worst_scalar})
-
-
-def _claim_reference_curves(s: _Session) -> Optional[ClaimResult]:
-    if not s.cfg.reference:
-        return None
-    per_curve = {}
-    worst = 0.0
-    for key, ref in s.cfg.reference.items():
-        role = _REFERENCE_ROLES[key]
-        dev = [0.0, 0.0, 0.0, 0.0]
-        # the walk's jets; a slice the walk flagged is skipped and counted
-        for t, walked in s.slices.items():
-            got = walked.jets[role][0]
-            want = ref.position(t)
-            for i, (a, b) in enumerate(zip(got.components(),
-                                           want.components())):
-                dev[i] = max(dev[i], abs(a - b))
-        per_curve[key] = dev
-        worst = max(worst, max(dev))
-    matches = worst <= REFERENCE_TOL
-    return ClaimResult(
-        "reference_curves",
-        "the published closed-form components equal the constructed curves",
-        f"max component deviation {_fmt(worst)} "
-        + ("(all components match)" if matches
-           else "(at least one published component deviates)"),
-        _over(len(s.slices), "pass" if matches else "discrepancy"),
-        {"per_curve_component_deviation": per_curve,
-         "samples": len(s.slices), "samples_skipped": s.flagged_slices})
-
-
-def _claim_alpha_probe(s: _Session) -> Optional[ClaimResult]:
-    if s.cfg.mode != "octonion" or "alpha" not in s.cfg.reference:
-        return None
-    ref = s.cfg.reference["alpha"]
-    axes = {f"{label}e{slot + 1}": Vec4.basis(slot) * sign
-            for slot in range(4)
-            for sign, label in ((1.0, "+"), (-1.0, "-"))}
-    candidates = dict.fromkeys(axes, 0.0)
-    for t in s.slices:
-        pu, pv, pw = s.construction_positions(t)
-        want = ref.position(t)
-        for label, axis in axes.items():
-            got = cross4(pu, pv, axis) + cross4(pu, pw, axis)
-            candidates[label] = max(candidates[label], _gap(got, want))
-    matched = [label for label, worst in candidates.items()
-               if worst <= REFERENCE_TOL]
-    return ClaimResult(
-        "alpha_probe",
-        "the published base curve arises from the ternary-product "
-        "construction for some reference axis",
-        f"matched candidates: {matched if matched else 'none'}",
-        _over(len(s.slices), "pass" if matched else "discrepancy"),
-        {"max_deviation_per_candidate": candidates, "matched": matched,
-         "samples": len(s.slices), "samples_skipped": s.flagged_slices})
-
-
 def check_scene(cfg: SceneConfig) -> CheckReport:
     """Run every applicable claim check for a scene."""
     return _grade(_Session(cfg))
@@ -512,22 +311,21 @@ def _grade(session: _Session) -> CheckReport:
         _claim_metric_consistency(session),
         _claim_minimality_linkage(session),
     ]
-    gaps = _lb_closed_gaps(session)
-    if gaps is not None:
-        claims += [_claim_lb_closed(*gaps), _claim_lb_weights(*gaps)]
-    for maybe in (_claim_director_membership(session),
-                  _claim_construction_hypotheses(session),
-                  _claim_construction_equivalence(session),
-                  _claim_reference_curves(session),
-                  _claim_alpha_probe(session)):
-        if maybe is not None:
-            claims.append(maybe)
-    return CheckReport(session.cfg.name, session.cfg.mode, tuple(claims),
+    # the claims of one kind of scene live in a module loaded for it alone
+    cfg = session.cfg
+    if cfg.mode in ("type1", "type2"):
+        from .typedclaims import claims as typed
+        claims += typed(session)
+    if cfg.mode in ("octonion", "dual-octonion") or cfg.reference:
+        from .octoclaims import claims as construction
+        claims += construction(session)
+    return CheckReport(cfg.name, cfg.mode, tuple(claims),
                        session.surface.warnings)
 
 
 def report_document(cfg: SceneConfig) -> dict:
     """Full JSON report: claims plus the table of the grid they graded."""
+    from .mesh import grid_mesh, mesh_document
     session = _Session(cfg)
     doc = _grade(session).to_dict()
     doc["mesh"] = mesh_document(

@@ -18,9 +18,9 @@ _MAX_DEPTH levels (operators, calls, negations and groups count one each).
 
 Parsed expressions are immutable trees.  A literal exponent is exact: an
 int where it is integral, else a Ratio of two ints in lowest terms.
-`to_text` prints a tree so that parsing the output reproduces an equal
-tree.  _BINOPS holds each binary operator's symbol, precedence and
-arithmetic for parser, printer and walk.  One walk evaluates a tree over
+ruled4.printer.to_text prints a tree so that parsing the output
+reproduces an equal tree.  _BINOPS holds each binary operator's symbol,
+precedence and arithmetic for parser, printer and walk.  One walk evaluates a tree over
 floats or order-2 jets, each type bringing a kit of constants, power,
 functions and division.  The float equals the jet's f slot wherever the
 jet exists, and a domain failure, overflow included, is a DomainError in
@@ -43,7 +43,7 @@ from .lorentz import MEMBERSHIP_TOL, ModelSpace, Vec4, lorentz_dot
 
 __all__ = [
     "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call", "Ratio",
-    "ExprAst", "parse_expr", "to_text",
+    "ExprAst", "parse_expr",
     "evaluate_float", "evaluate_jet",
     "CurveSpec", "DirectorReport", "validate_director",
 ]
@@ -373,46 +373,6 @@ def parse_expr(text: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (parse(to_text(ast)) == ast)
-
-_PREC = {Neg: _PREC_NEG, Pow: _PREC_POW,
-         **{cls: op.prec for cls, op in _BINOPS.items()}}
-
-
-def _wrap(node: ExprAst, parent_prec: int, strict: bool) -> str:
-    text = to_text(node)
-    p = _PREC.get(type(node), _PREC_ATOM)
-    if p < parent_prec or (strict and p == parent_prec):
-        return f"({text})"
-    return text
-
-
-def to_text(node: ExprAst) -> str:
-    """Render a tree; the output parses back to an equal tree."""
-    op = _BINOPS.get(type(node))
-    if op is not None:
-        sep = f" {op.symbol} " if op.prec == _PREC_ADD else op.symbol
-        return (f"{_wrap(node.left, op.prec, False)}{sep}"
-                f"{_wrap(node.right, op.prec, True)}")
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Neg):
-        return f"-{_wrap(node.arg, _PREC_NEG, False)}"
-    if isinstance(node, Pow):
-        base = _wrap(node.base, _PREC_ATOM, False)
-        e = node.expo
-        # integer exponents print inline, negative ones too: t^-2
-        expo = (str(e.numerator) if e.denominator == 1
-                else f"({e.numerator}/{e.denominator})")
-        return f"{base}^{expo}"
-    if isinstance(node, Call):
-        return f"{node.fn}({to_text(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # Evaluation: one walk, two number types
 
 class _Kit(NamedTuple):
@@ -547,6 +507,7 @@ class CurveSpec:
         return Vec4(*(_walk(comp, t, _FLOAT) for comp in self._walked))
 
     def to_texts(self) -> tuple[str, str, str, str]:
+        from .printer import to_text  # here, so that no command compiles it
         return tuple(to_text(c) for c in self.comps)
 
 

@@ -1,6 +1,7 @@
 """The slice kernel: every vertex quantity from per-x coefficients in (y, z).
 
-mesh walks it over a grid; the scalar API (ruled4.pointwise) makes
+`_walk_slices`, the one serial grid walker behind check, mesh and report,
+runs it over a scene's grid; the scalar API (ruled4.pointwise) makes
 one-point calls into it.
 """
 
@@ -9,10 +10,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DegenerateNormal, NonFiniteValue, SingularMetric
+from .errors import (DegenerateNormal, DomainError, NonFiniteValue,
+                     SingularMetric)
 from .hypersurface import (_RULING_DIAGONAL, DEGENERATE_NORMAL_TOL,
                            ORTHOGONAL_TOL, SINGULAR_METRIC_TOL, Mat3,
-                           RuledHypersurface, SurfaceKind)
+                           RuledHypersurface, SurfaceKind, _axis)
 from .lorentz import CausalCharacter, Vec4, _det3, cross4, lorentz_dot
 
 
@@ -82,7 +84,8 @@ class _Slice:
     constructor computes their coefficients once (a quadratic's on 1, y, z,
     y^2, y z, z^2), with three cross4 products; a vertex then costs a few
     polynomial evaluations, the 3x3 adjugate, the Laplacian's six
-    coefficients and four Vec4s.
+    coefficients and four Vec4s.  The orthogonal closed form, which only
+    typed claims and the scalar API read, is ruled4.typedclaims.closed.
     """
 
     __slots__ = ("x", "jets", "sigma", "_pos", "_nrm", "_forms", "_rn",
@@ -189,7 +192,7 @@ class _Slice:
                   + 2.0 * (a12 * db0 + a13 * dc0 + a23 * de))
         j1 = k * (a11 * da1 + 2.0 * (a12 * db1 + a13 * dc1))
         j2 = k * (a11 * da2 + 2.0 * (a12 * db2 + a13 * dc2))
-        return self._span(
+        return Vec4(*self._span(
             y, z,
             inv * (dp * m33 + m22 * dq - 2.0 * e * de + dc1 * e - db1 * m33
                    + db2 * e - dc2 * m22) - (a11 * j0 + a12 * j1 + a13 * j2),
@@ -199,54 +202,25 @@ class _Slice:
             inv * (db0 * e + b * de - dc0 * m22 - c * dp + db1 * c + b * dc1
                    - da1 * e + da2 * m22 - 2.0 * b * db2)
             - (a13 * j0 + a23 * j1 + a33 * j2),
-            inv * a11, inv * 2.0 * a12, inv * 2.0 * a13)
+            inv * a11, inv * 2.0 * a12, inv * 2.0 * a13))
 
     def orthogonal_q(self, a: float, b: float, c: float) -> float:
-        """Q = a - sigma (b^2 + c^2), the closed form's determinant; a
-        vanishing one raises SingularMetric."""
+        """Q = a - sigma (b^2 + c^2), the determinant of the closed form
+        (ruled4.typedclaims.closed); a vanishing one raises SingularMetric."""
         q = a - self.sigma * (b * b + c * c)
         if abs(q) <= SINGULAR_METRIC_TOL:
             raise SingularMetric(f"orthogonal-form determinant {q!r}")
         return q
 
-    def closed(self, y: float, z: float, a: float, b: float, c: float,
-               grads: tuple, p_weights: tuple[float, ...]) -> list[Vec4]:
-        """The orthogonal closed form, once per weight w in `p_weights` on
-        the P_k terms; Q, P, div N and P . N are computed once for all.
-
-        (Q sum_k d_k N_k - w sum_k P_k N_k) / Q^2 with Q = a - sigma
-        (b^2 + c^2), P_k = d_k Q, tau = -sigma, N_1 = phi_x + tau (b beta +
-        c gamma), N_2 = tau b phi_x + (sigma a - c^2) beta + b c gamma and
-        N_3 = tau c phi_x + b c beta + (sigma a - b^2) gamma.  The quotient
-        rule forces p_weight = 1/2.
-        """
-        sigma = self.sigma
-        tau = -sigma
-        da, db, dc = grads[:3]
-        q = self.orthogonal_q(a, b, c)
-        p = [da[k] - sigma * (2.0 * b * db[k] + 2.0 * c * dc[k]) for k in range(3)]
-        div_n = (tau * (db[1] + dc[2]),
-                 tau * db[0] + sigma * da[1] - 2.0 * c * dc[1] + db[2] * c + b * dc[2],
-                 tau * dc[0] + db[1] * c + b * dc[1] + sigma * da[2] - 2.0 * b * db[2])
-        pn = (p[0] + tau * (b * p[1] + c * p[2]),
-              tau * b * p[0] + (sigma * a - c * c) * p[1] + b * c * p[2],
-              tau * c * p[0] + b * c * p[1] + (sigma * a - b * b) * p[2])
-        scale = 1.0 / (q * q)
-        ks = (q * scale, q * (2.0 * tau * b) * scale,
-              q * (2.0 * tau * c) * scale)
-        return [self._span(y, z, *[(q * d - w * m) * scale
-                                   for d, m in zip(div_n, pn)], *ks)
-                for w in p_weights]
-
     def _span(self, y: float, z: float, t0: float, t1: float, t2: float,
-              k0: float, k1: float, k2: float) -> Vec4:
-        """t0 phi_x + t1 phi_y + t2 phi_z + k0 phi_xx + k1 phi_xy + k2 phi_xz,
-        summed from 0.0, so that a component that would read -0.0 reads 0.0
-        (0.0 + v == v for v != 0)."""
+              k0: float, k1: float, k2: float) -> list[float]:
+        """The components of t0 phi_x + t1 phi_y + t2 phi_z + k0 phi_xx + k1
+        phi_xy + k2 phi_xz, each summed from 0.0, so that a component that
+        would read -0.0 reads 0.0 (0.0 + v == v for v != 0)."""
         u1, u2, u6, u7 = t0 * y + k1, t0 * z + k2, k0 * y, k0 * z
-        return Vec4(*[0.0 + t0 * p + u1 * q + u2 * r + t1 * f + t2 * g
-                      + k0 * h + u6 * i + u7 * j
-                      for p, q, r, f, g, h, i, j in self._basis])
+        return [0.0 + t0 * p + u1 * q + u2 * r + t1 * f + t2 * g
+                + k0 * h + u6 * i + u7 * j
+                for p, q, r, f, g, h, i, j in self._basis]
 
     def vertex(self, y: float, z: float) -> GridPoint:
         """The record at (y, z); NonFiniteValue, DegenerateNormal or
@@ -281,3 +255,42 @@ def _products(u, v) -> tuple[float, ...]:
     d = lorentz_dot
     return (d(u0, v0), d(u0, v1) + d(u1, v0), d(u0, v2) + d(u2, v0),
             d(u1, v1), d(u1, v2) + d(u2, v1), d(u2, v2))
+
+
+def _axes(cfg):
+    nx, ny, nz = cfg.resolution
+    return (_axis(cfg.x_interval[0], cfg.x_interval[1], nx),
+            _axis(cfg.y_interval[0], cfg.y_interval[1], ny),
+            _axis(cfg.z_interval[0], cfg.z_interval[1], nz))
+
+
+def _grid_point(s: _Slice, y: float, z: float) -> GridPoint:
+    """The kernel's record at (y, z), or one flagged with its failure that
+    keeps the vertex's position where that exists."""
+    try:
+        return s.vertex(y, z)
+    except (DegenerateNormal, SingularMetric, DomainError) as exc:
+        flag = type(exc).__name__
+    try:
+        position = s.position(y, z)
+    except DomainError:
+        position = None
+    return GridPoint((s.x, y, z), position, flag)
+
+
+def _walk_slices(h: RuledHypersurface, cfg):
+    """(x, its _Slice or None, its GridPoints) per x sample of cfg's grid.
+
+    alpha, beta and gamma are evaluated once per x sample; a failure there
+    flags the whole slice and leaves its _Slice None.
+    """
+    xs, ys, zs = _axes(cfg)
+    for x in xs:
+        try:
+            s = _Slice(h.kind, x, _jets(h, x))
+        except DomainError as exc:
+            flag = type(exc).__name__
+            yield x, None, [GridPoint((x, y, z), None, flag)
+                            for y in ys for z in zs]
+            continue
+        yield x, s, [_grid_point(s, y, z) for y in ys for z in zs]

@@ -157,24 +157,6 @@ def cross4(x: Vec4, y: Vec4, z: Vec4) -> Vec4:
     return Vec4(-m0, -m1, m2, -m3)
 
 
-def _star_product(qs: float, qv: tuple, ps: float, pv: tuple, i: tuple
-                  ) -> tuple[float, tuple[float, float, float, float]]:
-    """octonion.particular_product on scalars and component tuples, with no
-    axis check.  The m_k are cross4's minors and the scalar part repeats
-    lorentz_dot, operation for operation, so the floats equal those of the
-    same product taken with Vec4 arithmetic bit for bit."""
-    x0, x1, x2, x3 = qv
-    y0, y1, y2, y3 = pv
-    z0, z1, z2, z3 = i
-    scalar = qs * ps - (-x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3)
-    m0 = _det3(x1, x2, x3, y1, y2, y3, z1, z2, z3)
-    m1 = _det3(x0, x2, x3, y0, y2, y3, z0, z2, z3)
-    m2 = _det3(x0, x1, x3, y0, y1, y3, z0, z1, z3)
-    m3 = _det3(x0, x1, x2, y0, y1, y2, z0, z1, z2)
-    return scalar, (y0 * qs + x0 * ps - m0, y1 * qs + x1 * ps - m1,
-                    y2 * qs + x2 * ps + m2, y3 * qs + x3 * ps - m3)
-
-
 # The default reference vector i of the ternary products cross4(x, y, i)
 # that ruled4.octo and ruled4.octonion build on, and how far |<i, i>| may
 # stray from 1.

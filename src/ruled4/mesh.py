@@ -1,32 +1,29 @@
 """Grid sampling of a surface and file export (OBJ, CSV, JSON).
 
 The grid is the closed parameter box sampled uniformly, stored row-major
-with x slowest.  `_walk_slices`, the one serial grid walker behind check,
-mesh and report (`walk_grid` lists its vertices), evaluates alpha, beta and
-gamma once per x sample and runs that slice's kernel (ruled4.kernel) at
-every (y, z) of the slice.  Each vertex yields one flat record
-(GridPoint); one where the kernel degenerates keeps its slot with NaN
-fields, its position where that exists, and a flag naming the failure
-(DegenerateNormal, SingularMetric, DomainError, or NonFiniteValue on
-overflow), so one bad point never aborts a grid.
+with x slowest.  `walk_grid` lists the vertices of the one serial grid
+walker (kernel._walk_slices), which evaluates alpha, beta and gamma once
+per x sample and runs that slice's kernel at every (y, z) of the slice.
+Each vertex yields one flat record (GridPoint); one where the kernel
+degenerates keeps its slot with NaN fields, its position where that
+exists, and a flag naming the failure (DegenerateNormal, SingularMetric,
+DomainError, or NonFiniteValue on overflow), so one bad point never aborts
+a grid.
 
 Exports are deterministic byte for byte: fixed field order, fixed float
 formatting (repr for CSV and JSON, %.17g for OBJ), newline "\\n", no
 timestamps.  NaN serializes as the literal "nan" in CSV and null in JSON.
-`_dumps` writes every JSON document (check, report, mesh) with a two-space
-indented envelope and each vertex or minimality sample as one compact line.
+scene._dumps writes the JSON document, as it writes check's and report's.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DegenerateNormal, DomainError, SingularMetric
-from .hypersurface import RuledHypersurface, _axis
-from .kernel import GridPoint, _jets, _Slice
-from .scene import SceneConfig
+from .hypersurface import RuledHypersurface
+from .kernel import GridPoint, _axes, _walk_slices
+from .scene import SceneConfig, _dumps
 
 __all__ = ["GridPoint", "walk_grid", "grid_mesh", "VertexData", "Mesh",
            "sample_grid", "export_obj", "export_csv", "export_json",
@@ -63,45 +60,6 @@ class Mesh(NamedTuple):
     axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     vertices: tuple[VertexData, ...]
     warnings: tuple[str, ...]
-
-
-def _axes(cfg: SceneConfig):
-    nx, ny, nz = cfg.resolution
-    return (_axis(cfg.x_interval[0], cfg.x_interval[1], nx),
-            _axis(cfg.y_interval[0], cfg.y_interval[1], ny),
-            _axis(cfg.z_interval[0], cfg.z_interval[1], nz))
-
-
-def _grid_point(s: _Slice, y: float, z: float) -> GridPoint:
-    """The kernel's record at (y, z), or one flagged with its failure that
-    keeps the vertex's position where that exists."""
-    try:
-        return s.vertex(y, z)
-    except (DegenerateNormal, SingularMetric, DomainError) as exc:
-        flag = type(exc).__name__
-    try:
-        position = s.position(y, z)
-    except DomainError:
-        position = None
-    return GridPoint((s.x, y, z), position, flag)
-
-
-def _walk_slices(h: RuledHypersurface, cfg: SceneConfig):
-    """(x, its _Slice or None, its GridPoints) per x sample.
-
-    alpha, beta and gamma are evaluated once per x sample; a failure there
-    flags the whole slice and leaves its _Slice None.
-    """
-    xs, ys, zs = _axes(cfg)
-    for x in xs:
-        try:
-            s = _Slice(h.kind, x, _jets(h, x))
-        except DomainError as exc:
-            flag = type(exc).__name__
-            yield x, None, [GridPoint((x, y, z), None, flag)
-                            for y in ys for z in zs]
-            continue
-        yield x, s, [_grid_point(s, y, z) for y in ys for z in zs]
 
 
 def walk_grid(h: RuledHypersurface, cfg: SceneConfig) -> list[GridPoint]:
@@ -234,53 +192,6 @@ def mesh_document(mesh: Mesh) -> dict:
         "warnings": list(mesh.warnings),
         "vertices": [_vertex_dict(v) for v in mesh.vertices],
     }
-
-
-_encode = json.JSONEncoder(allow_nan=False).encode
-
-# Lists under these keys hold one record per grid point: the vertex table
-# and the minimality claim's samples.
-_ROW_KEYS = frozenset({"vertices", "samples"})
-
-
-def _dumps(doc) -> str:
-    """doc in json's two-space indented layout, except that each element of
-    a non-empty list under a _ROW_KEYS key is one compact line.
-
-    Every scalar and row goes through the C encoder, so the values, key
-    order and escapes are json.dumps's and NaN or infinity raises
-    ValueError; only whitespace differs.  Keys must be str.
-    """
-    parts: list[str] = []
-    _write(doc, "\n", False, parts)
-    return "".join(parts)
-
-
-def _write(value, newline: str, rows: bool, parts: list[str]) -> None:
-    if isinstance(value, dict) and value:
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(sep + _encode(key) + ": ")
-            _write(item, inner, key in _ROW_KEYS, parts)
-            sep = "," + inner
-        parts.append(newline + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
-        if rows:
-            parts.append("[" + inner + ("," + inner).join(map(_encode, value))
-                         + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _write(item, inner, False, parts)
-            sep = "," + inner
-        parts.append(newline + "]")
-    else:
-        parts.append(_encode(value))
 
 
 def export_json(mesh: Mesh, path: str) -> None:

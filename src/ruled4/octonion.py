@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _set
 from .errors import InconsistentSeed
-from .lorentz import DEFAULT_I, Vec4, _require_axis, _star_product
+from .lorentz import DEFAULT_I, Vec4, _require_axis
 
 __all__ = [
     "MulTable", "build_mul_table", "default_table", "table_to_csv",
@@ -249,6 +249,7 @@ def particular_product(q: ParticularOctonion, p: ParticularOctonion,
     Both the scalar product and the ternary cross are Lorentzian.  The axis
     must be unit in the sense |<i,i>| == 1 within UNIT_I_TOL, else NonUnitI.
     """
+    from .octo import _star_product  # here, so that octtable never loads it
     _require_axis(i_vec)
     scalar, vector = _star_product(q.scalar, q.vector.components(), p.scalar,
                                    p.vector.components(), i_vec.components())

@@ -201,7 +201,14 @@ def _lb_closed_at(h: RuledHypersurface, x: float, y: float, z: float,
         raise ValueError("closed form requires a constrained kind")
     s, y, z = _at(h, x, y, z)
     m, grads = s.forms(y, z)
-    return s.closed(y, z, *m[:3], grads, (p_weight,))[0]
+    return _closed(s, y, z, *m[:3], grads, p_weight)
+
+
+def _closed(s: _Slice, y: float, z: float, a: float, b: float, c: float,
+            grads: tuple, p_weight: float) -> Vec4:
+    """typedclaims.closed at one weight, as a Vec4."""
+    from .typedclaims import closed  # here, so that only its callers load it
+    return Vec4(*closed(s, y, z, a, b, c, grads, (p_weight,))[0])
 
 
 def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> CurvatureReport:
@@ -219,7 +226,7 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
         tau = -s.sigma
         r11, r12, r13 = pt.rn
         corollary = r11 + 2.0 * tau * pt.b * r12 + 2.0 * tau * pt.c * r13
-        closed, = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, (0.5,))
+        closed = _closed(s, y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
     return CurvatureReport(
         pt.position, _metric(h.kind, pt[7:15]),
         GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),

@@ -12,6 +12,9 @@ optional "claims" block states which global properties the scene is
 expected to satisfy (flat / minimal / laplace_beltrami_zero); check.py
 grades those claims.  An optional "reference" block carries published
 closed-form component expressions to compare the construction against.
+`_dumps` writes the JSON documents of check, report and mesh, which all
+load this module, with a two-space indented envelope and each vertex or
+minimality sample as one compact line.
 """
 
 from __future__ import annotations
@@ -262,3 +265,50 @@ def build_hypersurface(cfg: SceneConfig) -> RuledHypersurface:
         cfg.curves["a"], cfg.curves["a_star"],
         cfg.curves["b"], cfg.curves["b_star"],
         i_vec=cfg.i_vec, dual_norm=cfg.dual_norm, x_interval=cfg.x_interval)
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+# Lists under these keys hold one record per grid point: the vertex table
+# and the minimality claim's samples.
+_ROW_KEYS = frozenset({"vertices", "samples"})
+
+
+def _dumps(doc) -> str:
+    """doc in json's two-space indented layout, except that each element of
+    a non-empty list under a _ROW_KEYS key is one compact line.
+
+    Every scalar and row goes through the C encoder, so the values, key
+    order and escapes are json.dumps's and NaN or infinity raises
+    ValueError; only whitespace differs.  Keys must be str.
+    """
+    parts: list[str] = []
+    _write(doc, "\n", False, parts)
+    return "".join(parts)
+
+
+def _write(value, newline: str, rows: bool, parts: list[str]) -> None:
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + _encode(key) + ": ")
+            _write(item, inner, key in _ROW_KEYS, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        if rows:
+            parts.append("[" + inner + ("," + inner).join(map(_encode, value))
+                         + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, inner, False, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(_encode(value))

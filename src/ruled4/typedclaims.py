@@ -1,0 +1,122 @@
+"""The typed scenes' closed form and the claims only they are graded on.
+
+A typed scene (type1, type2) has directors constrained to a model space;
+for orthogonal ones the Laplacian has a closed form.  check loads this
+module for typed scenes alone, and the scalar API (ruled4.pointwise) for
+lb_closed_orthogonal and curvature_report; mesh never does.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .errors import NonFiniteValue
+from .hypersurface import ORTHOGONAL_TOL, SurfaceKind
+
+__all__ = ["closed"]
+
+
+def closed(s, y: float, z: float, a: float, b: float, c: float,
+           grads: tuple, p_weights: tuple[float, ...]) -> list[list[float]]:
+    """The orthogonal closed form on the kernel slice s (a kernel._Slice of
+    a constrained kind) at (y, z), as four floats per weight w in
+    `p_weights` on the P_k terms; Q, P, div N and P . N are computed once
+    for all.
+
+    (Q sum_k d_k N_k - w sum_k P_k N_k) / Q^2 with Q = a - sigma
+    (b^2 + c^2), P_k = d_k Q, tau = -sigma, N_1 = phi_x + tau (b beta +
+    c gamma), N_2 = tau b phi_x + (sigma a - c^2) beta + b c gamma and
+    N_3 = tau c phi_x + b c beta + (sigma a - b^2) gamma.  The quotient
+    rule forces p_weight = 1/2.
+    """
+    sigma = s.sigma
+    tau = -sigma
+    (da0, da1, da2), (db0, db1, db2), (dc0, dc1, dc2) = grads[:3]
+    q = s.orthogonal_q(a, b, c)
+    p0 = da0 - sigma * (2.0 * b * db0 + 2.0 * c * dc0)
+    p1 = da1 - sigma * (2.0 * b * db1 + 2.0 * c * dc1)
+    p2 = da2 - sigma * (2.0 * b * db2 + 2.0 * c * dc2)
+    # Q sum_k d_k N_k (n) and sum_k P_k N_k (m) on phi_x, phi_y and phi_z
+    n0 = q * (tau * (db1 + dc2))
+    n1 = q * (tau * db0 + sigma * da1 - 2.0 * c * dc1 + db2 * c + b * dc2)
+    n2 = q * (tau * dc0 + db1 * c + b * dc1 + sigma * da2 - 2.0 * b * db2)
+    m0 = p0 + tau * (b * p1 + c * p2)
+    m1 = tau * b * p0 + (sigma * a - c * c) * p1 + b * c * p2
+    m2 = tau * c * p0 + b * c * p1 + (sigma * a - b * b) * p2
+    scale = 1.0 / (q * q)
+    k0, k1, k2 = (q * scale, q * (2.0 * tau * b) * scale,
+                  q * (2.0 * tau * c) * scale)
+    return [s._span(y, z, (n0 - w * m0) * scale, (n1 - w * m1) * scale,
+                    (n2 - w * m2) * scale, k0, k1, k2)
+            for w in p_weights]
+
+
+def _lb_closed_gaps(s) -> Optional[tuple[float, float]]:
+    """(half-weight gap, full-weight gap) against the walk's Laplacian over
+    a check session's graded vertices, or None if they are not orthogonal."""
+    if not s.graded or not all(abs(pt.e) <= ORTHOGONAL_TOL
+                               for pt in s.graded):
+        return None
+    worst_half = worst_full = 0.0
+    for pt in s.graded:
+        x, y, z = pt.params
+        (h0, h1, h2, h3), (f0, f1, f2, f3) = closed(
+            s.slices[x], y, z, pt.a, pt.b, pt.c, pt.grads, (0.5, 1.0))
+        # Vec4's screen: x * 0.0 is a signed zero for finite x, else nan
+        if (h0 * 0.0 + h1 * 0.0 + h2 * 0.0 + h3 * 0.0 + f0 * 0.0 + f1 * 0.0
+                + f2 * 0.0 + f3 * 0.0 != 0.0):
+            raise NonFiniteValue(f"closed-form Laplacian at {pt.params}")
+        l0, l1, l2, l3 = pt.laplacian.components()
+        worst_half = max(worst_half, abs(h0 - l0), abs(h1 - l1),
+                         abs(h2 - l2), abs(h3 - l3))
+        worst_full = max(worst_full, abs(f0 - l0), abs(f1 - l1),
+                         abs(f2 - l2), abs(f3 - l3))
+    return worst_half, worst_full
+
+
+def claims(s) -> list:
+    """lb_closed_form and lb_closed_form_weights where the directors are
+    orthogonal, then director_membership, for a typed check session."""
+    # here, so that the scalar API loads the closed form without the claims
+    from .check import LB_CLOSED_TOL, ClaimResult, _fmt
+    out = []
+    gaps = _lb_closed_gaps(s)
+    if gaps is not None:
+        worst_half, worst_full = gaps
+        out.append(ClaimResult(
+            "lb_closed_form",
+            "for orthogonal directors the Laplacian reduces to the "
+            "half-weighted closed form",
+            f"max gap: half-weighted {_fmt(worst_half)}, full-weighted "
+            f"{_fmt(worst_full)}",
+            "fail" if worst_half > LB_CLOSED_TOL else "pass",
+            {"half_weight_gap": worst_half, "full_weight_gap": worst_full}))
+        printed_matches = worst_full <= LB_CLOSED_TOL
+        out.append(ClaimResult(
+            "lb_closed_form_weights",
+            "the closed form carries full (unhalved) first-derivative weights",
+            f"full-weight gap {_fmt(worst_full)} vs half-weight gap "
+            f"{_fmt(worst_half)}: the half-weighted form "
+            + ("is indistinguishable here" if printed_matches
+               else "matches the divergence path, the full-weighted form "
+                    "does not"),
+            "pass" if printed_matches else "discrepancy",
+            {"full_weight_gap": worst_full, "half_weight_gap": worst_half}))
+    space = "de Sitter sphere" if s.surface.kind is SurfaceKind.TYPE1 \
+        else "upper hyperbolic sheet"
+    reports = s.surface.director_reports
+    detail = {"directors": [
+        {"target": r.target, "max_violation": r.max_violation,
+         "worst_t": r.worst_t, "sign_ok": r.sign_ok, "passed": r.passed}
+        for r in reports]}
+    all_ok = bool(reports) and all(r.passed for r in reports)
+    worst = max((r.max_violation for r in reports), default=float("nan"))
+    signs = all(r.sign_ok for r in reports) if reports else False
+    out.append(ClaimResult(
+        "director_membership",
+        f"both director curves lie on the {space}",
+        f"max quadratic-form violation {_fmt(worst)}; sign conditions "
+        + ("hold" if signs else "violated"),
+        "pass" if all_ok else "discrepancy",
+        detail))
+    return out

@@ -1,13 +1,15 @@
 """Claim grading: pass / discrepancy / fail verdicts on the shipped scenes."""
 
 import builtins
+import importlib
 import json
+import math
 from dataclasses import replace
 from importlib import resources
 
 import pytest
 
-from ruled4 import check, kernel
+from ruled4 import check, kernel, typedclaims
 from ruled4.check import (
     CheckReport,
     ClaimResult,
@@ -15,10 +17,13 @@ from ruled4.check import (
     report_document,
 )
 from ruled4.cli import main
-from ruled4.errors import DirectorConstraintViolated
+from ruled4.crosscheck import lb_closed_full_p
+from ruled4.errors import DirectorConstraintViolated, NonFiniteValue
 from ruled4.lorentz import Vec4
 from ruled4.mesh import mesh_document, sample_grid, walk_grid
+from ruled4.pointwise import lb_closed_orthogonal
 from ruled4.scene import build_hypersurface, load_scene, scene_from_dict
+from ruled4.typedclaims import closed
 from support import counting_scene
 
 SHIPPED = ["example1.json", "exampleE1.json", "exampleEx3.json",
@@ -270,6 +275,8 @@ def _nudge_vertex(cfg, part):
         pt2 = pt._replace(position=pt.position + shift)
     elif part == "n_raw":
         pt2 = pt._replace(n_raw=pt.n_raw + shift)
+    elif part == "laplacian":
+        pt2 = pt._replace(laplacian=pt.laplacian + shift)
     else:
         pt2 = pt._replace(detg=pt.detg + 1e-6)
     for points in (session.points, session.graded):
@@ -277,19 +284,59 @@ def _nudge_vertex(cfg, part):
     return session
 
 
+def _verdict(claim, session):
+    """The verdict on session of `claim`: the name of a grading function of
+    check, or module.name for a claim that a per-kind module grades."""
+    module, _, name = claim.rpartition(".")
+    if not module:
+        return getattr(check, name)(session).verdict
+    graded = importlib.import_module(f"ruled4.{module}").claims(session)
+    return {c.name: c for c in graded}[name].verdict
+
+
 @pytest.mark.parametrize("scene, part, claim", [
-    ("exampleEx3.json", "position", "_claim_construction_equivalence"),
-    ("dualsphere.json", "position", "_claim_construction_equivalence"),
+    ("exampleEx3.json", "position", "octoclaims.construction_equivalence"),
+    ("dualsphere.json", "position", "octoclaims.construction_equivalence"),
     ("exampleEx3.json", "n_raw", "_claim_gauss_consistency"),
     ("example1.json", "n_raw", "_claim_gauss_consistency"),
     ("exampleEx3.json", "detg", "_claim_metric_consistency"),
     ("exampleE1.json", "detg", "_claim_metric_consistency"),
+    ("example1.json", "laplacian", "typedclaims.lb_closed_form"),
+    ("exampleE1.json", "laplacian", "typedclaims.lb_closed_form"),
 ])
 def test_cross_checks_fail_on_a_perturbed_vertex(scene, part, claim):
     cfg = shipped(scene)
-    grade = getattr(check, claim)
-    assert grade(check._Session(cfg)).verdict == "pass"
-    assert grade(_nudge_vertex(cfg, part)).verdict == "fail"
+    assert _verdict(claim, check._Session(cfg)) == "pass"
+    assert _verdict(claim, _nudge_vertex(cfg, part)) == "fail"
+
+
+@pytest.mark.parametrize("scene", ["example1.json", "exampleE1.json"])
+def test_lb_closed_orthogonal_equals_the_check_path_bit_for_bit(scene):
+    # lb_closed_form grades typedclaims.closed's floats against the walk's
+    # Laplacian; the scalar API wraps the same floats in a Vec4
+    session = check._Session(shipped(scene))
+    assert session.graded
+    for pt in session.graded:
+        x, y, z = pt.params
+        half, full = closed(session.slices[x], y, z, pt.a, pt.b, pt.c,
+                            pt.grads, (0.5, 1.0))
+        h = session.surface
+        assert lb_closed_orthogonal(h, x, y, z).components() == tuple(half)
+        assert lb_closed_full_p(h, x, y, z).components() == tuple(full)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_lb_closed_form_refuses_a_non_finite_closed_form(monkeypatch, bad):
+    # the floats still pass the finiteness screen of Vec4's constructor
+    exact = typedclaims.closed
+
+    def spoiled(*args):
+        half, full = exact(*args)
+        return [half, [*full[:3], bad]]
+
+    monkeypatch.setattr(typedclaims, "closed", spoiled)
+    with pytest.raises(NonFiniteValue):
+        check_scene(shipped("exampleE1.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ from ruled4.scene import build_hypersurface, load_scene
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
+# A child's environment: only the package source on the path, and no
+# bytecode written into it, as the benchmark's children run.
+CHILD_ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC,
+             "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def scene(name):
@@ -240,8 +244,7 @@ def test_process_entries_freeze_the_import_time_heap(tmp_path, route):
     proc = subprocess.run(
         [sys.executable, "-c", ENTRY_PROBE, route, "octtable",
          "--out", str(out)],
-        capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     code, frozen = proc.stdout.split()
     assert code == "0"
@@ -274,8 +277,7 @@ def test_determinism_across_threads(tmp_path):
         out = tmp_path / f"m{threads}.json"
         proc = run_cli(["mesh", scene("exampleEx3.json"), "--format", "json",
                         "--out", str(out)],
-                       env={"RULED4_THREADS": threads, "PATH": "/usr/bin:/bin",
-                            "PYTHONPATH": SRC})
+                       env={**CHILD_ENV, "RULED4_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -285,16 +287,16 @@ def test_determinism_across_threads(tmp_path):
 IMPORT_ALL = ("import sys, ruled4._frozen, ruled4.check, ruled4.cli, "
               "ruled4.crosscheck, ruled4.dual, ruled4.errors, ruled4.expr, "
               "ruled4.hypersurface, ruled4.kernel, ruled4.lorentz, "
-              "ruled4.mesh, ruled4.octo, ruled4.octonion, ruled4.pointwise, "
-              "ruled4.scene; ")
+              "ruled4.mesh, ruled4.octo, ruled4.octoclaims, ruled4.octonion, "
+              "ruled4.pointwise, ruled4.printer, ruled4.scene, "
+              "ruled4.typedclaims; ")
 
 
 def test_import_loads_neither_numpy_nor_jsonschema():
     probe = (IMPORT_ALL + "print(sorted("
              "m for m in ('numpy', 'jsonschema') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env={"PATH": "/usr/bin:/bin",
-                                          "PYTHONPATH": SRC})
+                          text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -316,8 +318,7 @@ def test_import_builds_only_two_dataclasses():
              "if isinstance(cls, type) and cls.__module__ == mod "
              "and '__dataclass_fields__' in vars(cls)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env={"PATH": "/usr/bin:/bin",
-                                          "PYTHONPATH": SRC})
+                          text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['CurveSpec', 'SceneConfig']"
 

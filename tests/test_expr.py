@@ -21,10 +21,10 @@ from ruled4.expr import (
     evaluate_float,
     evaluate_jet,
     parse_expr,
-    to_text,
     validate_director,
 )
 from ruled4.lorentz import ModelSpace, Vec4
+from ruled4.printer import to_text
 
 from support import mp_reference
 

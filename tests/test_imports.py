@@ -13,6 +13,10 @@ import pytest
 import ruled4
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# A child's environment: only the package source on the path, and no
+# bytecode written into it, as the benchmark's children run.
+CHILD_ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC,
+             "PYTHONDONTWRITEBYTECODE": "1"}
 TYPED = str(resources.files("ruled4.scenes") / "exampleE1.json")
 OCTONION = str(resources.files("ruled4.scenes") / "exampleEx3.json")
 DUAL = str(resources.files("ruled4.scenes") / "dualsphere.json")
@@ -22,8 +26,7 @@ def modules_after(code: str) -> set[str]:
     """Every module a fresh interpreter holds after running code."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env={"PATH": "/usr/bin:/bin",
-                                          "PYTHONPATH": SRC})
+                          text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
@@ -74,15 +77,19 @@ def test_octonion_build_loads_the_construction():
 def test_typed_mesh_loads_no_claims_or_construction(tmp_path):
     loaded = after_command("mesh", TYPED, "--out", str(tmp_path / "out"))
     assert "mesh" in loaded
-    assert not loaded & {"check", "crosscheck", "octo", "octonion"}
+    assert not loaded & {"check", "crosscheck", "octo", "octonion",
+                         "typedclaims", "octoclaims", "printer"}
 
 
 @pytest.mark.parametrize("command", ["check", "report"])
 def test_typed_check_and_report_load_no_construction(tmp_path, command):
     # the claims grade the walk's records; the scalar API is not theirs
     loaded = after_command(command, TYPED, "--out", str(tmp_path / "out"))
-    assert "check" in loaded
-    assert not loaded & {"octo", "octonion", "pointwise"}
+    assert {"check", "typedclaims"} <= loaded
+    assert not loaded & {"octo", "octonion", "pointwise", "octoclaims",
+                         "printer"}
+    # the vertex table is report's alone
+    assert ("mesh" in loaded) is (command == "report")
 
 
 @pytest.mark.parametrize("scene", [OCTONION, DUAL],
@@ -90,10 +97,20 @@ def test_typed_check_and_report_load_no_construction(tmp_path, command):
 @pytest.mark.parametrize("command", ["check", "report"])
 def test_construction_check_and_report_load_no_algebra(tmp_path, command,
                                                       scene):
-    # the star products come from lorentz, not the octonion algebra
+    # the star products come from octo, not the octonion algebra
     loaded = after_command(command, scene, "--out", str(tmp_path / "out"))
-    assert {"check", "octo"} <= loaded
-    assert not loaded & {"octonion", "pointwise"}
+    assert {"check", "octo", "octoclaims"} <= loaded
+    assert not loaded & {"octonion", "pointwise", "typedclaims", "printer"}
+    assert ("mesh" in loaded) is (command == "report")
+
+
+@pytest.mark.parametrize("scene", [OCTONION, DUAL],
+                         ids=["exampleEx3", "dualsphere"])
+def test_construction_mesh_loads_no_claims(tmp_path, scene):
+    loaded = after_command("mesh", scene, "--out", str(tmp_path / "out"))
+    assert {"mesh", "octo"} <= loaded
+    assert not loaded & {"check", "crosscheck", "octonion", "typedclaims",
+                         "octoclaims", "printer"}
 
 
 def test_octtable_loads_no_scene_machinery(tmp_path):
@@ -121,13 +138,66 @@ def test_build_loads_neither_fractions_nor_decimal(scene):
     assert not modules_after(build_code(scene)) & {"fractions", "decimal"}
 
 
+# Each command's compile footprint: the AST nodes of the ruled4 sources a
+# fresh interpreter compiles, summed over ast.walk of each source by a hook
+# on SourceFileLoader.source_to_code.  -X pycache_prefix points the loader
+# at an empty directory, so every module is compiled from source whatever
+# src/ruled4/__pycache__ holds.  The bounds are the counts when they were
+# pinned, the same on Python 3.10 to 3.13; a change that compiles more
+# raises its bound and says why.
+COUNT_PROBE = """
+import ast, sys
+from importlib.machinery import SourceFileLoader
+to_code = SourceFileLoader.source_to_code
+nodes = [0]
+
+def counting(self, data, path, *args, **kwargs):
+    if path.startswith(sys.argv[1]):
+        nodes[0] += sum(1 for _ in ast.walk(ast.parse(data)))
+    return to_code(self, data, path, *args, **kwargs)
+
+SourceFileLoader.source_to_code = counting
+exec(sys.argv[2])
+print(nodes[0])
+"""
+
+NODE_BOUNDS = {
+    ("setup", "exampleE1"): 9489, ("setup", "exampleEx3"): 11665,
+    ("check", "exampleE1"): 18651, ("check", "exampleEx3"): 20803,
+    ("report", "exampleE1"): 20072, ("report", "exampleEx3"): 22224,
+    ("mesh", "exampleE1"): 15444, ("mesh", "exampleEx3"): 17620,
+}
+SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
+
+
+def compiled_nodes(command: str, scene: str, scratch: Path) -> int:
+    """The AST nodes `command` compiles on a shipped scene, "setup" standing
+    for import, load_scene and build_hypersurface; scratch holds its output
+    and its empty bytecode cache."""
+    path = SCENE_FILES[scene]
+    code = (build_code(path) if command == "setup"
+            else command_code(command, path, "--out", str(scratch / "out")))
+    proc = subprocess.run(
+        [sys.executable, "-X", f"pycache_prefix={scratch / 'pycache'}",
+         "-c", COUNT_PROBE, str(Path(SRC) / "ruled4"), code],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, scene", sorted(NODE_BOUNDS),
+                         ids=["-".join(key) for key in sorted(NODE_BOUNDS)])
+def test_compiled_nodes_stay_within_their_bound(tmp_path, command, scene):
+    nodes = compiled_nodes(command, scene, tmp_path)
+    assert nodes <= NODE_BOUNDS[command, scene], nodes
+
+
 def test_importtime_lists_the_lazily_loaded_modules():
     # the namespace loads through __import__, which -X importtime records
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c",
          "import ruled4; ruled4.load_scene"],
-        capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     timed = {line.rsplit("|", 1)[1].strip()
              for line in proc.stderr.splitlines()

@@ -35,6 +35,7 @@ from ruled4.pointwise import (
 )
 from ruled4.mesh import sample_grid, walk_grid
 from ruled4.scene import build_hypersurface, load_scene
+from ruled4.typedclaims import closed
 
 from support import (
     grid27,
@@ -114,8 +115,8 @@ def test_scalar_api_equals_the_grid_record(name):
         if h.kind in (SurfaceKind.TYPE1, SurfaceKind.TYPE2) \
                 and abs(pt.e) <= ORTHOGONAL_TOL:
             s = _Slice(h.kind, x, _jets(h, x))
-            closed, = s.closed(y, z, pt.a, pt.b, pt.c, pt.grads, (0.5,))
-            assert rep.laplacian_closed == closed \
+            half, = closed(s, y, z, pt.a, pt.b, pt.c, pt.grads, (0.5,))
+            assert rep.laplacian_closed == Vec4(*half) \
                 == lb_closed_orthogonal(h, x, y, z)
             tau = -s.sigma
             r11, r12, r13 = pt.rn

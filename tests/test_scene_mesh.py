@@ -12,9 +12,7 @@ from ruled4.errors import ExprSyntaxError, SceneSchemaError
 from ruled4.hypersurface import SurfaceKind
 from ruled4.lorentz import Vec4
 from ruled4.mesh import (
-    _ROW_KEYS,
     Mesh,
-    _dumps,
     export_csv,
     export_json,
     export_obj,
@@ -23,8 +21,10 @@ from ruled4.mesh import (
     walk_grid,
 )
 from ruled4.scene import (
+    _ROW_KEYS,
     MAX_VERTICES,
     SceneConfig,
+    _dumps,
     build_hypersurface,
     load_scene,
     scene_from_dict,
