@@ -44,8 +44,8 @@ _EXPORTS = {
         "construct_from_dual_curves", "star_point", "star_point_dual"),
     "scene": ("SceneConfig", "load_scene", "scene_from_dict",
               "build_hypersurface"),
-    "mesh": ("Mesh", "VertexData", "sample_grid", "export_obj", "export_csv",
-             "export_json", "mesh_document"),
+    "mesh": ("Mesh", "sample_grid", "export_obj", "export_csv", "export_json",
+             "mesh_document"),
     "check": ("ClaimResult", "CheckReport", "check_scene", "report_document"),
 }
 

@@ -14,7 +14,8 @@ Every check produces a ClaimResult with a verdict:
 
 The process exit code is 1 if any claim is `fail` or `inconclusive`, else
 0: discrepancies are reported, never fatal.  The JSON wire format is
-{"claims": [{name, paper_claim, computed, verdict, details}]}.
+{"scene", "mode", "warnings", "claims": [{name, paper_claim, computed,
+verdict, details}], "exit_code"}.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class _Session:
             if s is not None:
                 self.slices[x] = s
         self.flagged_slices = cfg.resolution[0] - len(self.slices)
-        self.graded = [pt for pt in self.points if pt.flag is None]
+        self.graded = [pt for pt in self.points if not pt.flags]
         self.degenerate = len(self.points) - len(self.graded)
         # x -> _gram of the walk's slice at x
         self.grams = {x: _gram(sl.jets) for x, sl in self.slices.items()}

@@ -124,7 +124,7 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .check import report_document
-    from .mesh import _dumps
+    from .scene import _dumps
     cfg = _load(args)
     doc = report_document(cfg)
     _emit(_dumps(doc), args.out)

@@ -103,7 +103,7 @@ def lb_closed_full_p(h: RuledHypersurface, x: float, y: float, z: float) -> Vec4
     Identical to pointwise.lb_closed_orthogonal except the P_k terms are
     not halved.  The quotient rule demands the half, so this variant
     deviates from the general divergence path whenever the metric varies,
-    as check.py's lb_closed_form_weights reports from the slice kernel.
+    as typedclaims' lb_closed_form_weights reports from the slice kernel.
     """
     from .pointwise import _lb_closed_at  # here, so check never loads it
     return _lb_closed_at(h, x, y, z, 1.0)

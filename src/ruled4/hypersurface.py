@@ -15,7 +15,7 @@ computes the same quantities, and violations are surfaced as warnings
 instead of being silently absorbed.
 
 All curvature data comes from one slice kernel (ruled4.kernel), which the
-grid walk (mesh.walk_grid) runs over a grid and the scalar API (frame
+grid walk (kernel._walk_slices) runs over a grid and the scalar API (frame
 through curvature_report, ruled4.pointwise) at one point; building a
 surface compiles neither.  The second form's lower 2x2 block vanishes
 identically, because phi is affine in (y, z); that forces det(second

@@ -19,15 +19,15 @@ from .lorentz import CausalCharacter, Vec4, _det3, cross4, lorentz_dot
 
 
 class GridPoint(namedtuple(
-        "GridPoint", "params position flag n_raw unit magnitude character"
+        "GridPoint", "params position flags n_raw unit magnitude character"
         " a b c e m22 m33 detg adj gauss_k mean_h rn minimality grads"
         " laplacian",
         defaults=(None,) * 19)):
     """One vertex as the slice kernel leaves it, in one flat record: n_raw
     to character are GaussMapData's fields, a to adj MetricData's but for
-    detg_closed (which _detg_closed gives), rn and grads are _Slice's.  A
-    flagged vertex has its flag, its position where that exists, and None
-    elsewhere."""
+    detg_closed (which _detg_closed gives), rn and grads are _Slice's.
+    flags is () on a graded vertex; a flagged one has (the failure's name,),
+    its position where that exists, and None elsewhere."""
 
     __slots__ = ()
 
@@ -242,7 +242,7 @@ class _Slice:
         mean = (i00 * h11 + i01 * h12 + i02 * h13 + i01 * h12 + i02 * h13) / 3.0
         if self.sigma is not None and abs(e) <= ORTHOGONAL_TOL:
             self.orthogonal_q(a, b, c)
-        return GridPoint((self.x, y, z), position, None, n_raw, unit, mag,
+        return GridPoint((self.x, y, z), position, (), n_raw, unit, mag,
                          character, a, b, c, e, m22, m33, detg, adj,
                          gauss, mean, rn, _residual(adj, rn), grads,
                          self.laplacian(y, z, m, grads))
@@ -270,12 +270,12 @@ def _grid_point(s: _Slice, y: float, z: float) -> GridPoint:
     try:
         return s.vertex(y, z)
     except (DegenerateNormal, SingularMetric, DomainError) as exc:
-        flag = type(exc).__name__
+        flags = (type(exc).__name__,)
     try:
         position = s.position(y, z)
     except DomainError:
         position = None
-    return GridPoint((s.x, y, z), position, flag)
+    return GridPoint((s.x, y, z), position, flags)
 
 
 def _walk_slices(h: RuledHypersurface, cfg):
@@ -289,8 +289,8 @@ def _walk_slices(h: RuledHypersurface, cfg):
         try:
             s = _Slice(h.kind, x, _jets(h, x))
         except DomainError as exc:
-            flag = type(exc).__name__
-            yield x, None, [GridPoint((x, y, z), None, flag)
+            flags = (type(exc).__name__,)
+            yield x, None, [GridPoint((x, y, z), None, flags)
                             for y in ys for z in zs]
             continue
         yield x, s, [_grid_point(s, y, z) for y in ys for z in zs]

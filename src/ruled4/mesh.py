@@ -1,14 +1,14 @@
 """Grid sampling of a surface and file export (OBJ, CSV, JSON).
 
 The grid is the closed parameter box sampled uniformly, stored row-major
-with x slowest.  `walk_grid` lists the vertices of the one serial grid
-walker (kernel._walk_slices), which evaluates alpha, beta and gamma once
-per x sample and runs that slice's kernel at every (y, z) of the slice.
-Each vertex yields one flat record (GridPoint); one where the kernel
-degenerates keeps its slot with NaN fields, its position where that
-exists, and a flag naming the failure (DegenerateNormal, SingularMetric,
-DomainError, or NonFiniteValue on overflow), so one bad point never aborts
-a grid.
+with x slowest.  A Mesh holds the records (kernel.GridPoint) of the one
+serial grid walker (kernel._walk_slices), which evaluates alpha, beta and
+gamma once per x sample and runs that slice's kernel at every (y, z) of
+the slice.  A vertex where the kernel degenerates keeps its slot, its
+position where that exists, and a flag naming the failure
+(DegenerateNormal, SingularMetric, DomainError, or NonFiniteValue on
+overflow), so one bad point never aborts a grid; the exporters write its
+missing fields as NaN.
 
 Exports are deterministic byte for byte: fixed field order, fixed float
 formatting (repr for CSV and JSON, %.17g for OBJ), newline "\\n", no
@@ -23,34 +23,14 @@ from typing import NamedTuple, Optional
 
 from .hypersurface import RuledHypersurface
 from .kernel import GridPoint, _axes, _walk_slices
+from .lorentz import Vec4
 from .scene import SceneConfig, _dumps
 
-__all__ = ["GridPoint", "walk_grid", "grid_mesh", "VertexData", "Mesh",
-           "sample_grid", "export_obj", "export_csv", "export_json",
-           "mesh_document"]
+__all__ = ["GridPoint", "grid_mesh", "Mesh", "sample_grid", "export_obj",
+           "export_csv", "export_json", "mesh_document"]
 
 _NAN = float("nan")
 _NAN4 = (_NAN, _NAN, _NAN, _NAN)
-
-
-class VertexData(NamedTuple):
-    params: tuple[float, float, float]
-    position: tuple[float, float, float, float]
-    n_raw: tuple[float, float, float, float]
-    n_unit: tuple[float, float, float, float]
-    n_magnitude: float
-    n_character: Optional[str]
-    metric_a: float
-    metric_b: float
-    metric_c: float
-    metric_e: float
-    detg: float
-    gauss_k: float
-    mean_h: float
-    minimality: float
-    lb: tuple[float, float, float, float]
-    lb_norm: float
-    flags: tuple[str, ...]
 
 
 class Mesh(NamedTuple):
@@ -58,45 +38,24 @@ class Mesh(NamedTuple):
     mode: str
     resolution: tuple[int, int, int]
     axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-    vertices: tuple[VertexData, ...]
+    vertices: tuple[GridPoint, ...]
     warnings: tuple[str, ...]
-
-
-def walk_grid(h: RuledHypersurface, cfg: SceneConfig) -> list[GridPoint]:
-    """Every vertex of the scene's grid, row-major, x slowest."""
-    return [pt for _, _, points in _walk_slices(h, cfg) for pt in points]
-
-
-def _vertex(pt: GridPoint) -> VertexData:
-    if pt.flag is not None:
-        pos = _NAN4 if pt.position is None else pt.position.components()
-        return VertexData(pt.params, pos, _NAN4, _NAN4, _NAN, None,
-                          _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
-                          _NAN4, _NAN, (pt.flag,))
-    lb = l0, l1, l2, l3 = pt.laplacian.components()
-    # lb_norm is a left fold from 0.0: sum() rounds differently from Python
-    # 3.12 on
-    return VertexData(pt.params, pt.position.components(),
-                      pt.n_raw.components(), pt.unit.components(),
-                      pt.magnitude, pt.character.value, pt.a, pt.b, pt.c, pt.e,
-                      pt.detg, pt.gauss_k, pt.mean_h, pt.minimality, lb,
-                      math.sqrt(0.0 + l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3),
-                      ())
 
 
 def grid_mesh(h: RuledHypersurface, cfg: SceneConfig,
               points: list[GridPoint]) -> Mesh:
-    """The Mesh of a grid that walk_grid(h, cfg) sampled."""
+    """The Mesh of the points that kernel._walk_slices(h, cfg) gave."""
     return Mesh(cfg.name, cfg.mode, tuple(cfg.resolution), _axes(cfg),
-                tuple(_vertex(pt) for pt in points), h.warnings)
+                tuple(points), h.warnings)
 
 
 def sample_grid(h: RuledHypersurface, cfg: SceneConfig) -> Mesh:
     """Evaluate the pipeline over the scene's grid, row-major, x slowest.
 
-    One serial walk_grid pass; RULED4_THREADS is accepted and ignored.
+    One serial walk; RULED4_THREADS is accepted and ignored.
     """
-    return grid_mesh(h, cfg, walk_grid(h, cfg))
+    return grid_mesh(h, cfg, [pt for _, _, points in _walk_slices(h, cfg)
+                              for pt in points])
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +64,24 @@ def sample_grid(h: RuledHypersurface, cfg: SceneConfig) -> Mesh:
 def _require_nonempty(mesh: Mesh) -> None:
     if not mesh.vertices:
         raise ValueError("mesh has no vertices; nothing to export")
+
+
+def _components(vec: Optional[Vec4]) -> tuple[float, float, float, float]:
+    """vec's components, NaN for a vector a flagged vertex lacks."""
+    return _NAN4 if vec is None else vec.components()
+
+
+def _nan(value: Optional[float]) -> float:
+    """value, NaN for a scalar a flagged vertex lacks."""
+    return _NAN if value is None else value
+
+
+def _lb_norm(v: GridPoint) -> float:
+    if v.flags:
+        return _NAN
+    l0, l1, l2, l3 = v.laplacian.components()
+    # a left fold from 0.0: sum() rounds differently from Python 3.12 on
+    return math.sqrt(0.0 + l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3)
 
 
 def export_obj(mesh: Mesh, projection: int, path: str) -> None:
@@ -121,7 +98,8 @@ def export_obj(mesh: Mesh, projection: int, path: str) -> None:
     nx, ny, nz = mesh.resolution
     lines: list[str] = []
     for v in mesh.vertices:
-        a, b, c = (v.position[i] for i in keep)
+        position = _components(v.position)
+        a, b, c = (position[i] for i in keep)
         lines.append(f"v {a:.17g} {b:.17g} {c:.17g}")
     for iz in range(nz):
         for ix in range(nx - 1):
@@ -141,8 +119,9 @@ def export_csv(mesh: Mesh, path: str) -> None:
     _require_nonempty(mesh)
     lines = ["x,y,z,c0,c1,c2,c3,K,H,lb_norm,flags"]
     for v in mesh.vertices:
-        fields = [repr(f) for f in (*v.params, *v.position, v.gauss_k,
-                                    v.mean_h, v.lb_norm)]
+        fields = [repr(f) for f in (*v.params, *_components(v.position),
+                                    _nan(v.gauss_k), _nan(v.mean_h),
+                                    _lb_norm(v))]
         fields.append(";".join(v.flags))
         lines.append(",".join(fields))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -150,36 +129,37 @@ def export_csv(mesh: Mesh, path: str) -> None:
         fh.write("\n")
 
 
-def _json_float(value: float) -> Optional[float]:
-    return None if math.isnan(value) else value
+def _json_float(value: Optional[float]) -> Optional[float]:
+    return None if value is None or math.isnan(value) else value
 
 
-def _json_vec(values: tuple[float, ...]) -> list[Optional[float]]:
-    return [_json_float(v) for v in values]
+def _json_vec(vec: Optional[Vec4]) -> list[Optional[float]]:
+    # a Vec4's components are finite: its constructor refuses NaN
+    return [None] * 4 if vec is None else list(vec.components())
 
 
-def _vertex_dict(v: VertexData) -> dict:
+def _vertex_dict(v: GridPoint) -> dict:
     return {
         "params": list(v.params),
         "position": _json_vec(v.position),
         "normal": {
             "raw": _json_vec(v.n_raw),
-            "unit": _json_vec(v.n_unit),
-            "magnitude": _json_float(v.n_magnitude),
-            "character": v.n_character,
+            "unit": _json_vec(v.unit),
+            "magnitude": _json_float(v.magnitude),
+            "character": None if v.character is None else v.character.value,
         },
         "metric": {
-            "a": _json_float(v.metric_a),
-            "b": _json_float(v.metric_b),
-            "c": _json_float(v.metric_c),
-            "e": _json_float(v.metric_e),
+            "a": _json_float(v.a),
+            "b": _json_float(v.b),
+            "c": _json_float(v.c),
+            "e": _json_float(v.e),
             "detg": _json_float(v.detg),
         },
         "K": _json_float(v.gauss_k),
         "H": _json_float(v.mean_h),
         "minimality": _json_float(v.minimality),
-        "lb": _json_vec(v.lb),
-        "lb_norm": _json_float(v.lb_norm),
+        "lb": _json_vec(v.laplacian),
+        "lb_norm": _json_float(_lb_norm(v)),
         "flags": list(v.flags),
     }
 

@@ -22,7 +22,7 @@ returned surface, never errors.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError
 from .expr import CurveSpec
@@ -36,10 +36,17 @@ from .lorentz import (DEFAULT_I, Vec4, _det3, _require_axis, cross4,
 
 __all__ = [
     "PairCrossCurve", "construct_from_octonions", "construct_from_dual_curves",
-    "star_point", "star_point_dual", "ADVISORY_TOL",
+    "star_point", "star_point_dual", "ADVISORY_TOL", "ADVISORY_SAMPLES",
+    "SKIPPED_NOTE",
 ]
 
 ADVISORY_TOL = 1e-9
+# The advisory checks sample the x interval at _axis's ADVISORY_SAMPLES
+# points.  Where a curve is undefined at some, the surface's warnings carry
+# SKIPPED_NOTE with their number: a note, not a hypothesis violation.
+ADVISORY_SAMPLES = 33
+SKIPPED_NOTE = ("advisory checks skipped {} of %d samples, where a curve is "
+                "undefined" % ADVISORY_SAMPLES)
 
 
 class PairCrossCurve(NamedTuple):
@@ -83,13 +90,13 @@ def _position(curve: Curve, t: float) -> Vec4:
     return curve.evaluate(t)[0]
 
 
-def _positions(curves: dict[str, Curve],
-               grid: list[float]) -> tuple[dict[str, list[Vec4]], int]:
-    """(each curve's position at every grid point where all of them have
-    one, one evaluation apiece; the number of grid points skipped)."""
+def _positions(curves: dict[str, Curve], x_interval: tuple[float, float]
+               ) -> tuple[dict[str, list[Vec4]], int]:
+    """(each curve's position at every advisory sample of x_interval where
+    all of them have one, one evaluation apiece; the number skipped)."""
     pos: dict[str, list[Vec4]] = {name: [] for name in curves}
     skipped = 0
-    for t in grid:
+    for t in _axis(*x_interval, ADVISORY_SAMPLES):
         try:
             row = [_position(curve, t) for curve in curves.values()]
         except DomainError:
@@ -100,20 +107,22 @@ def _positions(curves: dict[str, Curve],
     return pos, skipped
 
 
-def _advisory_checks(pos: dict[str, list[Vec4]], skipped: int,
+def _advisory_checks(curves: dict[str, Curve],
+                     x_interval: tuple[float, float],
                      units: list[str],
                      ortho_pairs: list[tuple[str, str]],
                      dual_pairs: list[tuple[str, str]],
-                     dual_norm: str) -> list[str]:
+                     rulings: tuple[str, str],
+                     dual_norm: str) -> tuple[str, ...]:
     """The advisories under the `dual_norm` product, over the samples that
-    _positions kept.  A dual curve a + eps a* is on the dual unit sphere
-    when a is unit and 2<a, a*> = 0."""
+    _positions keeps, then whether the rulings coincide up to sign.  A dual
+    curve a + eps a* is on the dual unit sphere when a is unit and
+    2<a, a*> = 0."""
+    pos, skipped = _positions(curves, x_interval)
     dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     warnings: list[str] = []
     if skipped:
-        kept = len(next(iter(pos.values())))
-        warnings.append(f"advisory checks skipped {skipped} of "
-                        f"{kept + skipped} samples, where a curve is undefined")
+        warnings.append(SKIPPED_NOTE.format(skipped))
     for name in units:
         worst = 0.0
         for p in pos[name]:
@@ -136,25 +145,22 @@ def _advisory_checks(pos: dict[str, list[Vec4]], skipped: int,
         if worst > ADVISORY_TOL:
             warnings.append(f"dual curve {name} leaves the dual unit sphere: "
                             f"max dual-part norm deviation {worst:.6g}")
-    return warnings
-
-
-def _degenerate_ruling(pos_v: list[Vec4], pos_w: list[Vec4]) -> Optional[str]:
-    if not pos_v:
-        return None
-    worst_minus = 0.0
-    worst_plus = 0.0
-    for pv, pw in zip(pos_v, pos_w):
-        worst_minus = max(worst_minus,
-                          max(abs(c) for c in (pv - pw).components()))
-        worst_plus = max(worst_plus,
-                         max(abs(c) for c in (pv + pw).components()))
-    aligned = min(worst_minus, worst_plus)
-    if aligned <= ADVISORY_TOL:
-        return (f"ruling directions coincide up to sign "
-                f"(max component gap {aligned:.6g}); the ruled plane "
-                "degenerates to a line")
-    return None
+    pos_v, pos_w = pos[rulings[0]], pos[rulings[1]]
+    # over no sample, a gap of 0.0 would read as coinciding rulings
+    if pos_v:
+        worst_minus = 0.0
+        worst_plus = 0.0
+        for pv, pw in zip(pos_v, pos_w):
+            worst_minus = max(worst_minus,
+                              max(abs(c) for c in (pv - pw).components()))
+            worst_plus = max(worst_plus,
+                             max(abs(c) for c in (pv + pw).components()))
+        aligned = min(worst_minus, worst_plus)
+        if aligned <= ADVISORY_TOL:
+            warnings.append(f"ruling directions coincide up to sign "
+                            f"(max component gap {aligned:.6g}); the ruled "
+                            "plane degenerates to a line")
+    return tuple(warnings)
 
 
 def construct_from_octonions(u: Curve, v: Curve, w: Curve,
@@ -165,18 +171,11 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                              ) -> RuledHypersurface:
     """Surface alpha(t) + y*w(t) + z*v(t) with alpha = u x v + u x w."""
     _require_axis(i_vec)
-    pos, skipped = _positions({"u": u, "v": v, "w": w},
-                              _axis(*x_interval, 33))
-    alpha = PairCrossCurve(((u, v), (u, w)), i_vec)
-    base = make_ruled(alpha, w, v, SurfaceKind.UNCONSTRAINED,
-                      x_interval=x_interval)
-    warnings = list(base.warnings)
-    warnings += _advisory_checks(pos, skipped, ["u", "v", "w"],
-                                 [("u", "v"), ("u", "w")], [], dual_norm)
-    degenerate = _degenerate_ruling(pos["v"], pos["w"])
-    if degenerate:
-        warnings.append(degenerate)
-    return base._replace(warnings=tuple(warnings))
+    base = make_ruled(PairCrossCurve(((u, v), (u, w)), i_vec), w, v,
+                      SurfaceKind.UNCONSTRAINED, x_interval=x_interval)
+    return base._replace(warnings=base.warnings + _advisory_checks(
+        {"u": u, "v": v, "w": w}, x_interval, ["u", "v", "w"],
+        [("u", "v"), ("u", "w")], [], ("v", "w"), dual_norm))
 
 
 def construct_from_dual_curves(a: Curve, a_star: Curve,
@@ -194,19 +193,12 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
     product 0.
     """
     _require_axis(i_vec)
-    pos, skipped = _positions(
-        {"a": a, "a_star": a_star, "b": b, "b_star": b_star},
-        _axis(*x_interval, 33))
-    alpha = PairCrossCurve(((a, a_star), (b, b_star)), i_vec)
-    base = make_ruled(alpha, a, b, SurfaceKind.UNCONSTRAINED,
-                      x_interval=x_interval)
-    warnings = list(base.warnings)
-    warnings += _advisory_checks(pos, skipped, ["a", "b"], [],
-                                 [("a", "a_star"), ("b", "b_star")], dual_norm)
-    degenerate = _degenerate_ruling(pos["a"], pos["b"])
-    if degenerate:
-        warnings.append(degenerate)
-    return base._replace(warnings=tuple(warnings))
+    base = make_ruled(PairCrossCurve(((a, a_star), (b, b_star)), i_vec), a,
+                      b, SurfaceKind.UNCONSTRAINED, x_interval=x_interval)
+    return base._replace(warnings=base.warnings + _advisory_checks(
+        {"a": a, "a_star": a_star, "b": b, "b_star": b_star}, x_interval,
+        ["a", "b"], [], [("a", "a_star"), ("b", "b_star")], ("a", "b"),
+        dual_norm))
 
 
 def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,

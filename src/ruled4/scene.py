@@ -251,10 +251,9 @@ def load_scene(path: str) -> SceneConfig:
 def build_hypersurface(cfg: SceneConfig) -> RuledHypersurface:
     """Construct the surface a scene describes."""
     if cfg.mode in ("type1", "type2"):
-        kind = SurfaceKind.TYPE1 if cfg.mode == "type1" else SurfaceKind.TYPE2
         return make_ruled(cfg.curves["alpha"], cfg.curves["beta"],
-                          cfg.curves["gamma"], kind, strict=cfg.strict,
-                          x_interval=cfg.x_interval)
+                          cfg.curves["gamma"], SurfaceKind(cfg.mode),
+                          strict=cfg.strict, x_interval=cfg.x_interval)
     from .octo import construct_from_dual_curves, construct_from_octonions
     if cfg.mode == "octonion":
         return construct_from_octonions(

@@ -20,7 +20,7 @@ from ruled4.cli import main
 from ruled4.crosscheck import lb_closed_full_p
 from ruled4.errors import DirectorConstraintViolated, NonFiniteValue
 from ruled4.lorentz import Vec4
-from ruled4.mesh import mesh_document, sample_grid, walk_grid
+from ruled4.mesh import mesh_document, sample_grid
 from ruled4.pointwise import lb_closed_orthogonal
 from ruled4.scene import build_hypersurface, load_scene, scene_from_dict
 from ruled4.typedclaims import closed
@@ -138,6 +138,41 @@ def test_dualsphere_all_pass():
     assert "alpha_probe" not in names  # no reference block
 
 
+def _dualsphere_with_a0(text):
+    """dualsphere on [0, 1] by 4 x 3 x 3 with a's first component text."""
+    doc = json.loads(
+        (resources.files("ruled4.scenes") / "dualsphere.json").read_text())
+    doc["curves"]["a"][0] = text
+    doc["intervals"]["t"] = [0, 1]
+    doc["resolution"] = [4, 3, 3]
+    return scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("a0", ["0", "(0) + 0*(t - 0.5)^-1"])
+def test_skipped_advisory_sample_is_no_hypothesis_violation(a0):
+    # t = 0.5 is one of the 33 advisory samples of [0, 1], but no grid
+    # sample: the skip stays a warning and the hypotheses still hold
+    report = check_scene(_dualsphere_with_a0(a0))
+    skipped = ("advisory checks skipped 1 of 33 samples, where a curve is "
+               "undefined")
+    assert (skipped in report.warnings) == (a0 != "0")
+    claim = by_name(report)["construction_hypotheses"]
+    assert (claim.verdict, claim.computed) == ("pass", "hypotheses hold")
+    assert claim.details["advisories"] == []
+    assert report.exit_code == 0
+
+
+def test_hypotheses_over_no_advisory_sample_are_inconclusive():
+    report = check_scene(_dualsphere_with_a0("0*(t - t)^-1"))
+    assert report.warnings == ("advisory checks skipped 33 of 33 samples, "
+                               "where a curve is undefined",)
+    claim = by_name(report)["construction_hypotheses"]
+    assert claim.verdict == "inconclusive"
+    assert claim.computed == "no advisory sample could be evaluated"
+    assert claim.details["advisories"] == []
+    assert report.exit_code == 1
+
+
 def test_exit_code_reflects_only_fail():
     ok = ClaimResult("a", "claim", "computed", "pass")
     disc = ClaimResult("b", "claim", "computed", "discrepancy")
@@ -207,8 +242,8 @@ def test_flatness_is_structural(name):
     # the ruling block of the second form is literal zeros, so det h and K
     # are exactly zero, not rounding noise under FLAT_TOL
     cfg = shipped(name)
-    graded = [pt for pt in walk_grid(build_hypersurface(cfg), cfg)
-              if pt.flag is None]
+    graded = [pt for pt in sample_grid(build_hypersurface(cfg), cfg).vertices
+              if not pt.flags]
     assert graded
     assert all(pt.gauss_k == 0.0 for pt in graded)
     assert by_name(check_scene(cfg))["flatness"].details["max_abs_K"] == 0.0

@@ -29,7 +29,7 @@ from ruled4.errors import (
 from ruled4.expr import CurveSpec
 from ruled4.hypersurface import SurfaceKind, _axis, make_ruled
 from ruled4.lorentz import CausalCharacter, Vec4, cross4, lorentz_dot
-from ruled4.mesh import walk_grid
+from ruled4.mesh import sample_grid
 from ruled4.octo import construct_from_octonions
 from ruled4.pointwise import (
     _at,
@@ -414,7 +414,8 @@ def test_scalar_api_equals_report_on_shipped_scenes():
         cfg = load_scene(str(resources.files("ruled4.scenes")
                              / f"{name}.json"))
         h = build_hypersurface(cfg)
-        graded = [pt.params for pt in walk_grid(h, cfg) if pt.flag is None]
+        graded = [pt.params for pt in sample_grid(h, cfg).vertices
+                  if not pt.flags]
         assert graded, name
         for x, y, z in graded:
             rep = curvature_report(h, x, y, z)

@@ -162,10 +162,10 @@ print(nodes[0])
 """
 
 NODE_BOUNDS = {
-    ("setup", "exampleE1"): 9489, ("setup", "exampleEx3"): 11665,
-    ("check", "exampleE1"): 18651, ("check", "exampleEx3"): 20803,
-    ("report", "exampleE1"): 20072, ("report", "exampleEx3"): 22224,
-    ("mesh", "exampleE1"): 15444, ("mesh", "exampleEx3"): 17620,
+    ("setup", "exampleE1"): 9474, ("setup", "exampleEx3"): 11567,
+    ("check", "exampleE1"): 18640, ("check", "exampleEx3"): 20763,
+    ("report", "exampleE1"): 19842, ("report", "exampleEx3"): 21965,
+    ("mesh", "exampleE1"): 15215, ("mesh", "exampleEx3"): 17308,
 }
 SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
 

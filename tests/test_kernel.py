@@ -33,7 +33,7 @@ from ruled4.pointwise import (
     minimality_residual,
     second_form,
 )
-from ruled4.mesh import sample_grid, walk_grid
+from ruled4.mesh import sample_grid
 from ruled4.scene import build_hypersurface, load_scene
 from ruled4.typedclaims import closed
 
@@ -54,7 +54,7 @@ def shipped(name):
 
 def graded(cfg):
     h = build_hypersurface(cfg)
-    return h, [pt for pt in walk_grid(h, cfg) if pt.flag is None]
+    return h, [pt for pt in sample_grid(h, cfg).vertices if not pt.flags]
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +138,15 @@ def test_flagged_vertex_keeps_its_position(tmp_path):
         "intervals": {"x": [0, 0.5]}, "resolution": [3, 3, 3]}))
     cfg = load_scene(str(path))
     h = build_hypersurface(cfg)
-    flagged = [pt for pt in walk_grid(h, cfg) if pt.flag is not None]
-    assert [(pt.params, pt.flag) for pt in flagged] == [
-        ((0.0, y, 0.0), "DegenerateNormal") for y in (-1.0, 0.0, 1.0)]
-    vertices = {v.params: v for v in sample_grid(h, cfg).vertices}
-    assert sum(not v.flags for v in vertices.values()) == 24
+    vertices = sample_grid(h, cfg).vertices
+    flagged = [pt for pt in vertices if pt.flags]
+    assert [(pt.params, pt.flags) for pt in flagged] == [
+        ((0.0, y, 0.0), ("DegenerateNormal",)) for y in (-1.0, 0.0, 1.0)]
+    assert len(vertices) - len(flagged) == 24
     for pt in flagged:
         assert pt.position == eval_point(h, *pt.params) \
             == Vec4(0.0, 0.0, pt.params[1], 0.0)
-        v = vertices[pt.params]
-        assert v.flags == ("DegenerateNormal",)
-        assert v.position == pt.position.components()
-        assert math.isnan(v.gauss_k) and math.isnan(v.n_magnitude)
+        assert pt.gauss_k is None and pt.magnitude is None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from ruled4.mesh import (
     export_obj,
     mesh_document,
     sample_grid,
-    walk_grid,
 )
 from ruled4.scene import (
     _ROW_KEYS,
@@ -256,7 +255,7 @@ def test_sample_grid_order_and_axes():
     # endpoint-exact axes
     assert mesh.axes[0][-1] == 1.0
     v = mesh.vertices[5]  # (0.5, 0.0, 1.0)
-    assert v.position == (0.5, 0.0, 1.0, 0.0)
+    assert v.position == Vec4(0.5, 0.0, 1.0, 0.0)
     assert v.flags == ()
     assert v.gauss_k == 0.0
 
@@ -271,8 +270,7 @@ def test_sample_grid_records_failures_as_flags():
     assert len(mid) == 4
     for v in mid:
         assert v.flags == ("DomainError",)
-        assert all(math.isnan(c) for c in v.position)
-        assert math.isnan(v.gauss_k)
+        assert v.position is None and v.gauss_k is None
     good = [v for v in mesh.vertices if v.params[0] != 0.0]
     assert all(v.flags == () for v in good)
 
@@ -305,7 +303,7 @@ def test_walk_grid_evaluates_shared_factor_curves_once_per_x():
     counted, counter = counting_scene(cfg)
     h = build_hypersurface(counted)
     counter[0] = 0
-    walk_grid(h, counted)
+    sample_grid(h, counted)
     assert counter[0] == 3 * cfg.resolution[0]
 
 
@@ -394,6 +392,40 @@ def test_export_json_nan_becomes_null(tmp_path):
     loaded = json.loads(text)
     flagged = [v for v in loaded["vertices"] if v["flags"]]
     assert flagged and flagged[0]["position"][0] is None
+
+
+def test_flagged_vertices_export_their_missing_fields_as_nan(tmp_path):
+    # the normal is lightlike at x = z = 0 (DegenerateNormal, position
+    # kept), and alpha is undefined at x = 0.5 (a DomainError slice)
+    cfg = scene_from_dict({
+        "name": "flagged", "mode": "type1",
+        "curves": {"alpha": ["t + 0*(t - 0.5)^-1", "t", "0", "0"],
+                   "beta": ["0", "0", "1", "0"],
+                   "gamma": ["t", "0", "0", "1"]},
+        "intervals": {"x": [0, 0.5]}, "resolution": [3, 3, 3]})
+    mesh = sample_grid(build_hypersurface(cfg), cfg)
+    export_obj(mesh, 1, str(tmp_path / "m.obj"))
+    export_csv(mesh, str(tmp_path / "m.csv"))
+    export_json(mesh, str(tmp_path / "m.json"))
+    obj = (tmp_path / "m.obj").read_text().splitlines()
+    csv = (tmp_path / "m.csv").read_text().splitlines()[1:]
+    rows = json.loads((tmp_path / "m.json").read_text())["vertices"]
+    # vertex 1 is (0, -1, 0), vertex 26 (0.5, 1, 1)
+    assert (obj[1], obj[26]) == ("v 0 -1 0", "v nan nan nan")
+    assert csv[1] == ("0.0,-1.0,0.0,0.0,0.0,-1.0,0.0,nan,nan,nan,"
+                      "DegenerateNormal")
+    assert csv[26] == "0.5,1.0,1.0,nan,nan,nan,nan,nan,nan,nan,DomainError"
+    null4 = [None] * 4
+    missing = {"normal": {"raw": null4, "unit": null4, "magnitude": None,
+                          "character": None},
+               "metric": dict.fromkeys(("a", "b", "c", "e", "detg")),
+               "K": None, "H": None, "minimality": None, "lb": null4,
+               "lb_norm": None}
+    assert rows[1] == {"params": [0.0, -1.0, 0.0],
+                       "position": [0.0, 0.0, -1.0, 0.0], **missing,
+                       "flags": ["DegenerateNormal"]}
+    assert rows[26] == {"params": [0.5, 1.0, 1.0], "position": null4,
+                        **missing, "flags": ["DomainError"]}
 
 
 def test_export_json_encodes_before_opening(tmp_path):

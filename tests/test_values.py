@@ -17,7 +17,7 @@ from ruled4.dual import Jet2
 from ruled4.errors import NonFiniteValue
 from ruled4.expr import Add, Const, Sub, Var, parse_expr, validate_director
 from ruled4.lorentz import ModelSpace, Vec4
-from ruled4.mesh import sample_grid, walk_grid
+from ruled4.mesh import sample_grid
 from ruled4.octonion import Octonion, ParticularOctonion, default_table
 from ruled4.pointwise import curvature_report, frame, gauss_map
 from ruled4.scene import build_hypersurface, load_scene
@@ -34,8 +34,8 @@ def records():
     """(object, one of its field names) for each record and value type."""
     cfg = shipped("exampleEx3")
     h = build_hypersurface(cfg)
-    pt = next(pt for pt in walk_grid(h, cfg) if pt.flag is None)
     mesh = sample_grid(h, cfg)
+    pt = next(pt for pt in mesh.vertices if not pt.flags)
     report = check_scene(cfg)
     x, y, z = pt.params
     rep = curvature_report(h, x, y, z)
