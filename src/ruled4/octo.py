@@ -28,8 +28,8 @@ from .errors import DomainError
 from .expr import CurveSpec
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _axis,
                            make_ruled)
-from .lorentz import (DEFAULT_I, Vec4, _det3, _require_axis, cross4,
-                      euclid_dot, lorentz_dot)
+from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
+                      lorentz_dot)
 
 # star_point and star_point_dual import ruled4.octonion themselves, so that
 # building a surface or grading its claims does not load the algebra.
@@ -212,20 +212,20 @@ def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,
     both ruling directions.
     """
     from .octonion import ParticularOctonion
-    pu, pv, pw = (_position(c, t).components() for c in (u, v, w))
+    pu, pv, pw = (_position(c, t) for c in (u, v, w))
     _require_axis(i_vec)
-    scalar, vector = _star(pu, pv, pw, y, z, i_vec.components())
-    return ParticularOctonion(scalar, Vec4(*vector))
+    return ParticularOctonion(*_star(pu, pv, pw, y, z, i_vec))
 
 
-def _star(pu: tuple, pv: tuple, pw: tuple, y: float, z: float,
-          i: tuple) -> tuple[float, tuple[float, float, float, float]]:
-    """star_point's (scalar, vector components) from those of u, v, w at t.
+def _star(pu: Vec4, pv: Vec4, pw: Vec4, y: float, z: float,
+          i: Vec4) -> tuple[float, Vec4]:
+    """star_point's (scalar, vector) from the positions of u, v, w at t.
 
     The axis i is taken as unit; star_point checks it.
     """
-    return _plus(_star_product(float(y), pu, 0.0, pw, i),
-                 _star_product(float(z), pu, 0.0, pv, i))
+    s1, v1 = _star_product(float(y), pu, 0.0, pw, i)
+    s2, v2 = _star_product(float(z), pu, 0.0, pv, i)
+    return s1 + s2, v1 + v2
 
 
 def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
@@ -238,42 +238,24 @@ def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
     part -(<a, a*> + <b, b*>) vanishes exactly on the dual unit sphere.
     """
     from .octonion import ParticularOctonion
-    pa, pas, pb, pbs = (_position(c, t).components()
-                        for c in (a, a_star, b, b_star))
+    pa, pas, pb, pbs = (_position(c, t) for c in (a, a_star, b, b_star))
     _require_axis(i_vec)
-    scalar, vector = _star_dual(pa, pas, pb, pbs, y, z, i_vec.components())
-    return ParticularOctonion(scalar, Vec4(*vector))
+    return ParticularOctonion(*_star_dual(pa, pas, pb, pbs, y, z, i_vec))
 
 
-def _star_dual(pa: tuple, pas: tuple, pb: tuple, pbs: tuple, y: float,
-               z: float, i: tuple) -> tuple[float, tuple[float, float, float, float]]:
-    """star_point_dual's (scalar, vector components) from the positions.
+def _star_dual(pa: Vec4, pas: Vec4, pb: Vec4, pbs: Vec4, y: float,
+               z: float, i: Vec4) -> tuple[float, Vec4]:
+    """star_point_dual's (scalar, vector) from the positions at t.
 
     The axis i is taken as unit; star_point_dual checks it.
     """
-    return _plus(_star_product(0.0, pa, float(y), pas, i),
-                 _star_product(0.0, pb, float(z), pbs, i))
+    s1, v1 = _star_product(0.0, pa, float(y), pas, i)
+    s2, v2 = _star_product(0.0, pb, float(z), pbs, i)
+    return s1 + s2, v1 + v2
 
 
-def _star_product(qs: float, qv: tuple, ps: float, pv: tuple, i: tuple
-                  ) -> tuple[float, tuple[float, float, float, float]]:
-    """octonion.particular_product on scalars and component tuples, with no
-    axis check.  The m_k are cross4's minors and the scalar part repeats
-    lorentz_dot, operation for operation, so the floats equal those of the
-    same product taken with Vec4 arithmetic bit for bit."""
-    x0, x1, x2, x3 = qv
-    y0, y1, y2, y3 = pv
-    z0, z1, z2, z3 = i
-    scalar = qs * ps - (-x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3)
-    m0 = _det3(x1, x2, x3, y1, y2, y3, z1, z2, z3)
-    m1 = _det3(x0, x2, x3, y0, y2, y3, z0, z2, z3)
-    m2 = _det3(x0, x1, x3, y0, y1, y3, z0, z1, z3)
-    m3 = _det3(x0, x1, x2, y0, y1, y2, z0, z1, z2)
-    return scalar, (y0 * qs + x0 * ps - m0, y1 * qs + x1 * ps - m1,
-                    y2 * qs + x2 * ps + m2, y3 * qs + x3 * ps - m3)
-
-
-def _plus(left, right):
-    """Sum of two (scalar, vector components) star products."""
-    (ls, (l0, l1, l2, l3)), (rs, (r0, r1, r2, r3)) = left, right
-    return ls + rs, (l0 + r0, l1 + r1, l2 + r2, l3 + r3)
+def _star_product(qs: float, qv: Vec4, ps: float, pv: Vec4, i: Vec4
+                  ) -> tuple[float, Vec4]:
+    """octonion.particular_product on the scalar and vector parts, with no
+    axis check."""
+    return qs * ps - lorentz_dot(qv, pv), pv * qs + qv * ps + cross4(qv, pv, i)

@@ -56,7 +56,6 @@ def _claim_construction_equivalence(s, positions_at) -> ClaimResult:
     star, rulings = ((_star, (2, 1)) if s.cfg.mode == "octonion"
                      else (_star_dual, (0, 2)))
     _require_axis(s.cfg.i_vec)
-    axis = s.cfg.i_vec.components()
     worst_vec = 0.0
     worst_scalar = 0.0
     graded = 0
@@ -64,10 +63,12 @@ def _claim_construction_equivalence(s, positions_at) -> ClaimResult:
         placed = [pt for pt in pts if pt.position is not None]
         if not placed:
             continue
-        positions = [p.components() for p in positions_at(x)]
-        scalar, (c0, c1, c2, c3) = star(*positions, 0.0, 0.0, axis)
+        positions = positions_at(x)
+        scalar, vector = star(*positions, 0.0, 0.0, s.cfg.i_vec)
         worst_scalar = max(worst_scalar, abs(scalar))
-        (w0, w1, w2, w3), (v0, v1, v2, v3) = [positions[k] for k in rulings]
+        c0, c1, c2, c3 = vector.components()
+        (w0, w1, w2, w3), (v0, v1, v2, v3) = [positions[k].components()
+                                              for k in rulings]
         for pt in placed:
             _, y, z = pt.params
             p0, p1, p2, p3 = pt.position.components()

@@ -246,11 +246,11 @@ def particular_product(q: ParticularOctonion, p: ParticularOctonion,
     scalar part: S(q)S(p) - <V(q), V(p)>;
     vector part: S(q)V(p) + S(p)V(q) + cross4(V(q), V(p), i_vec).
 
-    Both the scalar product and the ternary cross are Lorentzian.  The axis
-    must be unit in the sense |<i,i>| == 1 within UNIT_I_TOL, else NonUnitI.
+    Both parts are Lorentzian: octo._star_product states them once, with
+    lorentz_dot and cross4.  The axis must be unit in the sense |<i,i>| == 1
+    within UNIT_I_TOL, else NonUnitI.
     """
     from .octo import _star_product  # here, so that octtable never loads it
     _require_axis(i_vec)
-    scalar, vector = _star_product(q.scalar, q.vector.components(), p.scalar,
-                                   p.vector.components(), i_vec.components())
-    return ParticularOctonion(scalar, Vec4(*vector))
+    return ParticularOctonion(*_star_product(q.scalar, q.vector, p.scalar,
+                                             p.vector, i_vec))

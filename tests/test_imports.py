@@ -162,10 +162,10 @@ print(nodes[0])
 """
 
 NODE_BOUNDS = {
-    ("setup", "exampleE1"): 9474, ("setup", "exampleEx3"): 11567,
-    ("check", "exampleE1"): 18640, ("check", "exampleEx3"): 20763,
-    ("report", "exampleE1"): 19842, ("report", "exampleEx3"): 21965,
-    ("mesh", "exampleE1"): 15215, ("mesh", "exampleEx3"): 17308,
+    ("setup", "exampleE1"): 9474, ("setup", "exampleEx3"): 11248,
+    ("check", "exampleE1"): 18640, ("check", "exampleEx3"): 20438,
+    ("report", "exampleE1"): 19842, ("report", "exampleEx3"): 21640,
+    ("mesh", "exampleE1"): 15215, ("mesh", "exampleEx3"): 16989,
 }
 SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
 

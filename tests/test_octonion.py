@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ruled4.errors import InconsistentSeed, NonUnitI
+from ruled4.errors import InconsistentSeed, NonFiniteValue, NonUnitI
+from ruled4.expr import CurveSpec
 from ruled4.lorentz import DEFAULT_I, Vec4, cross4, lorentz_dot
 from ruled4.octonion import (
     Octonion,
@@ -16,6 +17,7 @@ from ruled4.octonion import (
     particular_product,
     table_to_csv,
 )
+from ruled4.octo import star_point, star_point_dual
 
 
 def test_default_table_pinned_products():
@@ -158,15 +160,46 @@ def test_star_product_pure_pair():
         assert got.vector.components() == expect.components()
 
 
+def _bits(*values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [v.hex() for v in values]
+
+
 def test_star_product_definition_shape():
-    q = ParticularOctonion(2.0, Vec4(1.0, 0.0, -1.0, 2.0))
-    p = ParticularOctonion(-3.0, Vec4(0.5, 1.0, 0.0, -1.0))
-    got = particular_product(q, p)
-    scalar = q.scalar * p.scalar - lorentz_dot(q.vector, p.vector)
-    vector = (q.scalar * p.vector + p.scalar * q.vector
-              + cross4(q.vector, p.vector, DEFAULT_I))
-    assert got.scalar == scalar
-    assert got.vector.components() == vector.components()
+    rng = random.Random(11)
+
+    def draw():
+        return rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-3, 3)))
+
+    draws = [(ParticularOctonion(2.0, Vec4(1.0, 0.0, -1.0, 2.0)),
+              ParticularOctonion(-3.0, Vec4(0.5, 1.0, 0.0, -1.0)))]
+    draws += [(ParticularOctonion(draw(), Vec4(*(draw() for _ in range(4)))),
+               ParticularOctonion(draw(), Vec4(*(draw() for _ in range(4)))))
+              for _ in range(200)]
+    for i_vec in (DEFAULT_I, Vec4(1.0, 0.0, 0.0, 0.0)):
+        for q, p in draws:
+            got = particular_product(q, p, i_vec)
+            scalar = q.scalar * p.scalar - lorentz_dot(q.vector, p.vector)
+            vector = (q.scalar * p.vector + p.scalar * q.vector
+                      + cross4(q.vector, p.vector, i_vec))
+            assert _bits(got.scalar) == _bits(scalar)
+            assert _bits(*got.vector.components()) \
+                == _bits(*vector.components())
+
+
+def test_star_product_overflow_raises():
+    big = [CurveSpec.from_strings(texts) for texts in (
+        ["1e200", "2e200", "-1e200", "3e200"],
+        ["-2e200", "1e200", "3e200", "1e200"],
+        ["3e200", "-1e200", "2e200", "-2e200"],
+        ["1e200", "3e200", "1e200", "-1e200"])]
+    q, p = (ParticularOctonion(1.0, c.position(0.0)) for c in big[:2])
+    with pytest.raises(NonFiniteValue):
+        particular_product(q, p)
+    with pytest.raises(NonFiniteValue):
+        star_point(*big[:3], 0.5, 1.0, -1.0)
+    with pytest.raises(NonFiniteValue):
+        star_point_dual(*big, 0.5, 1.0, -1.0)
 
 
 def test_star_product_bilinear():
