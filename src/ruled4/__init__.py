@@ -28,12 +28,13 @@ _EXPORTS = {
     "dual": ("Jet2",),
     "expr": (
         "parse_expr", "evaluate_jet", "evaluate_float",
-        "CurveSpec", "DirectorReport", "validate_director"),
+        "CurveSpec"),
     "printer": ("to_text",),
     "octonion": (
         "Octonion", "ParticularOctonion", "MulTable", "build_mul_table",
         "default_table", "oct_mul", "particular_product", "table_to_csv"),
-    "hypersurface": ("SurfaceKind", "RuledHypersurface", "make_ruled"),
+    "hypersurface": ("SurfaceKind", "RuledHypersurface", "DirectorReport",
+                     "make_ruled"),
     "pointwise": (
         "Frame", "frame", "eval_point", "GaussMapData", "gauss_map",
         "MetricData", "first_form", "inverse_metric", "second_form",

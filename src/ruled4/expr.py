@@ -39,13 +39,13 @@ from ._frozen import Frozen, _set
 from .dual import _DERIVATIVES, JET_FUNCTIONS, Jet2, _safe_pow, _sqrt, jet_pow
 from .errors import (DomainError, ExprSyntaxError, NonFiniteValue,
                      UnknownIdentifier)
-from .lorentz import MEMBERSHIP_TOL, ModelSpace, Vec4, lorentz_dot
+from .lorentz import Vec4
 
 __all__ = [
     "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call", "Ratio",
     "ExprAst", "parse_expr",
     "evaluate_float", "evaluate_jet",
-    "CurveSpec", "DirectorReport", "validate_director",
+    "CurveSpec",
 ]
 
 _FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "sqrt")
@@ -509,52 +509,3 @@ class CurveSpec:
     def to_texts(self) -> tuple[str, str, str, str]:
         from .printer import to_text  # here, so that no command compiles it
         return tuple(to_text(c) for c in self.comps)
-
-
-class DirectorReport(NamedTuple):
-    """Outcome of checking a director curve against a model space."""
-
-    target: float
-    max_violation: float
-    worst_t: float
-    sign_ok: bool
-    passed: bool
-    n_samples: int
-
-
-_TARGETS = {
-    ModelSpace.HYPERBOLIC: -1.0,
-    ModelSpace.DE_SITTER: 1.0,
-    ModelSpace.LIGHT_CONE: 0.0,
-}
-
-
-def validate_director(curve: CurveSpec, constraint: ModelSpace,
-                      grid: Sequence[float]) -> DirectorReport:
-    """Check <c(t), c(t)> against the constraint target on a sample grid.
-
-    The quadratic-form violation is reported as a max over samples; the sign
-    condition (positive time slot on the hyperbolic sheet, nonzero time slot
-    on the light cone) is a separate boolean.  `passed` requires both, the
-    violation within MEMBERSHIP_TOL.  An empty grid is a ValueError.
-    """
-    if len(grid) == 0:
-        raise ValueError("validate_director needs at least one sample")
-    target = _TARGETS[constraint]
-    worst = -1.0
-    worst_t = float(grid[0])
-    sign_ok = True
-    for t in grid:
-        p = curve.position(t)
-        q = lorentz_dot(p, p)
-        violation = abs(q - target)
-        if violation > worst:
-            worst = violation
-            worst_t = float(t)
-        if constraint is ModelSpace.HYPERBOLIC and not p.c0 > 0.0:
-            sign_ok = False
-        if constraint is ModelSpace.LIGHT_CONE and p.c0 == 0.0:
-            sign_ok = False
-    passed = worst <= MEMBERSHIP_TOL and sign_ok
-    return DirectorReport(target, worst, worst_t, sign_ok,
-                          passed, len(grid))

@@ -62,6 +62,15 @@ class ModelSpace(Enum):
     LIGHT_CONE = "light_cone"  # <x,x> =  0 and x0 != 0
 
 
+# Each model space's value of <x, x> and the condition on its time slot x0,
+# read by characterize and by hypersurface.make_ruled's director test.
+_MODEL_SPACES = {
+    ModelSpace.HYPERBOLIC: (-1.0, lambda x0: x0 > 0.0),
+    ModelSpace.DE_SITTER: (1.0, lambda x0: True),
+    ModelSpace.LIGHT_CONE: (0.0, lambda x0: x0 != 0.0),
+}
+
+
 class Vec4(Frozen):
     """Immutable 4-vector; slot 0 is the timelike coordinate."""
 
@@ -173,11 +182,11 @@ def _require_axis(i_vec: Vec4) -> None:
 def characterize(x: Vec4) -> Characterization:
     """Norm, causal character, and model-space memberships of a vector.
 
-    Membership tests use an absolute tolerance of 1e-9 on the quadratic
-    form; the sign conditions (x0 > 0 for the hyperbolic sheet, x0 != 0 on
-    the light cone) are exact.  The ZERO character is reserved for the
-    exactly-zero vector; any other vector with vanishing quadratic form is
-    LIGHTLIKE.
+    Membership reads _MODEL_SPACES: an absolute tolerance of MEMBERSHIP_TOL
+    on the quadratic form, and the exact time-slot condition (x0 > 0 for
+    the hyperbolic sheet, x0 != 0 on the light cone).  The ZERO character
+    is reserved for the exactly-zero vector; any other vector with
+    vanishing quadratic form is LIGHTLIKE.
     """
     q = lorentz_dot(x, x)
     n = math.sqrt(abs(q))
@@ -189,11 +198,7 @@ def characterize(x: Vec4) -> Characterization:
         character = CausalCharacter.TIMELIKE
     else:
         character = CausalCharacter.LIGHTLIKE
-    members = set()
-    if abs(q + 1.0) <= MEMBERSHIP_TOL and x.c0 > 0.0:
-        members.add(ModelSpace.HYPERBOLIC)
-    if abs(q - 1.0) <= MEMBERSHIP_TOL:
-        members.add(ModelSpace.DE_SITTER)
-    if abs(q) <= MEMBERSHIP_TOL and x.c0 != 0.0:
-        members.add(ModelSpace.LIGHT_CONE)
-    return Characterization(n, character, frozenset(members))
+    members = frozenset(space for space, (target, time_ok)
+                        in _MODEL_SPACES.items()
+                        if abs(q - target) <= MEMBERSHIP_TOL and time_ok(x.c0))
+    return Characterization(n, character, members)

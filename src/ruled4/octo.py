@@ -16,18 +16,17 @@ own dual part instead.
 
 Constructed surfaces are UNCONSTRAINED: their directors live on no fixed
 model space, so the metric uses the actual director products.  Unit and
-orthogonality expectations are advisory; violations become warnings on the
-returned surface, never errors.
+orthogonality expectations are advisory, checked at the ADVISORY_SAMPLES
+points of the x interval that hypersurface._sample keeps; violations become
+warnings on the returned surface, never errors.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DomainError
-from .expr import CurveSpec
-from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _axis,
-                           make_ruled)
+from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _position,
+                           _sample, make_ruled)
 from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
                       lorentz_dot)
 
@@ -36,17 +35,10 @@ from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
 
 __all__ = [
     "PairCrossCurve", "construct_from_octonions", "construct_from_dual_curves",
-    "star_point", "star_point_dual", "ADVISORY_TOL", "ADVISORY_SAMPLES",
-    "SKIPPED_NOTE",
+    "star_point", "star_point_dual", "ADVISORY_TOL",
 ]
 
 ADVISORY_TOL = 1e-9
-# The advisory checks sample the x interval at _axis's ADVISORY_SAMPLES
-# points.  Where a curve is undefined at some, the surface's warnings carry
-# SKIPPED_NOTE with their number: a note, not a hypothesis violation.
-ADVISORY_SAMPLES = 33
-SKIPPED_NOTE = ("advisory checks skipped {} of %d samples, where a curve is "
-                "undefined" % ADVISORY_SAMPLES)
 
 
 class PairCrossCurve(NamedTuple):
@@ -83,30 +75,6 @@ class PairCrossCurve(NamedTuple):
         return pos, vel, acc
 
 
-def _position(curve: Curve, t: float) -> Vec4:
-    """curve's position at t; a CurveSpec builds no derivatives for it."""
-    if isinstance(curve, CurveSpec):
-        return curve.position(t)
-    return curve.evaluate(t)[0]
-
-
-def _positions(curves: dict[str, Curve], x_interval: tuple[float, float]
-               ) -> tuple[dict[str, list[Vec4]], int]:
-    """(each curve's position at every advisory sample of x_interval where
-    all of them have one, one evaluation apiece; the number skipped)."""
-    pos: dict[str, list[Vec4]] = {name: [] for name in curves}
-    skipped = 0
-    for t in _axis(*x_interval, ADVISORY_SAMPLES):
-        try:
-            row = [_position(curve, t) for curve in curves.values()]
-        except DomainError:
-            skipped += 1
-            continue
-        for samples, p in zip(pos.values(), row):
-            samples.append(p)
-    return pos, skipped
-
-
 def _advisory_checks(curves: dict[str, Curve],
                      x_interval: tuple[float, float],
                      units: list[str],
@@ -115,14 +83,13 @@ def _advisory_checks(curves: dict[str, Curve],
                      rulings: tuple[str, str],
                      dual_norm: str) -> tuple[str, ...]:
     """The advisories under the `dual_norm` product, over the samples that
-    _positions keeps, then whether the rulings coincide up to sign.  A dual
-    curve a + eps a* is on the dual unit sphere when a is unit and
-    2<a, a*> = 0."""
-    pos, skipped = _positions(curves, x_interval)
-    dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
+    hypersurface._sample keeps, then whether the rulings coincide up to
+    sign.  A dual curve a + eps a* is on the dual unit sphere when a is
+    unit and 2<a, a*> = 0."""
     warnings: list[str] = []
-    if skipped:
-        warnings.append(SKIPPED_NOTE.format(skipped))
+    rows = _sample(curves.values(), x_interval, warnings)
+    pos = {name: [row[k] for _, row in rows] for k, name in enumerate(curves)}
+    dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     for name in units:
         worst = 0.0
         for p in pos[name]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .check import INTERNAL_REL_TOL, REFERENCE_TOL, ClaimResult, _fmt, _over
+from .hypersurface import ADVISORY_SAMPLES, SKIPPED_NOTE
 from .lorentz import Vec4, _require_axis, cross4
 from .scene import _CURVE_KEYS, _REFERENCE_ROLES
 
@@ -33,7 +34,6 @@ def _positions(s):
 
 
 def _claim_construction_hypotheses(s) -> ClaimResult:
-    from .octo import ADVISORY_SAMPLES, SKIPPED_NOTE
     # a note of skipped samples is no violation; if every sample was
     # skipped, the hypotheses were checked over none
     notes = [SKIPPED_NOTE.format(k) for k in range(ADVISORY_SAMPLES + 1)]

@@ -78,7 +78,7 @@ def claims(s) -> list:
     """lb_closed_form and lb_closed_form_weights where the directors are
     orthogonal, then director_membership, for a typed check session."""
     # here, so that the scalar API loads the closed form without the claims
-    from .check import LB_CLOSED_TOL, ClaimResult, _fmt
+    from .check import LB_CLOSED_TOL, ClaimResult, _fmt, _over
     out = []
     gaps = _lb_closed_gaps(s)
     if gaps is not None:
@@ -105,18 +105,14 @@ def claims(s) -> list:
     space = "de Sitter sphere" if s.surface.kind is SurfaceKind.TYPE1 \
         else "upper hyperbolic sheet"
     reports = s.surface.director_reports
-    detail = {"directors": [
-        {"target": r.target, "max_violation": r.max_violation,
-         "worst_t": r.worst_t, "sign_ok": r.sign_ok, "passed": r.passed}
-        for r in reports]}
-    all_ok = bool(reports) and all(r.passed for r in reports)
-    worst = max((r.max_violation for r in reports), default=float("nan"))
-    signs = all(r.sign_ok for r in reports) if reports else False
     out.append(ClaimResult(
         "director_membership",
         f"both director curves lie on the {space}",
-        f"max quadratic-form violation {_fmt(worst)}; sign conditions "
-        + ("hold" if signs else "violated"),
-        "pass" if all_ok else "discrepancy",
-        detail))
+        ("max quadratic-form violation "
+         f"{_fmt(max(r.max_violation for r in reports))}; sign conditions "
+         + ("hold" if all(r.sign_ok for r in reports) else "violated"))
+        if reports else "no director sample could be evaluated",
+        _over(len(reports), "pass" if all(r.passed for r in reports)
+              else "discrepancy"),
+        {"directors": [r._asdict() for r in reports]}))
     return out

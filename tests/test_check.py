@@ -173,6 +173,31 @@ def test_hypotheses_over_no_advisory_sample_are_inconclusive():
     assert report.exit_code == 1
 
 
+def _example1_with_beta(beta):
+    """example1, strict as shipped, with director beta's components."""
+    doc = json.loads(
+        (resources.files("ruled4.scenes") / "example1.json").read_text())
+    doc["curves"]["beta"] = beta
+    return scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("beta", [
+    ["0*(t - t)^-1", "0", "0", "0"],    # undefined at every x
+    ["1e200", "1e200", "0", "0"],       # <beta, beta> overflows
+], ids=["undefined", "overflow"])
+def test_director_membership_over_no_sample_is_inconclusive(beta):
+    report = check_scene(_example1_with_beta(beta))
+    assert report.warnings == ("advisory checks skipped 33 of 33 samples, "
+                               "where a curve is undefined",)
+    claim = by_name(report)["director_membership"]
+    assert claim.verdict == "inconclusive"
+    assert claim.computed == "no director sample could be evaluated"
+    assert claim.details == {"directors": []}
+    assert report.exit_code == 1
+    # the JSON writer refuses NaN, so no non-finite number reached it
+    json.loads(report.to_json())
+
+
 def test_exit_code_reflects_only_fail():
     ok = ClaimResult("a", "claim", "computed", "pass")
     disc = ClaimResult("b", "claim", "computed", "discrepancy")

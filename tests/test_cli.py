@@ -398,6 +398,29 @@ def test_advisory_samples_skip_where_a_curve_is_undefined(tmp_path, capsys):
     assert any(w.startswith("curve u is not unit") for w in warnings)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_director_samples_skip_where_a_director_is_undefined(tmp_path, capsys,
+                                                             strict):
+    # beta cannot be evaluated at t = 0.5, one of the 33 director samples of
+    # [0, 1] but no grid sample; membership skips it and says so
+    doc = json.loads(Path(scene("example1.json")).read_text())
+    doc["curves"]["beta"][0] = "(1/sqrt(7)) + 0*(t - 0.5)^-1"
+    doc["intervals"]["x"] = [0, 1]
+    doc["resolution"] = [4, 3, 3]
+    doc["strict"] = strict
+    path = tmp_path / "director.json"
+    path.write_text(json.dumps(doc))
+    for args in (["check"], ["mesh", "--format", "csv"]):
+        out = tmp_path / f"{args[0]}.out"
+        assert main([*args, str(path), "--out", str(out)]) == 0, args
+        assert "ruled4: error:" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "check.out").read_text())
+    assert report["warnings"] == ["advisory checks skipped 1 of 33 samples, "
+                                  "where a curve is undefined"]
+    claims = {c["name"]: c for c in report["claims"]}
+    assert claims["director_membership"]["verdict"] == "pass"
+
+
 def test_curve_claim_over_no_sample_is_inconclusive(tmp_path):
     # alpha fails at every x, so every slice is flagged and reference_curves
     # compares nothing

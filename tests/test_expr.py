@@ -1,4 +1,4 @@
-"""Expression parsing, printing round-trip, evaluation, director checks."""
+"""Expression parsing, printing round-trip and evaluation."""
 
 import math
 import random
@@ -21,9 +21,8 @@ from ruled4.expr import (
     evaluate_float,
     evaluate_jet,
     parse_expr,
-    validate_director,
 )
-from ruled4.lorentz import ModelSpace, Vec4
+from ruled4.lorentz import Vec4
 from ruled4.printer import to_text
 
 from support import mp_reference
@@ -326,54 +325,6 @@ def test_constant_curve_returns_equal_jets_at_every_t():
     for t in (-1.0, 0.0, 0.25, 3.0):
         assert curve.evaluate(t) == want
         assert curve.position(t) == want[0]
-
-
-def test_validate_director_de_sitter():
-    curve = CurveSpec.from_strings(
-        ["sinh(t/3)", "cosh(t/3)", "0", "0"])
-    grid = [k / 8.0 - 1.0 for k in range(17)]
-    report = validate_director(curve, ModelSpace.DE_SITTER, grid)
-    assert report.passed
-    assert report.target == 1.0
-    assert report.max_violation <= 1e-12
-    assert report.sign_ok
-    assert report.n_samples == 17
-
-
-def test_validate_director_hyperbolic_sign():
-    # correct quadratic form, wrong sheet: sign violation only
-    curve = CurveSpec.from_strings(["-cosh(t/4)", "sinh(t/4)", "0", "0"])
-    grid = [0.0, 0.5, 1.0]
-    report = validate_director(curve, ModelSpace.HYPERBOLIC, grid)
-    assert report.max_violation <= 1e-12
-    assert not report.sign_ok
-    assert not report.passed
-
-
-def test_validate_director_light_cone():
-    curve = CurveSpec.from_strings(["t + 2", "t + 2", "0", "0"])
-    report = validate_director(curve, ModelSpace.LIGHT_CONE, [0.0, 0.5, 1.0])
-    assert report.passed and report.target == 0.0
-    flat = CurveSpec.from_strings(["0", "0", "0", "0"])
-    report = validate_director(flat, ModelSpace.LIGHT_CONE, [0.0, 1.0])
-    assert not report.sign_ok and not report.passed
-
-
-def test_validate_director_reports_worst_sample():
-    # violation grows with |t|; the worst grid point must be reported
-    curve = CurveSpec.from_strings(["0", "1 + t^2", "0", "0"])
-    report = validate_director(curve, ModelSpace.DE_SITTER,
-                               [0.0, 0.5, -1.0])
-    assert report.worst_t == -1.0
-    assert report.max_violation == pytest.approx(3.0)
-    assert not report.passed
-
-
-def test_validate_director_refuses_an_empty_grid():
-    # over no samples there is no violation to report, so no verdict
-    curve = CurveSpec.from_strings(["0", "1", "0", "0"])
-    with pytest.raises(ValueError):
-        validate_director(curve, ModelSpace.DE_SITTER, [])
 
 
 DEEP_TEXTS = ["(" * 3000 + "t" + ")" * 3000,    # overflows a recursive parser

@@ -27,7 +27,8 @@ from ruled4.errors import (
     SingularMetric,
 )
 from ruled4.expr import CurveSpec
-from ruled4.hypersurface import SurfaceKind, _axis, make_ruled
+from ruled4.hypersurface import (ADVISORY_SAMPLES, SKIPPED_NOTE, SurfaceKind,
+                                 _axis, make_ruled)
 from ruled4.lorentz import CausalCharacter, Vec4, cross4, lorentz_dot
 from ruled4.mesh import sample_grid
 from ruled4.octo import construct_from_octonions
@@ -253,17 +254,94 @@ def test_domain_error_propagates_from_curves():
         eval_point(h, 0.0, 0.1, 0.1)
 
 
-def test_non_curvespec_director_warns_membership_unchecked():
-    class RawCurve:
-        def evaluate(self, t):
-            c, s = math.cos(t), math.sin(t)
-            return (Vec4(0.0, c, s, 0.0), Vec4(0.0, -s, c, 0.0),
-                    Vec4(0.0, -c, -s, 0.0))
+def director_reports(beta, kind, **kwargs):
+    """make_ruled's director reports for beta (texts), gamma on the model
+    space of kind."""
+    alpha = CurveSpec.from_strings(["t", "0", "0", "0"])
+    gamma = CurveSpec.from_strings(["0", "0", "cos(t)", "sin(t)"]
+                                   if kind is SurfaceKind.TYPE1
+                                   else ["cosh(t/4)", "0", "sinh(t/4)", "0"])
+    return make_ruled(alpha, CurveSpec.from_strings(beta), gamma, kind,
+                      **kwargs).director_reports
 
+
+def test_director_report_de_sitter():
+    reports = director_reports(["sinh(t/3)", "cosh(t/3)", "0", "0"],
+                               SurfaceKind.TYPE1, strict=True)
+    assert len(reports) == 2
+    report = reports[0]
+    assert report.passed
+    assert report.target == 1.0
+    assert report.max_violation <= 1e-12
+    assert report.sign_ok
+
+
+def test_director_report_hyperbolic_sign():
+    # correct quadratic form, wrong sheet: sign violation only
+    report = director_reports(["-cosh(t/4)", "sinh(t/4)", "0", "0"],
+                              SurfaceKind.TYPE2, x_interval=(0.0, 1.0))[0]
+    assert report.target == -1.0
+    assert report.max_violation <= 1e-12
+    assert not report.sign_ok
+    assert not report.passed
+
+
+def test_director_report_names_the_first_worst_sample():
+    # the violation (1 + t^2)^2 - 1 peaks at t = -1 and again at t = 1
+    report = director_reports(["0", "1 + t^2", "0", "0"],
+                              SurfaceKind.TYPE1)[0]
+    assert report.worst_t == -1.0
+    assert report.max_violation == pytest.approx(3.0)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("kind", [SurfaceKind.TYPE1, SurfaceKind.TYPE2])
+def test_overflowing_director_is_skipped_not_passed(kind):
+    # <beta, beta> = -inf + inf is nan at every sample: nothing is graded,
+    # and the surface says so instead of passing the director
+    alpha = CurveSpec.from_strings(["t", "0", "0", "0"])
+    big = CurveSpec.from_strings(["1e200", "1e200", "0", "0"])
+    h = make_ruled(alpha, big, big, kind, strict=True)
+    assert h.director_reports == ()
+    assert h.warnings == (SKIPPED_NOTE.format(ADVISORY_SAMPLES),)
+
+
+def test_overflowing_curve_is_skipped_by_the_advisories():
+    # max(0.0, nan) is 0.0: without the skip, u would read as unit
+    u = CurveSpec.from_strings(["1e200", "1e200", "0", "0"])
+    v = CurveSpec.from_strings(["0", "1", "0", "0"])
+    w = CurveSpec.from_strings(["0", "0", "1", "0"])
+    h = construct_from_octonions(u, v, w)
+    assert h.warnings == (SKIPPED_NOTE.format(ADVISORY_SAMPLES),)
+
+
+class RawCurve:
+    """A Curve that is no CurveSpec: scale times (0, cos t, sin t, 0)."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def evaluate(self, t):
+        c, s = self.scale * math.cos(t), self.scale * math.sin(t)
+        return (Vec4(0.0, c, s, 0.0), Vec4(0.0, -s, c, 0.0),
+                Vec4(0.0, -c, -s, 0.0))
+
+
+def test_raw_curve_director_is_graded():
     alpha = CurveSpec.from_strings(["t", "0", "0", "0"])
     gamma = CurveSpec.from_strings(["0", "0", "0", "1"])
-    h = make_ruled(alpha, RawCurve(), gamma, SurfaceKind.TYPE1)
-    assert any("membership not checked" in w for w in h.warnings)
+    on = make_ruled(alpha, RawCurve(1.0), gamma, SurfaceKind.TYPE1,
+                    strict=True)
+    assert on.warnings == ()
+    assert [r.passed for r in on.director_reports] == [True, True]
+    off = make_ruled(alpha, RawCurve(2.0), gamma, SurfaceKind.TYPE1)
+    assert [r.passed for r in off.director_reports] == [False, True]
+    assert off.warnings[0].startswith("director beta fails de_sitter "
+                                      "membership: max quadratic-form "
+                                      "violation 3 at t=-1")
+    with pytest.raises(DirectorConstraintViolated):
+        make_ruled(alpha, RawCurve(2.0), gamma, SurfaceKind.TYPE1,
+                   strict=True)
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,10 @@ print(nodes[0])
 """
 
 NODE_BOUNDS = {
-    ("setup", "exampleE1"): 9474, ("setup", "exampleEx3"): 11248,
-    ("check", "exampleE1"): 18640, ("check", "exampleEx3"): 20438,
-    ("report", "exampleE1"): 19842, ("report", "exampleEx3"): 21640,
-    ("mesh", "exampleE1"): 15215, ("mesh", "exampleEx3"): 16989,
+    ("setup", "exampleE1"): 9473, ("setup", "exampleEx3"): 11058,
+    ("check", "exampleE1"): 18595, ("check", "exampleEx3"): 20248,
+    ("report", "exampleE1"): 19797, ("report", "exampleEx3"): 21450,
+    ("mesh", "exampleE1"): 15214, ("mesh", "exampleEx3"): 16799,
 }
 SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
 

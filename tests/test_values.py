@@ -15,8 +15,8 @@ import pytest
 from ruled4.check import ClaimResult, check_scene
 from ruled4.dual import Jet2
 from ruled4.errors import NonFiniteValue
-from ruled4.expr import Add, Const, Sub, Var, parse_expr, validate_director
-from ruled4.lorentz import ModelSpace, Vec4
+from ruled4.expr import Add, Const, Sub, Var, parse_expr
+from ruled4.lorentz import Vec4
 from ruled4.mesh import sample_grid
 from ruled4.octonion import Octonion, ParticularOctonion, default_table
 from ruled4.pointwise import curvature_report, frame, gauss_map
@@ -39,14 +39,14 @@ def records():
     report = check_scene(cfg)
     x, y, z = pt.params
     rep = curvature_report(h, x, y, z)
-    beta = shipped("exampleE1").curves["beta"]
+    typed = build_hypersurface(shipped("exampleE1"))
     return [
         (h, "warnings"), (h.alpha, "i_vec"), (pt, "laplacian"),
         (frame(h, x, y, z), "position"), (rep, "gauss_curvature"),
         (rep.metric, "detg"), (gauss_map(h, x, y, z), "unit"),
         (mesh, "vertices"), (mesh.vertices[0], "gauss_k"),
         (report, "claims"), (report.claims[0], "verdict"),
-        (validate_director(beta, ModelSpace.DE_SITTER, [0.0]), "passed"),
+        (typed.director_reports[0], "passed"),
         (default_table(), "seed"),
         (Jet2(1.0, 2.0, 3.0), "f"),
         (Octonion.one(), "coeffs"),
