@@ -20,12 +20,10 @@ verdict, details}], "exit_code"}.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import NamedTuple, Optional
 
-from .crosscheck import _det, _normal_expanded, lorentz_gram
-from .hypersurface import _RULING_DIAGONAL
-from .kernel import _detg_closed, _walk_slices
+from .crosscheck import _det, _detg_closed, _normal_expanded, lorentz_gram
+from .kernel import _walk_slices
 from .lorentz import lorentz_dot
 from .scene import SceneConfig, _dumps, build_hypersurface
 
@@ -106,22 +104,15 @@ def _claimed(claimed: Optional[bool], holds: bool,
 
 
 class _Session:
-    """One scene's worth of shared evaluation state: one walk of its grid."""
+    """One scene's worth of shared evaluation state: one walk of its grid as
+    kernel._walk_slices yields it, and its unflagged records in grid order."""
 
     def __init__(self, cfg: SceneConfig):
         self.cfg = cfg
         self.surface = build_hypersurface(cfg)
-        self.points = []
-        self.slices = {}  # x -> the walk's _Slice at x
-        for x, s, points in _walk_slices(self.surface, cfg):
-            self.points += points
-            if s is not None:
-                self.slices[x] = s
-        self.flagged_slices = cfg.resolution[0] - len(self.slices)
-        self.graded = [pt for pt in self.points if not pt.flags]
-        self.degenerate = len(self.points) - len(self.graded)
-        # x -> _gram of the walk's slice at x
-        self.grams = {x: _gram(sl.jets) for x, sl in self.slices.items()}
+        self.slices = list(_walk_slices(self.surface, cfg))
+        self.graded = [pt for _, _, points in self.slices for pt in points
+                       if not pt.flags]
 
 
 def _claim_flatness(s: _Session) -> ClaimResult:
@@ -131,15 +122,19 @@ def _claim_flatness(s: _Session) -> ClaimResult:
     detail = {
         "max_abs_K": worst,
         "points_checked": len(s.graded),
-        "points_degenerate": s.degenerate,
+        "points_degenerate": sum(len(points) for *_, points in s.slices)
+        - len(s.graded),
         "structural": "second form rows 2 and 3 vanish, so det h = 0 identically",
     }
-    verdict = _over(len(s.graded), "pass" if worst <= FLAT_TOL else "fail")
+    flat = worst <= FLAT_TOL
+    every = "every 2-ruled hypersurface has Gauss curvature K = 0"
+    verdict, claim_text = _claimed(s.cfg.claims.get("flat"), flat,
+                                   (every, "the surface is not flat", every))
+    # a nonzero K contradicts the structural zero: a fault under any claim
     return ClaimResult(
-        "flatness",
-        "every 2-ruled hypersurface has Gauss curvature K = 0",
+        "flatness", claim_text,
         f"max |K| = {_fmt(worst)} over {len(s.graded)} points",
-        verdict, detail)
+        _over(len(s.graded), verdict if flat else "fail"), detail)
 
 
 def _claim_minimality(s: _Session) -> ClaimResult:
@@ -203,17 +198,21 @@ def _gram(jets):
     return at
 
 
-def _claim_gauss_consistency(s: _Session) -> ClaimResult:
-    worst_exp = worst_orth = worst_lag = 0.0
-    for x, pts in groupby(s.graded, key=lambda pt: pt.params[0]):
-        # from the walk's jets; the normal is linear in phi_x = A1+y*B1+z*G1
-        (_, a1, _), (b0, b1, _), (g0, g1, _) = s.slices[x].jets
+def _claim_consistency(s: _Session) -> list[ClaimResult]:
+    """gauss_map_consistency and metric_consistency, graded in one pass per
+    evaluated slice, whose Gram _gram assembles from its jets once."""
+    worst_exp = worst_orth = worst_lag = worst_det = worst_inv = 0.0
+    for _, sl, points in s.slices:
+        if sl is None:
+            continue
+        # the normal is linear in phi_x = A1 + y B1 + z G1
+        (_, a1, _), (b0, b1, _), (g0, g1, _) = sl.jets
         beta, gamma = b0.components(), g0.components()
         (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3) = [
             _normal_expanded(v.components(), beta, gamma)
             for v in (a1, b1, g1)]
-        gram_at = s.grams[x]
-        for pt in pts:
+        gram_at, sigma = _gram(sl.jets), sl.sigma
+        for pt in [pt for pt in points if not pt.flags]:
             _, y, z = pt.params
             n_raw, u = pt.n_raw, pt.unit
             n0, n1, n2, n3 = n_raw.components()
@@ -223,39 +222,19 @@ def _claim_gauss_consistency(s: _Session) -> ClaimResult:
                       abs(p3 + y * q3 + z * r3 - n3))
             worst_exp = max(worst_exp, gap / max(1.0, abs(n0), abs(n1),
                                                  abs(n2), abs(n3)))
-            gram = (a, _, _), (_, bb, _), (_, _, gg) = gram_at(y, z)
+            gram = (a, b, c), (_, m22, e), (_, _, m33) = gram_at(y, z)
             worst_orth = max(
                 worst_orth,
                 abs(lorentz_dot(u, a1) + y * lorentz_dot(u, b1)
                     + z * lorentz_dot(u, g1)) / max(1.0, abs(a)),
-                abs(lorentz_dot(u, b0)) / max(1.0, abs(bb)),
-                abs(lorentz_dot(u, g0)) / max(1.0, abs(gg)))
+                abs(lorentz_dot(u, b0)) / max(1.0, abs(m22)),
+                abs(lorentz_dot(u, g0)) / max(1.0, abs(m33)))
             nn = lorentz_dot(n_raw, n_raw)
             worst_lag = max(worst_lag, abs(nn + _det(gram))
                             / max(1.0, abs(nn)))
-    bad = (worst_exp > EXPANDED_NORMAL_TOL or worst_orth > INTERNAL_REL_TOL
-           or worst_lag > INTERNAL_REL_TOL)
-    return ClaimResult(
-        "gauss_map_consistency",
-        "expanded cofactor components equal the ternary-product normal, "
-        "which is orthogonal to all tangents with squared magnitude "
-        "-det(Gram)",
-        f"max deviations: expanded {_fmt(worst_exp)}, orthogonality "
-        f"{_fmt(worst_orth)}, Gram linkage {_fmt(worst_lag)}",
-        _over(len(s.graded), "fail" if bad else "pass"),
-        {"expanded_vs_direct": worst_exp, "orthogonality": worst_orth,
-         "gram_linkage": worst_lag})
-
-
-def _claim_metric_consistency(s: _Session) -> ClaimResult:
-    # the record's adj / det g times the g that _gram assembles from the jets
-    sigma = _RULING_DIAGONAL.get(s.surface.kind)
-    worst_det = worst_inv = 0.0
-    for x, pts in groupby(s.graded, key=lambda pt: pt.params[0]):
-        gram_at = s.grams[x]
-        for pt in pts:
+            # the record's adj / det g times the g that _gram assembles, its
+            # ruling diagonal pinned to sigma for a constrained kind
             d = pt.detg
-            (a, b, c), (_, m22, e), (_, _, m33) = gram_at(*pt.params[1:])
             if sigma is not None:
                 m22 = m33 = sigma
                 closed = _detg_closed(sigma, pt.a, pt.b, pt.c, pt.e)
@@ -270,15 +249,27 @@ def _claim_metric_consistency(s: _Session) -> ClaimResult:
                 abs(i1 * c + i4 * e + i5 * m33), abs(i2 * a + i5 * b + i8 * c),
                 abs(i2 * b + i5 * m22 + i8 * e),
                 abs(i2 * c + i5 * e + i8 * m33 - 1.0))
-    bad = worst_det > INTERNAL_REL_TOL or worst_inv > INTERNAL_REL_TOL
-    return ClaimResult(
+    gauss_bad = (worst_exp > EXPANDED_NORMAL_TOL
+                 or worst_orth > INTERNAL_REL_TOL
+                 or worst_lag > INTERNAL_REL_TOL)
+    metric_bad = worst_det > INTERNAL_REL_TOL or worst_inv > INTERNAL_REL_TOL
+    return [ClaimResult(
+        "gauss_map_consistency",
+        "expanded cofactor components equal the ternary-product normal, "
+        "which is orthogonal to all tangents with squared magnitude "
+        "-det(Gram)",
+        f"max deviations: expanded {_fmt(worst_exp)}, orthogonality "
+        f"{_fmt(worst_orth)}, Gram linkage {_fmt(worst_lag)}",
+        _over(len(s.graded), "fail" if gauss_bad else "pass"),
+        {"expanded_vs_direct": worst_exp, "orthogonality": worst_orth,
+         "gram_linkage": worst_lag}), ClaimResult(
         "metric_consistency",
         "closed-form determinant and adjugate inverse match the direct "
         "3x3 computations",
         f"max deviations: determinant {_fmt(worst_det)}, "
         f"inverse product {_fmt(worst_inv)}",
-        _over(len(s.graded), "fail" if bad else "pass"),
-        {"det_closed_vs_direct": worst_det, "inverse_identity": worst_inv})
+        _over(len(s.graded), "fail" if metric_bad else "pass"),
+        {"det_closed_vs_direct": worst_det, "inverse_identity": worst_inv})]
 
 
 def _claim_minimality_linkage(s: _Session) -> ClaimResult:
@@ -308,8 +299,7 @@ def _grade(session: _Session) -> CheckReport:
         _claim_flatness(session),
         _claim_minimality(session),
         _claim_lb_zero(session),
-        _claim_gauss_consistency(session),
-        _claim_metric_consistency(session),
+        *_claim_consistency(session),
         _claim_minimality_linkage(session),
     ]
     # the claims of one kind of scene live in a module loaded for it alone
@@ -330,5 +320,5 @@ def report_document(cfg: SceneConfig) -> dict:
     session = _Session(cfg)
     doc = _grade(session).to_dict()
     doc["mesh"] = mesh_document(
-        grid_mesh(session.surface, cfg, session.points))
+        grid_mesh(session.surface, cfg, session.slices))
     return doc

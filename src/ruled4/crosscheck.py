@@ -2,8 +2,9 @@
 
 Everything here recomputes a quantity the core modules already produce, by
 a deliberately different route: expanded per-component cofactor formulas
-for the ruling normal, and Gram-matrix identities for the ternary product
-whose determinants are Leibniz permutation sums (_det), not the cofactor
+for the ruling normal, a constrained kind's det g as a polynomial
+(_detg_closed), and Gram-matrix identities for the ternary product whose
+determinants are Leibniz permutation sums (_det), not the cofactor
 expansion behind cross4.  lb_closed_full_p is an intentionally wrong
 variant of the orthogonal Laplacian closed form, kept as a probe:
 lb_closed_orthogonal's kernel with full weight on the P_k terms.  check.py's
@@ -57,6 +58,13 @@ def _normal_expanded(x: tuple, b: tuple, g: tuple
     n3 = b1 * d24 + b2 * (g4 * x1 - g1 * x4) + b4 * (g1 * x2 - g2 * x1)
     n4 = b1 * d32 + b2 * (g1 * x3 - g3 * x1) + b3 * (g2 * x1 - g1 * x2)
     return n1, n2, n3, n4
+
+
+def _detg_closed(sigma: float, a: float, b: float, c: float,
+                 e: float) -> float:
+    """det g in closed form for a constrained kind, whose ruling diagonal
+    is (sigma, sigma): -sigma b^2 + 2 c b e - sigma c^2 - a e^2 + a."""
+    return -sigma * b * b + 2.0 * c * b * e - sigma * c * c - a * e * e + a
 
 
 def lorentz_gram(vectors: Sequence[Vec4]) -> tuple[tuple[float, ...], ...]:

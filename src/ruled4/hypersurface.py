@@ -9,7 +9,8 @@ no parameter box of its own: a grid samples its scene's box.  Kinds:
     UNCONSTRAINED  directors free (constructions from ternary products)
 
 For the constrained kinds the metric's ruling diagonal is pinned to the
-constraint value (+1 or -1); in lax mode that choice is kept even when the
+directors' <p, p> in their model space (ruled4.kernel reads it from
+lorentz._MODEL_SPACES); in lax mode that choice is kept even when the
 directors violate their constraint, so the closed-form machinery always
 computes the same quantities, and violations are surfaced as warnings
 instead of being silently absorbed.  Membership is tested at
@@ -51,7 +52,7 @@ ORTHOGONAL_TOL = 1e-9
 # their number: a note, not a violation.
 ADVISORY_SAMPLES = 33
 SKIPPED_NOTE = ("advisory checks skipped {} of %d samples, where a curve is "
-                "undefined" % ADVISORY_SAMPLES)
+                "undefined or its <p, p> overflows" % ADVISORY_SAMPLES)
 
 # A 3x3 matrix as a tuple of three row tuples.
 Mat3 = tuple[tuple[float, float, float], ...]
@@ -66,11 +67,6 @@ class SurfaceKind(Enum):
 _DIRECTOR_SPACE = {
     SurfaceKind.TYPE1: ModelSpace.DE_SITTER,
     SurfaceKind.TYPE2: ModelSpace.HYPERBOLIC,
-}
-
-_RULING_DIAGONAL = {
-    SurfaceKind.TYPE1: 1.0,
-    SurfaceKind.TYPE2: -1.0,
 }
 
 

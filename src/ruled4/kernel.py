@@ -12,10 +12,15 @@ from collections import namedtuple
 
 from .errors import (DegenerateNormal, DomainError, NonFiniteValue,
                      SingularMetric)
-from .hypersurface import (_RULING_DIAGONAL, DEGENERATE_NORMAL_TOL,
+from .hypersurface import (_DIRECTOR_SPACE, DEGENERATE_NORMAL_TOL,
                            ORTHOGONAL_TOL, SINGULAR_METRIC_TOL, Mat3,
                            RuledHypersurface, SurfaceKind, _axis)
-from .lorentz import CausalCharacter, Vec4, _det3, cross4, lorentz_dot
+from .lorentz import (_MODEL_SPACES, CausalCharacter, Vec4, _det3, cross4,
+                      lorentz_dot)
+
+# (m22, m33) of a constrained kind: its directors' <p, p>, not their own norms
+_RULING_DIAGONAL = {kind: _MODEL_SPACES[space][0]
+                    for kind, space in _DIRECTOR_SPACE.items()}
 
 
 class GridPoint(namedtuple(
@@ -25,7 +30,7 @@ class GridPoint(namedtuple(
         defaults=(None,) * 19)):
     """One vertex as the slice kernel leaves it, in one flat record: n_raw
     to character are GaussMapData's fields, a to adj MetricData's but for
-    detg_closed (which _detg_closed gives), rn and grads are _Slice's.
+    detg_closed (crosscheck._detg_closed gives it), rn and grads are _Slice's.
     flags is () on a graded vertex; a flagged one has (the failure's name,),
     its position where that exists, and None elsewhere."""
 
@@ -39,13 +44,6 @@ def _regular(detg: float) -> float:
     if abs(detg) <= SINGULAR_METRIC_TOL:
         raise SingularMetric(f"metric determinant {detg!r}")
     return detg
-
-
-def _detg_closed(sigma: float, a: float, b: float, c: float,
-                 e: float) -> float:
-    """det g in closed form for a constrained kind, whose ruling diagonal
-    is (sigma, sigma): -sigma b^2 + 2 c b e - sigma c^2 - a e^2 + a."""
-    return -sigma * b * b + 2.0 * c * b * e - sigma * c * c - a * e * e + a
 
 
 def _second(rn: tuple, magnitude: float) -> Mat3:

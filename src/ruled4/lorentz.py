@@ -186,10 +186,12 @@ def characterize(x: Vec4) -> Characterization:
     on the quadratic form, and the exact time-slot condition (x0 > 0 for
     the hyperbolic sheet, x0 != 0 on the light cone).  The ZERO character
     is reserved for the exactly-zero vector; any other vector with
-    vanishing quadratic form is LIGHTLIKE.
+    vanishing quadratic form is LIGHTLIKE.  A vector whose <x, x> overflows
+    has no character to decide and raises NonFiniteValue.
     """
     q = lorentz_dot(x, x)
-    n = math.sqrt(abs(q))
+    if not math.isfinite(q):
+        raise NonFiniteValue(f"<x, x> = {q!r} has no causal character")
     if x.is_zero():
         character = CausalCharacter.ZERO
     elif q > 0.0:
@@ -201,4 +203,4 @@ def characterize(x: Vec4) -> Characterization:
     members = frozenset(space for space, (target, time_ok)
                         in _MODEL_SPACES.items()
                         if abs(q - target) <= MEMBERSHIP_TOL and time_ok(x.c0))
-    return Characterization(n, character, members)
+    return Characterization(math.sqrt(abs(q)), character, members)

@@ -19,7 +19,7 @@ scene._dumps writes the JSON document, as it writes check's and report's.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .hypersurface import RuledHypersurface
 from .kernel import GridPoint, _axes, _walk_slices
@@ -43,10 +43,11 @@ class Mesh(NamedTuple):
 
 
 def grid_mesh(h: RuledHypersurface, cfg: SceneConfig,
-              points: list[GridPoint]) -> Mesh:
-    """The Mesh of the points that kernel._walk_slices(h, cfg) gave."""
+              slices: Iterable[tuple]) -> Mesh:
+    """The Mesh of the slices that kernel._walk_slices(h, cfg) yields."""
     return Mesh(cfg.name, cfg.mode, tuple(cfg.resolution), _axes(cfg),
-                tuple(points), h.warnings)
+                tuple([pt for _, _, points in slices for pt in points]),
+                h.warnings)
 
 
 def sample_grid(h: RuledHypersurface, cfg: SceneConfig) -> Mesh:
@@ -54,8 +55,7 @@ def sample_grid(h: RuledHypersurface, cfg: SceneConfig) -> Mesh:
 
     One serial walk; RULED4_THREADS is accepted and ignored.
     """
-    return grid_mesh(h, cfg, [pt for _, _, points in _walk_slices(h, cfg)
-                              for pt in points])
+    return grid_mesh(h, cfg, _walk_slices(h, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ and the probe of the base curve's reference axis.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .check import INTERNAL_REL_TOL, REFERENCE_TOL, ClaimResult, _fmt, _over
 from .hypersurface import ADVISORY_SAMPLES, SKIPPED_NOTE
 from .lorentz import Vec4, _require_axis, cross4
@@ -59,8 +57,8 @@ def _claim_construction_equivalence(s, positions_at) -> ClaimResult:
     worst_vec = 0.0
     worst_scalar = 0.0
     graded = 0
-    for x, pts in groupby(s.points, key=lambda pt: pt.params[0]):
-        placed = [pt for pt in pts if pt.position is not None]
+    for x, _, points in s.slices:
+        placed = [pt for pt in points if pt.position is not None]
         if not placed:
             continue
         positions = positions_at(x)
@@ -87,15 +85,15 @@ def _claim_construction_equivalence(s, positions_at) -> ClaimResult:
         {"vector_gap": worst_vec, "scalar_defect": worst_scalar})
 
 
-def _claim_reference_curves(s) -> ClaimResult:
+def _claim_reference_curves(s, walked) -> ClaimResult:
     per_curve = {}
     worst = 0.0
     for key, ref in s.cfg.reference.items():
         role = _REFERENCE_ROLES[key]
         dev = [0.0, 0.0, 0.0, 0.0]
-        # the walk's jets; a slice the walk flagged is skipped and counted
-        for t, walked in s.slices.items():
-            got = walked.jets[role][0]
+        # the walk's jets
+        for t, sl in walked:
+            got = sl.jets[role][0]
             want = ref.position(t)
             for i, (a, b) in enumerate(zip(got.components(),
                                            want.components())):
@@ -109,18 +107,18 @@ def _claim_reference_curves(s) -> ClaimResult:
         f"max component deviation {_fmt(worst)} "
         + ("(all components match)" if matches
            else "(at least one published component deviates)"),
-        _over(len(s.slices), "pass" if matches else "discrepancy"),
-        {"per_curve_component_deviation": per_curve,
-         "samples": len(s.slices), "samples_skipped": s.flagged_slices})
+        _over(len(walked), "pass" if matches else "discrepancy"),
+        {"per_curve_component_deviation": per_curve, "samples": len(walked),
+         "samples_skipped": len(s.slices) - len(walked)})
 
 
-def _claim_alpha_probe(s, positions_at) -> ClaimResult:
+def _claim_alpha_probe(s, positions_at, walked) -> ClaimResult:
     ref = s.cfg.reference["alpha"]
     axes = {f"{label}e{slot + 1}": Vec4.basis(slot) * sign
             for slot in range(4)
             for sign, label in ((1.0, "+"), (-1.0, "-"))}
     candidates = dict.fromkeys(axes, 0.0)
-    for t in s.slices:
+    for t, _ in walked:
         pu, pv, pw = positions_at(t)
         want = ref.position(t).components()
         for label, axis in axes.items():
@@ -134,9 +132,10 @@ def _claim_alpha_probe(s, positions_at) -> ClaimResult:
         "the published base curve arises from the ternary-product "
         "construction for some reference axis",
         f"matched candidates: {matched if matched else 'none'}",
-        _over(len(s.slices), "pass" if matched else "discrepancy"),
+        _over(len(walked), "pass" if matched else "discrepancy"),
         {"max_deviation_per_candidate": candidates, "matched": matched,
-         "samples": len(s.slices), "samples_skipped": s.flagged_slices})
+         "samples": len(walked),
+         "samples_skipped": len(s.slices) - len(walked)})
 
 
 def claims(s) -> list[ClaimResult]:
@@ -144,11 +143,13 @@ def claims(s) -> list[ClaimResult]:
     order; the construction curves are evaluated once per x for all."""
     out = []
     positions_at = _positions(s)
+    # the slices the walk evaluated; a flagged one is skipped, and counted
+    walked = [(x, sl) for x, sl, _ in s.slices if sl is not None]
     if s.cfg.mode in ("octonion", "dual-octonion"):
         out += [_claim_construction_hypotheses(s),
                 _claim_construction_equivalence(s, positions_at)]
     if s.cfg.reference:
-        out.append(_claim_reference_curves(s))
+        out.append(_claim_reference_curves(s, walked))
     if s.cfg.mode == "octonion" and "alpha" in s.cfg.reference:
-        out.append(_claim_alpha_probe(s, positions_at))
+        out.append(_claim_alpha_probe(s, positions_at, walked))
     return out

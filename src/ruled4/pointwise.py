@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .hypersurface import (_RULING_DIAGONAL, ORTHOGONAL_TOL, Mat3,
-                           RuledHypersurface, SurfaceKind)
-from .kernel import (_detg_closed, _jets, _regular, _residual, _second,
-                     _Slice)
+from .crosscheck import _detg_closed
+from .hypersurface import ORTHOGONAL_TOL, Mat3, RuledHypersurface, SurfaceKind
+from .kernel import _jets, _regular, _residual, _second, _Slice
 from .lorentz import CausalCharacter, Vec4
 
 __all__ = [
@@ -127,7 +126,7 @@ def gauss_map(h: RuledHypersurface, x: float, y: float, z: float,
 def first_form(h: RuledHypersurface, x: float, y: float, z: float,
                fr: Optional[Frame] = None) -> MetricData:
     s, y, z = _at(h, x, y, z, fr)
-    return _metric(h.kind, s.forms(y, z)[0])
+    return _metric(h.kind, s, s.forms(y, z)[0])
 
 
 def inverse_metric(md: MetricData) -> Mat3:
@@ -197,9 +196,9 @@ def lb_closed_orthogonal(h: RuledHypersurface, x: float, y: float, z: float) -> 
 def _lb_closed_at(h: RuledHypersurface, x: float, y: float, z: float,
                   p_weight: float) -> Vec4:
     """The closed form at one point with weight `p_weight` on the P_k terms."""
-    if h.kind not in _RULING_DIAGONAL:
-        raise ValueError("closed form requires a constrained kind")
     s, y, z = _at(h, x, y, z)
+    if s.sigma is None:
+        raise ValueError("closed form requires a constrained kind")
     m, grads = s.forms(y, z)
     return _closed(s, y, z, *m[:3], grads, p_weight)
 
@@ -228,16 +227,15 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
         corollary = r11 + 2.0 * tau * pt.b * r12 + 2.0 * tau * pt.c * r13
         closed = _closed(s, y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
     return CurvatureReport(
-        pt.position, _metric(h.kind, pt[7:15]),
+        pt.position, _metric(h.kind, s, pt[7:15]),
         GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),
         _second(pt.rn, pt.magnitude), pt.gauss_k, pt.mean_h,
         pt.minimality, corollary, pt.laplacian, closed, h.warnings)
 
 
-def _metric(kind: SurfaceKind, m: tuple) -> MetricData:
-    """The MetricData of m = (a, b, c, e, m22, m33, detg, adj), as
-    _Slice.forms gives it and an unflagged kernel.GridPoint holds it."""
+def _metric(kind: SurfaceKind, s: _Slice, m: tuple) -> MetricData:
+    """The MetricData of m = (a, b, c, e, m22, m33, detg, adj), as the
+    kernel slice s's forms give it and an unflagged GridPoint holds it."""
     a, b, c, e, m22, m33, detg, adj = m
-    sigma = _RULING_DIAGONAL.get(kind)
-    closed = None if sigma is None else _detg_closed(sigma, a, b, c, e)
+    closed = None if s.sigma is None else _detg_closed(s.sigma, a, b, c, e)
     return MetricData(kind, a, b, c, e, m22, m33, detg, closed, adj)

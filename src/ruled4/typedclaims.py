@@ -58,19 +58,20 @@ def _lb_closed_gaps(s) -> Optional[tuple[float, float]]:
                                for pt in s.graded):
         return None
     worst_half = worst_full = 0.0
-    for pt in s.graded:
-        x, y, z = pt.params
-        (h0, h1, h2, h3), (f0, f1, f2, f3) = closed(
-            s.slices[x], y, z, pt.a, pt.b, pt.c, pt.grads, (0.5, 1.0))
-        # Vec4's screen: x * 0.0 is a signed zero for finite x, else nan
-        if (h0 * 0.0 + h1 * 0.0 + h2 * 0.0 + h3 * 0.0 + f0 * 0.0 + f1 * 0.0
-                + f2 * 0.0 + f3 * 0.0 != 0.0):
-            raise NonFiniteValue(f"closed-form Laplacian at {pt.params}")
-        l0, l1, l2, l3 = pt.laplacian.components()
-        worst_half = max(worst_half, abs(h0 - l0), abs(h1 - l1),
-                         abs(h2 - l2), abs(h3 - l3))
-        worst_full = max(worst_full, abs(f0 - l0), abs(f1 - l1),
-                         abs(f2 - l2), abs(f3 - l3))
+    for _, sl, points in s.slices:
+        for pt in [pt for pt in points if not pt.flags]:
+            _, y, z = pt.params
+            (h0, h1, h2, h3), (f0, f1, f2, f3) = closed(
+                sl, y, z, pt.a, pt.b, pt.c, pt.grads, (0.5, 1.0))
+            # Vec4's screen: x * 0.0 is a signed zero for finite x, else nan
+            if (h0 * 0.0 + h1 * 0.0 + h2 * 0.0 + h3 * 0.0 + f0 * 0.0
+                    + f1 * 0.0 + f2 * 0.0 + f3 * 0.0 != 0.0):
+                raise NonFiniteValue(f"closed-form Laplacian at {pt.params}")
+            l0, l1, l2, l3 = pt.laplacian.components()
+            worst_half = max(worst_half, abs(h0 - l0), abs(h1 - l1),
+                             abs(h2 - l2), abs(h3 - l3))
+            worst_full = max(worst_full, abs(f0 - l0), abs(f1 - l1),
+                             abs(f2 - l2), abs(f3 - l3))
     return worst_half, worst_full
 
 

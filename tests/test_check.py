@@ -80,6 +80,32 @@ def test_e1_grades_claims_as_discrepancies(e1_report):
     assert len(e1_report.warnings) == 2
 
 
+EVERY_SURFACE_FLAT = "every 2-ruled hypersurface has Gauss curvature K = 0"
+
+
+@pytest.mark.parametrize("flat, verdict, paper_claim", [
+    (True, "pass", EVERY_SURFACE_FLAT),
+    (None, "pass", EVERY_SURFACE_FLAT),
+    (False, "discrepancy", "the surface is not flat"),
+], ids=["true", "absent", "false"])
+def test_flatness_grades_the_flat_claim(flat, verdict, paper_claim):
+    doc = json.loads(
+        (resources.files("ruled4.scenes") / "example1.json").read_text())
+    if flat is None:
+        del doc["claims"]["flat"]
+    else:
+        doc["claims"]["flat"] = flat
+    cfg = scene_from_dict(doc)
+    report = check_scene(cfg)
+    claim = by_name(report)["flatness"]
+    assert (claim.verdict, claim.paper_claim) == (verdict, paper_claim)
+    assert report.exit_code == 0
+    # a nonzero K contradicts the structural zero: a fault under any claim
+    session = check._Session(cfg)
+    session.graded[0] = session.graded[0]._replace(gauss_k=1e-3)
+    assert check._claim_flatness(session).verdict == "fail"
+
+
 def test_e1_minimality_samples_pin_h11(e1_report):
     claims = by_name(e1_report)
     samples = claims["minimality"].details["samples"]
@@ -154,7 +180,7 @@ def test_skipped_advisory_sample_is_no_hypothesis_violation(a0):
     # sample: the skip stays a warning and the hypotheses still hold
     report = check_scene(_dualsphere_with_a0(a0))
     skipped = ("advisory checks skipped 1 of 33 samples, where a curve is "
-               "undefined")
+               "undefined or its <p, p> overflows")
     assert (skipped in report.warnings) == (a0 != "0")
     claim = by_name(report)["construction_hypotheses"]
     assert (claim.verdict, claim.computed) == ("pass", "hypotheses hold")
@@ -165,7 +191,8 @@ def test_skipped_advisory_sample_is_no_hypothesis_violation(a0):
 def test_hypotheses_over_no_advisory_sample_are_inconclusive():
     report = check_scene(_dualsphere_with_a0("0*(t - t)^-1"))
     assert report.warnings == ("advisory checks skipped 33 of 33 samples, "
-                               "where a curve is undefined",)
+                               "where a curve is undefined or its <p, p> "
+                               "overflows",)
     claim = by_name(report)["construction_hypotheses"]
     assert claim.verdict == "inconclusive"
     assert claim.computed == "no advisory sample could be evaluated"
@@ -188,7 +215,8 @@ def _example1_with_beta(beta):
 def test_director_membership_over_no_sample_is_inconclusive(beta):
     report = check_scene(_example1_with_beta(beta))
     assert report.warnings == ("advisory checks skipped 33 of 33 samples, "
-                               "where a curve is undefined",)
+                               "where a curve is undefined or its <p, p> "
+                               "overflows",)
     claim = by_name(report)["director_membership"]
     assert claim.verdict == "inconclusive"
     assert claim.computed == "no director sample could be evaluated"
@@ -339,28 +367,29 @@ def _nudge_vertex(cfg, part):
         pt2 = pt._replace(laplacian=pt.laplacian + shift)
     else:
         pt2 = pt._replace(detg=pt.detg + 1e-6)
-    for points in (session.points, session.graded):
+    x = pt.params[0]
+    row = next(points for at, _, points in session.slices if at == x)
+    for points in (row, session.graded):
         points[points.index(pt)] = pt2
     return session
 
 
 def _verdict(claim, session):
-    """The verdict on session of `claim`: the name of a grading function of
-    check, or module.name for a claim that a per-kind module grades."""
-    module, _, name = claim.rpartition(".")
-    if not module:
-        return getattr(check, name)(session).verdict
-    graded = importlib.import_module(f"ruled4.{module}").claims(session)
-    return {c.name: c for c in graded}[name].verdict
+    """The verdict on session of `claim`, module.name: check's cross-check
+    claims, or the claims of a per-kind module."""
+    module, name = claim.split(".")
+    grade = (check._claim_consistency if module == "check"
+             else importlib.import_module(f"ruled4.{module}").claims)
+    return {c.name: c for c in grade(session)}[name].verdict
 
 
 @pytest.mark.parametrize("scene, part, claim", [
     ("exampleEx3.json", "position", "octoclaims.construction_equivalence"),
     ("dualsphere.json", "position", "octoclaims.construction_equivalence"),
-    ("exampleEx3.json", "n_raw", "_claim_gauss_consistency"),
-    ("example1.json", "n_raw", "_claim_gauss_consistency"),
-    ("exampleEx3.json", "detg", "_claim_metric_consistency"),
-    ("exampleE1.json", "detg", "_claim_metric_consistency"),
+    ("exampleEx3.json", "n_raw", "check.gauss_map_consistency"),
+    ("example1.json", "n_raw", "check.gauss_map_consistency"),
+    ("exampleEx3.json", "detg", "check.metric_consistency"),
+    ("exampleE1.json", "detg", "check.metric_consistency"),
     ("example1.json", "laplacian", "typedclaims.lb_closed_form"),
     ("exampleE1.json", "laplacian", "typedclaims.lb_closed_form"),
 ])
@@ -376,10 +405,11 @@ def test_lb_closed_orthogonal_equals_the_check_path_bit_for_bit(scene):
     # Laplacian; the scalar API wraps the same floats in a Vec4
     session = check._Session(shipped(scene))
     assert session.graded
+    slices = {x: s for x, s, _ in session.slices}
     for pt in session.graded:
         x, y, z = pt.params
-        half, full = closed(session.slices[x], y, z, pt.a, pt.b, pt.c,
-                            pt.grads, (0.5, 1.0))
+        half, full = closed(slices[x], y, z, pt.a, pt.b, pt.c, pt.grads,
+                            (0.5, 1.0))
         h = session.surface
         assert lb_closed_orthogonal(h, x, y, z).components() == tuple(half)
         assert lb_closed_full_p(h, x, y, z).components() == tuple(full)

@@ -350,6 +350,42 @@ def test_overflowing_curve_flags_vertices(tmp_path):
     assert flatness["details"]["points_degenerate"] == 16
 
 
+@pytest.mark.parametrize("curves, y, flagged, placed, check_exit", [
+    # the ruling normal overflows at both x samples, where _Slice keeps no
+    # normal table; every vertex still has its position, and check grades
+    # over no vertex
+    ({"alpha": ["0", "1e145*sin(1e8*t)", "0", "0"]}, [-1.0, 1.0], 18, True,
+     1),
+    # y * beta overflows where |y| = 8e307, so no position exists there
+    ({"beta": ["0", "10", "0", "0"]}, [-8e307, 8e307], 12, False, 0),
+], ids=["ruling-normal", "position"])
+def test_kernel_overflow_becomes_a_flag(tmp_path, curves, y, flagged,
+                                        placed, check_exit):
+    doc = json.loads(Path(scene("example1.json")).read_text())
+    doc["curves"].update(curves)
+    doc["intervals"]["y"] = y
+    doc["resolution"] = [2, 3, 3]
+    doc["strict"] = False
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_scene(str(path))
+    bad = [v for v in sample_grid(build_hypersurface(cfg), cfg).vertices
+           if v.flags]
+    assert len(bad) == flagged
+    assert {v.flags for v in bad} == {("NonFiniteValue",)}
+    assert {v.position is not None for v in bad} == {placed}
+    out = tmp_path / "mesh.csv"
+    proc = run_cli(["mesh", str(path), "--format", "csv", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_text().splitlines()[1:]
+    assert sum(row.endswith(",NonFiniteValue") for row in rows) == flagged
+    proc = run_cli(["check", str(path)])
+    assert proc.returncode == check_exit
+    assert proc.stderr == ""
+    flatness = json.loads(proc.stdout)["claims"][0]
+    assert flatness["details"]["points_degenerate"] == flagged
+
+
 def test_curve_claims_skip_a_flagged_slice(tmp_path):
     # u cannot be evaluated at t = 1/3, so the walk flags that slice; the
     # claims that compare curves per x sample skip it and count it
@@ -394,7 +430,7 @@ def test_advisory_samples_skip_where_a_curve_is_undefined(tmp_path, capsys):
         assert "ruled4: error:" not in capsys.readouterr().err
     warnings = json.loads((tmp_path / "check.out").read_text())["warnings"]
     assert warnings[0] == ("advisory checks skipped 1 of 33 samples, where "
-                           "a curve is undefined")
+                           "a curve is undefined or its <p, p> overflows")
     assert any(w.startswith("curve u is not unit") for w in warnings)
 
 
@@ -416,7 +452,8 @@ def test_director_samples_skip_where_a_director_is_undefined(tmp_path, capsys,
         assert "ruled4: error:" not in capsys.readouterr().err
     report = json.loads((tmp_path / "check.out").read_text())
     assert report["warnings"] == ["advisory checks skipped 1 of 33 samples, "
-                                  "where a curve is undefined"]
+                                  "where a curve is undefined or its <p, p> "
+                                  "overflows"]
     claims = {c["name"]: c for c in report["claims"]}
     assert claims["director_membership"]["verdict"] == "pass"
 

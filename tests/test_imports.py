@@ -162,10 +162,10 @@ print(nodes[0])
 """
 
 NODE_BOUNDS = {
-    ("setup", "exampleE1"): 9473, ("setup", "exampleEx3"): 11058,
-    ("check", "exampleE1"): 18595, ("check", "exampleEx3"): 20248,
-    ("report", "exampleE1"): 19797, ("report", "exampleEx3"): 21450,
-    ("mesh", "exampleE1"): 15214, ("mesh", "exampleEx3"): 16799,
+    ("setup", "exampleE1"): 9472, ("setup", "exampleEx3"): 11057,
+    ("check", "exampleE1"): 18508, ("check", "exampleEx3"): 20173,
+    ("report", "exampleE1"): 19711, ("report", "exampleEx3"): 21376,
+    ("mesh", "exampleE1"): 15165, ("mesh", "exampleEx3"): 16750,
 }
 SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
 

@@ -97,14 +97,15 @@ def test_scalar_api_equals_the_grid_record(name):
     for pt in points[::5]:
         x, y, z = pt.params
         rep = curvature_report(h, x, y, z)
+        metric = _metric(h.kind, _Slice(h.kind, x, _jets(h, x)), pt[7:15])
         assert (rep.position, rep.metric, rep.gauss_curvature,
                 rep.mean_curvature, rep.minimality, rep.laplacian,
                 rep.flags) == (
-            pt.position, _metric(h.kind, pt[7:15]), pt.gauss_k, pt.mean_h,
+            pt.position, metric, pt.gauss_k, pt.mean_h,
             pt.minimality, pt.laplacian, h.warnings)
         assert gauss_map(h, x, y, z) == rep.normal == GaussMapData(
             pt.n_raw, pt.unit, pt.magnitude, pt.character)
-        assert first_form(h, x, y, z) == _metric(h.kind, pt[7:15])
+        assert first_form(h, x, y, z) == metric
         assert second_form(h, x, y, z) == rep.second
         assert minimality_residual(h, x, y, z) == pt.minimality
         assert laplace_beltrami(h, x, y, z) == pt.laplacian

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ruled4.errors import NonFiniteValue
 from ruled4.lorentz import (
     MEMBERSHIP_TOL,
     CausalCharacter,
@@ -153,6 +154,15 @@ def test_characterize_model_spaces():
     zero = characterize(Vec4.zero())
     assert zero.character is CausalCharacter.ZERO
     assert zero.memberships == frozenset()
+
+
+@pytest.mark.parametrize("x", [Vec4(1e200, 1e200, 0.0, 0.0),
+                               Vec4(1e200, 0.0, 0.0, 0.0)],
+                         ids=["inf-minus-inf", "minus-inf"])
+def test_characterize_refuses_an_overflowing_quadratic_form(x):
+    # <x, x> is nan or -inf: no causal character, no norm
+    with pytest.raises(NonFiniteValue):
+        characterize(x)
 
 
 def test_characterize_membership_tolerance_edges():
