@@ -13,8 +13,8 @@ from collections import namedtuple
 from .errors import (DegenerateNormal, DomainError, NonFiniteValue,
                      SingularMetric)
 from .hypersurface import (_DIRECTOR_SPACE, DEGENERATE_NORMAL_TOL,
-                           ORTHOGONAL_TOL, SINGULAR_METRIC_TOL, Mat3,
-                           RuledHypersurface, SurfaceKind, _axis)
+                           SINGULAR_METRIC_TOL, Mat3, RuledHypersurface,
+                           SurfaceKind, _axis)
 from .lorentz import (_MODEL_SPACES, CausalCharacter, Vec4, _det3, cross4,
                       lorentz_dot)
 
@@ -202,14 +202,6 @@ class _Slice:
             - (a13 * j0 + a23 * j1 + a33 * j2),
             inv * a11, inv * 2.0 * a12, inv * 2.0 * a13))
 
-    def orthogonal_q(self, a: float, b: float, c: float) -> float:
-        """Q = a - sigma (b^2 + c^2), the determinant of the closed form
-        (ruled4.typedclaims.closed); a vanishing one raises SingularMetric."""
-        q = a - self.sigma * (b * b + c * c)
-        if abs(q) <= SINGULAR_METRIC_TOL:
-            raise SingularMetric(f"orthogonal-form determinant {q!r}")
-        return q
-
     def _span(self, y: float, z: float, t0: float, t1: float, t2: float,
               k0: float, k1: float, k2: float) -> list[float]:
         """The components of t0 phi_x + t1 phi_y + t2 phi_z + k0 phi_xx + k1
@@ -222,13 +214,11 @@ class _Slice:
 
     def vertex(self, y: float, z: float) -> GridPoint:
         """The record at (y, z); NonFiniteValue, DegenerateNormal or
-        SingularMetric where there is none.  With orthogonal directors of a
-        constrained kind, a vanishing closed-form Q is SingularMetric too:
-        check evaluates the closed form at every graded vertex."""
+        SingularMetric where there is none."""
         position = self.position(y, z)
         n_raw, unit, mag, character = self.normal(y, z)
         m, grads = self.forms(y, z)
-        a, b, c, e, m22, m33, detg, adj = m
+        *_, detg, adj = m
         _regular(detg)
         rn = self.second_raw(y, z)
         (h11, h12, h13), _, _ = _second(rn, mag)
@@ -238,12 +228,9 @@ class _Slice:
         gauss = _det3(h11, h12, h13, h12, 0.0, 0.0, h13, 0.0, 0.0) / detg + 0.0
         # the trace of ginv . h, whose rows 2 and 3 hold h12 and h13 alone
         mean = (i00 * h11 + i01 * h12 + i02 * h13 + i01 * h12 + i02 * h13) / 3.0
-        if self.sigma is not None and abs(e) <= ORTHOGONAL_TOL:
-            self.orthogonal_q(a, b, c)
         return GridPoint((self.x, y, z), position, (), n_raw, unit, mag,
-                         character, a, b, c, e, m22, m33, detg, adj,
-                         gauss, mean, rn, _residual(adj, rn), grads,
-                         self.laplacian(y, z, m, grads))
+                         character, *m, gauss, mean, rn, _residual(adj, rn),
+                         grads, self.laplacian(y, z, m, grads))
 
 
 def _products(u, v) -> tuple[float, ...]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import NonFiniteValue
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _position,
                            _sample, make_ruled)
 from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
@@ -112,17 +113,12 @@ def _advisory_checks(curves: dict[str, Curve],
         if worst > ADVISORY_TOL:
             warnings.append(f"dual curve {name} leaves the dual unit sphere: "
                             f"max dual-part norm deviation {worst:.6g}")
-    pos_v, pos_w = pos[rulings[0]], pos[rulings[1]]
+    pairs = list(zip(pos[rulings[0]], pos[rulings[1]]))
     # over no sample, a gap of 0.0 would read as coinciding rulings
-    if pos_v:
-        worst_minus = 0.0
-        worst_plus = 0.0
-        for pv, pw in zip(pos_v, pos_w):
-            worst_minus = max(worst_minus,
-                              max(abs(c) for c in (pv - pw).components()))
-            worst_plus = max(worst_plus,
-                             max(abs(c) for c in (pv + pw).components()))
-        aligned = min(worst_minus, worst_plus)
+    if pairs:
+        aligned = min(
+            max(abs(c) for pv, pw in pairs for c in (pv - pw).components()),
+            max(abs(c) for pv, pw in pairs for c in (pv + pw).components()))
         if aligned <= ADVISORY_TOL:
             warnings.append(f"ruling directions coincide up to sign "
                             f"(max component gap {aligned:.6g}); the ruled "
@@ -224,5 +220,9 @@ def _star_dual(pa: Vec4, pas: Vec4, pb: Vec4, pbs: Vec4, y: float,
 def _star_product(qs: float, qv: Vec4, ps: float, pv: Vec4, i: Vec4
                   ) -> tuple[float, Vec4]:
     """octonion.particular_product on the scalar and vector parts, with no
-    axis check."""
-    return qs * ps - lorentz_dot(qv, pv), pv * qs + qv * ps + cross4(qv, pv, i)
+    axis check; a scalar part that is not finite raises NonFiniteValue, as
+    the vector part's Vec4 does."""
+    scalar = qs * ps - lorentz_dot(qv, pv)
+    if scalar * 0.0 != 0.0:  # x * 0.0 is a signed zero for finite x
+        raise NonFiniteValue("star product scalar part is not finite")
+    return scalar, pv * qs + qv * ps + cross4(qv, pv, i)

@@ -9,26 +9,12 @@ and the probe of the base curve's reference axis.
 from __future__ import annotations
 
 from .check import INTERNAL_REL_TOL, REFERENCE_TOL, ClaimResult, _fmt, _over
+from .errors import DomainError, NonFiniteValue
 from .hypersurface import ADVISORY_SAMPLES, SKIPPED_NOTE
 from .lorentz import Vec4, _require_axis, cross4
 from .scene import _CURVE_KEYS, _REFERENCE_ROLES
 
 __all__ = ["claims"]
-
-
-def _positions(s):
-    """x -> the construction curves' positions at x, evaluated once apiece
-    in a check session s.  These are the scene's own u, v, w (or a, a*, b,
-    b*), not the walk's base curve, so the claims built on them stay
-    independent of it."""
-    known = {}
-
-    def at(x: float) -> tuple:
-        if x not in known:
-            known[x] = tuple(s.cfg.curves[name].position(x)
-                             for name in _CURVE_KEYS[s.cfg.mode])
-        return known[x]
-    return at
 
 
 def _claim_construction_hypotheses(s) -> ClaimResult:
@@ -48,7 +34,7 @@ def _claim_construction_hypotheses(s) -> ClaimResult:
         {"advisories": advisories})
 
 
-def _claim_construction_equivalence(s, positions_at) -> ClaimResult:
+def _claim_construction_equivalence(s, positions) -> ClaimResult:
     from .octo import _star, _star_dual
     # the star sum at (y, z) is its value at (0, 0) plus y w + z v (y a + z b)
     star, rulings = ((_star, (2, 1)) if s.cfg.mode == "octonion"
@@ -56,16 +42,19 @@ def _claim_construction_equivalence(s, positions_at) -> ClaimResult:
     _require_axis(s.cfg.i_vec)
     worst_vec = 0.0
     worst_scalar = 0.0
-    graded = 0
+    graded = skipped = 0
     for x, _, points in s.slices:
         placed = [pt for pt in points if pt.position is not None]
         if not placed:
             continue
-        positions = positions_at(x)
-        scalar, vector = star(*positions, 0.0, 0.0, s.cfg.i_vec)
+        try:
+            scalar, vector = star(*positions[x], 0.0, 0.0, s.cfg.i_vec)
+        except NonFiniteValue:
+            skipped += 1
+            continue
         worst_scalar = max(worst_scalar, abs(scalar))
         c0, c1, c2, c3 = vector.components()
-        (w0, w1, w2, w3), (v0, v1, v2, v3) = [positions[k].components()
+        (w0, w1, w2, w3), (v0, v1, v2, v3) = [positions[x][k].components()
                                               for k in rulings]
         for pt in placed:
             _, y, z = pt.params
@@ -82,21 +71,21 @@ def _claim_construction_equivalence(s, positions_at) -> ClaimResult:
         f"max vector gap {_fmt(worst_vec)}; max scalar defect "
         f"{_fmt(worst_scalar)} (zero only under orthogonality)",
         _over(graded, "fail" if worst_vec > INTERNAL_REL_TOL else "pass"),
-        {"vector_gap": worst_vec, "scalar_defect": worst_scalar})
+        {"vector_gap": worst_vec, "scalar_defect": worst_scalar,
+         "slices_without_star_product": skipped})
 
 
-def _claim_reference_curves(s, walked) -> ClaimResult:
+def _claim_reference_curves(s, published) -> ClaimResult:
     per_curve = {}
     worst = 0.0
-    for key, ref in s.cfg.reference.items():
+    for key in s.cfg.reference:
         role = _REFERENCE_ROLES[key]
         dev = [0.0, 0.0, 0.0, 0.0]
         # the walk's jets
-        for t, sl in walked:
+        for _, sl, refs in published:
             got = sl.jets[role][0]
-            want = ref.position(t)
             for i, (a, b) in enumerate(zip(got.components(),
-                                           want.components())):
+                                           refs[key].components())):
                 dev[i] = max(dev[i], abs(a - b))
         per_curve[key] = dev
         worst = max(worst, max(dev))
@@ -107,20 +96,20 @@ def _claim_reference_curves(s, walked) -> ClaimResult:
         f"max component deviation {_fmt(worst)} "
         + ("(all components match)" if matches
            else "(at least one published component deviates)"),
-        _over(len(walked), "pass" if matches else "discrepancy"),
-        {"per_curve_component_deviation": per_curve, "samples": len(walked),
-         "samples_skipped": len(s.slices) - len(walked)})
+        _over(len(published), "pass" if matches else "discrepancy"),
+        {"per_curve_component_deviation": per_curve,
+         "samples": len(published),
+         "samples_skipped": len(s.slices) - len(published)})
 
 
-def _claim_alpha_probe(s, positions_at, walked) -> ClaimResult:
-    ref = s.cfg.reference["alpha"]
+def _claim_alpha_probe(s, positions, published) -> ClaimResult:
     axes = {f"{label}e{slot + 1}": Vec4.basis(slot) * sign
             for slot in range(4)
             for sign, label in ((1.0, "+"), (-1.0, "-"))}
     candidates = dict.fromkeys(axes, 0.0)
-    for t, _ in walked:
-        pu, pv, pw = positions_at(t)
-        want = ref.position(t).components()
+    for t, _, refs in published:
+        pu, pv, pw = positions[t]
+        want = refs["alpha"].components()
         for label, axis in axes.items():
             got = cross4(pu, pv, axis) + cross4(pu, pw, axis)
             candidates[label] = max(candidates[label], *[
@@ -132,24 +121,38 @@ def _claim_alpha_probe(s, positions_at, walked) -> ClaimResult:
         "the published base curve arises from the ternary-product "
         "construction for some reference axis",
         f"matched candidates: {matched if matched else 'none'}",
-        _over(len(walked), "pass" if matched else "discrepancy"),
+        _over(len(published), "pass" if matched else "discrepancy"),
         {"max_deviation_per_candidate": candidates, "matched": matched,
-         "samples": len(walked),
-         "samples_skipped": len(s.slices) - len(walked)})
+         "samples": len(published),
+         "samples_skipped": len(s.slices) - len(published)})
 
 
 def claims(s) -> list[ClaimResult]:
     """The claims of this module that apply to a check session, in report
-    order; the construction curves are evaluated once per x for all."""
+    order; each curve is evaluated once per x for all."""
     out = []
-    positions_at = _positions(s)
     # the slices the walk evaluated; a flagged one is skipped, and counted
     walked = [(x, sl) for x, sl, _ in s.slices if sl is not None]
     if s.cfg.mode in ("octonion", "dual-octonion"):
+        # the scene's own u, v, w (or a, a*, b, b*), not the walk's base
+        # curve, so the claims built on them stay independent of it
+        names = _CURVE_KEYS[s.cfg.mode]
+        positions = {x: tuple(s.cfg.curves[name].position(x)
+                              for name in names) for x, _ in walked}
         out += [_claim_construction_hypotheses(s),
-                _claim_construction_equivalence(s, positions_at)]
+                _claim_construction_equivalence(s, positions)]
     if s.cfg.reference:
-        out.append(_claim_reference_curves(s, walked))
-    if s.cfg.mode == "octonion" and "alpha" in s.cfg.reference:
-        out.append(_claim_alpha_probe(s, positions_at, walked))
+        # the walked samples where every published curve is defined; the
+        # others are skipped, and counted
+        published = []
+        for x, sl in walked:
+            try:
+                published.append((x, sl, {
+                    key: ref.position(x)
+                    for key, ref in s.cfg.reference.items()}))
+            except DomainError:
+                pass
+        out.append(_claim_reference_curves(s, published))
+        if s.cfg.mode == "octonion" and "alpha" in s.cfg.reference:
+            out.append(_claim_alpha_probe(s, positions, published))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .crosscheck import _detg_closed
-from .hypersurface import ORTHOGONAL_TOL, Mat3, RuledHypersurface, SurfaceKind
+from .hypersurface import Mat3, RuledHypersurface, SurfaceKind
 from .kernel import _jets, _regular, _residual, _second, _Slice
 from .lorentz import CausalCharacter, Vec4
 
@@ -195,19 +195,13 @@ def lb_closed_orthogonal(h: RuledHypersurface, x: float, y: float, z: float) -> 
 
 def _lb_closed_at(h: RuledHypersurface, x: float, y: float, z: float,
                   p_weight: float) -> Vec4:
-    """The closed form at one point with weight `p_weight` on the P_k terms."""
+    """typedclaims.closed at one point, weight `p_weight`, as a Vec4."""
+    from .typedclaims import closed  # here, so that only its callers load it
     s, y, z = _at(h, x, y, z)
     if s.sigma is None:
         raise ValueError("closed form requires a constrained kind")
     m, grads = s.forms(y, z)
-    return _closed(s, y, z, *m[:3], grads, p_weight)
-
-
-def _closed(s: _Slice, y: float, z: float, a: float, b: float, c: float,
-            grads: tuple, p_weight: float) -> Vec4:
-    """typedclaims.closed at one weight, as a Vec4."""
-    from .typedclaims import closed  # here, so that only its callers load it
-    return Vec4(*closed(s, y, z, a, b, c, grads, (p_weight,))[0])
+    return Vec4(*closed(s, y, z, *m[:3], grads, (p_weight,))[0])
 
 
 def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> CurvatureReport:
@@ -215,17 +209,16 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
 
     Raises DegenerateNormal or SingularMetric where no report exists; grid
     samplers catch those and mark the vertex instead.  The corollary and
-    the closed form, which the grid record leaves out, come from the same
-    slice, for orthogonal directors of a constrained kind.
+    the closed form, which the grid record leaves out, are
+    typedclaims.orthogonal's on a constrained kind, or None.
     """
     s, y, z = _at(h, x, y, z)
     pt = s.vertex(y, z)
     corollary = closed = None
-    if s.sigma is not None and abs(pt.e) <= ORTHOGONAL_TOL:
-        tau = -s.sigma
-        r11, r12, r13 = pt.rn
-        corollary = r11 + 2.0 * tau * pt.b * r12 + 2.0 * tau * pt.c * r13
-        closed = _closed(s, y, z, pt.a, pt.b, pt.c, pt.grads, 0.5)
+    if s.sigma is not None:
+        from .typedclaims import orthogonal  # here, as in _lb_closed_at
+        corollary, forms = orthogonal(s, pt, (0.5,))
+        closed = forms and Vec4(*forms[0])
     return CurvatureReport(
         pt.position, _metric(h.kind, s, pt[7:15]),
         GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),

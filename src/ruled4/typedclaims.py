@@ -1,27 +1,28 @@
 """The typed scenes' closed form and the claims only they are graded on.
 
 A typed scene (type1, type2) has directors constrained to a model space;
-for orthogonal ones the Laplacian has a closed form.  check loads this
-module for typed scenes alone, and the scalar API (ruled4.pointwise) for
-lb_closed_orthogonal and curvature_report; mesh never does.
+for orthogonal ones the Laplacian has a closed form, and this module alone
+decides where it applies and exists.  check loads it for typed scenes, the
+scalar API (ruled4.pointwise) for lb_closed_orthogonal and curvature_report.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .errors import NonFiniteValue
-from .hypersurface import ORTHOGONAL_TOL, SurfaceKind
+from .errors import NonFiniteValue, SingularMetric
+from .hypersurface import ORTHOGONAL_TOL, SINGULAR_METRIC_TOL, SurfaceKind
 
-__all__ = ["closed"]
+__all__ = ["closed", "orthogonal"]
 
 
 def closed(s, y: float, z: float, a: float, b: float, c: float,
            grads: tuple, p_weights: tuple[float, ...]) -> list[list[float]]:
     """The orthogonal closed form on the kernel slice s (a kernel._Slice of
-    a constrained kind) at (y, z), as four floats per weight w in
-    `p_weights` on the P_k terms; Q, P, div N and P . N are computed once
-    for all.
+    a constrained kind) at (y, z), as four finite floats per weight w in
+    `p_weights` on the P_k terms, from one Q, P, div N and P . N; a
+    vanishing Q raises SingularMetric, a non-finite float NonFiniteValue.
 
     (Q sum_k d_k N_k - w sum_k P_k N_k) / Q^2 with Q = a - sigma
     (b^2 + c^2), P_k = d_k Q, tau = -sigma, N_1 = phi_x + tau (b beta +
@@ -32,7 +33,9 @@ def closed(s, y: float, z: float, a: float, b: float, c: float,
     sigma = s.sigma
     tau = -sigma
     (da0, da1, da2), (db0, db1, db2), (dc0, dc1, dc2) = grads[:3]
-    q = s.orthogonal_q(a, b, c)
+    q = a - sigma * (b * b + c * c)
+    if abs(q) <= SINGULAR_METRIC_TOL:
+        raise SingularMetric(f"orthogonal-form determinant {q!r}")
     p0 = da0 - sigma * (2.0 * b * db0 + 2.0 * c * dc0)
     p1 = da1 - sigma * (2.0 * b * db1 + 2.0 * c * dc1)
     p2 = da2 - sigma * (2.0 * b * db2 + 2.0 * c * dc2)
@@ -46,33 +49,47 @@ def closed(s, y: float, z: float, a: float, b: float, c: float,
     scale = 1.0 / (q * q)
     k0, k1, k2 = (q * scale, q * (2.0 * tau * b) * scale,
                   q * (2.0 * tau * c) * scale)
-    return [s._span(y, z, (n0 - w * m0) * scale, (n1 - w * m1) * scale,
-                    (n2 - w * m2) * scale, k0, k1, k2)
-            for w in p_weights]
+    out = [s._span(y, z, (n0 - w * m0) * scale, (n1 - w * m1) * scale,
+                   (n2 - w * m2) * scale, k0, k1, k2)
+           for w in p_weights]
+    if not all(math.isfinite(v) for row in out for v in row):
+        raise NonFiniteValue("closed-form Laplacian is not finite")
+    return out
 
 
-def _lb_closed_gaps(s) -> Optional[tuple[float, float]]:
-    """(half-weight gap, full-weight gap) against the walk's Laplacian over
-    a check session's graded vertices, or None if they are not orthogonal."""
-    if not s.graded or not all(abs(pt.e) <= ORTHOGONAL_TOL
-                               for pt in s.graded):
-        return None
-    worst_half = worst_full = 0.0
+def orthogonal(s, pt, p_weights: tuple[float, ...]) -> tuple:
+    """(minimality_orthogonal, closed's floats per weight in p_weights) at
+    the kernel's unflagged record pt on the slice s of a constrained kind;
+    both None where the directors are not orthogonal, the closed form None
+    too where it does not exist."""
+    if abs(pt.e) > ORTHOGONAL_TOL:
+        return None, None
+    _, y, z = pt.params
+    r11, r12, r13 = pt.rn
+    try:
+        forms = closed(s, y, z, pt.a, pt.b, pt.c, pt.grads, p_weights)
+    except (SingularMetric, NonFiniteValue):
+        forms = None
+    return r11 - 2.0 * s.sigma * pt.b * r12 - 2.0 * s.sigma * pt.c * r13, forms
+
+
+def _lb_closed_gaps(s) -> Optional[tuple[float, float, int]]:
+    """(half-, full-weight gap to the walk's Laplacian, graded vertices with
+    no closed form), or None unless some are graded and all orthogonal."""
+    gap = [0.0, 0.0]
+    missing = 0
     for _, sl, points in s.slices:
         for pt in [pt for pt in points if not pt.flags]:
-            _, y, z = pt.params
-            (h0, h1, h2, h3), (f0, f1, f2, f3) = closed(
-                sl, y, z, pt.a, pt.b, pt.c, pt.grads, (0.5, 1.0))
-            # Vec4's screen: x * 0.0 is a signed zero for finite x, else nan
-            if (h0 * 0.0 + h1 * 0.0 + h2 * 0.0 + h3 * 0.0 + f0 * 0.0
-                    + f1 * 0.0 + f2 * 0.0 + f3 * 0.0 != 0.0):
-                raise NonFiniteValue(f"closed-form Laplacian at {pt.params}")
-            l0, l1, l2, l3 = pt.laplacian.components()
-            worst_half = max(worst_half, abs(h0 - l0), abs(h1 - l1),
-                             abs(h2 - l2), abs(h3 - l3))
-            worst_full = max(worst_full, abs(f0 - l0), abs(f1 - l1),
-                             abs(f2 - l2), abs(f3 - l3))
-    return worst_half, worst_full
+            corollary, forms = orthogonal(sl, pt, (0.5, 1.0))
+            if corollary is None:
+                return None
+            if forms is None:
+                missing += 1
+                continue
+            lap = pt.laplacian.components()
+            for k, form in enumerate(forms):
+                gap[k] = max(gap[k], *[abs(u - v) for u, v in zip(form, lap)])
+    return (*gap, missing) if s.graded else None
 
 
 def claims(s) -> list:
@@ -83,15 +100,17 @@ def claims(s) -> list:
     out = []
     gaps = _lb_closed_gaps(s)
     if gaps is not None:
-        worst_half, worst_full = gaps
+        worst_half, worst_full, missing = gaps
+        points = len(s.graded) - missing
         out.append(ClaimResult(
             "lb_closed_form",
             "for orthogonal directors the Laplacian reduces to the "
             "half-weighted closed form",
             f"max gap: half-weighted {_fmt(worst_half)}, full-weighted "
             f"{_fmt(worst_full)}",
-            "fail" if worst_half > LB_CLOSED_TOL else "pass",
-            {"half_weight_gap": worst_half, "full_weight_gap": worst_full}))
+            _over(points, "fail" if worst_half > LB_CLOSED_TOL else "pass"),
+            {"half_weight_gap": worst_half, "full_weight_gap": worst_full,
+             "points_without_closed_form": missing}))
         printed_matches = worst_full <= LB_CLOSED_TOL
         out.append(ClaimResult(
             "lb_closed_form_weights",
@@ -101,8 +120,9 @@ def claims(s) -> list:
             + ("is indistinguishable here" if printed_matches
                else "matches the divergence path, the full-weighted form "
                     "does not"),
-            "pass" if printed_matches else "discrepancy",
-            {"full_weight_gap": worst_full, "half_weight_gap": worst_half}))
+            _over(points, "pass" if printed_matches else "discrepancy"),
+            {"full_weight_gap": worst_full, "half_weight_gap": worst_half,
+             "points_without_closed_form": missing}))
     space = "de Sitter sphere" if s.surface.kind is SurfaceKind.TYPE1 \
         else "upper hyperbolic sheet"
     reports = s.surface.director_reports

@@ -10,7 +10,10 @@ jets, so agreement is evidence rather than tautology.
 
 import math
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from ruled4.errors import DegenerateNormal, DomainError, SingularMetric
 from ruled4.expr import CurveSpec
@@ -19,6 +22,15 @@ from ruled4.lorentz import Vec4
 from ruled4.pointwise import curvature_report, first_form, frame, inverse_metric
 
 DEGENERACY_ERRORS = (DegenerateNormal, SingularMetric, DomainError)
+
+# Fixed scenes: each once made a command abort or disagree with another.
+FIXED_SCENES = Path(__file__).with_name("scenes")
+
+
+def run_cli(args, **kwargs):
+    """`python -m ruled4.cli args` in a child process, its output captured."""
+    return subprocess.run([sys.executable, "-m", "ruled4.cli", *args],
+                          capture_output=True, text=True, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from ruled4.check import (
 )
 from ruled4.cli import main
 from ruled4.crosscheck import lb_closed_full_p
-from ruled4.errors import DirectorConstraintViolated, NonFiniteValue
+from ruled4.errors import (DirectorConstraintViolated, NonFiniteValue,
+                           SingularMetric)
 from ruled4.lorentz import Vec4
 from ruled4.mesh import mesh_document, sample_grid
-from ruled4.pointwise import lb_closed_orthogonal
+from ruled4.pointwise import curvature_report, lb_closed_orthogonal
 from ruled4.scene import build_hypersurface, load_scene, scene_from_dict
 from ruled4.typedclaims import closed
 from support import counting_scene
@@ -416,17 +417,50 @@ def test_lb_closed_orthogonal_equals_the_check_path_bit_for_bit(scene):
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_lb_closed_form_refuses_a_non_finite_closed_form(monkeypatch, bad):
-    # the floats still pass the finiteness screen of Vec4's constructor
-    exact = typedclaims.closed
+def test_lb_closed_form_counts_a_non_finite_closed_form(monkeypatch, bad):
+    # closed screens its floats once: a graded vertex whose closed form is
+    # not finite is counted by the closed-form claims alone, never graded
+    # by them, and never aborts the session
+    session = check._Session(shipped("exampleE1.json"))
+    assert len(session.graded) == 27
+    exact = {c.name: c for c in typedclaims.claims(session)}
+    span = kernel._Slice._span
 
     def spoiled(*args):
-        half, full = exact(*args)
-        return [half, [*full[:3], bad]]
+        return [*span(*args)[:3], bad]
 
-    monkeypatch.setattr(typedclaims, "closed", spoiled)
+    monkeypatch.setattr(kernel._Slice, "_span", spoiled)
+    pt = session.graded[0]
+    s = next(sl for x, sl, _ in session.slices if x == pt.params[0])
     with pytest.raises(NonFiniteValue):
-        check_scene(shipped("exampleE1.json"))
+        typedclaims.closed(s, *pt.params[1:], pt.a, pt.b, pt.c, pt.grads,
+                           (0.5,))
+    assert typedclaims.orthogonal(s, pt, (0.5,))[1] is None
+    claims = {c.name: c for c in typedclaims.claims(session)}
+    for name in ("lb_closed_form", "lb_closed_form_weights"):
+        assert exact[name].details["points_without_closed_form"] == 0
+        assert exact[name].verdict != "inconclusive"
+        assert claims[name].verdict == "inconclusive"
+        assert claims[name].details["points_without_closed_form"] == 27
+    assert claims["director_membership"] == exact["director_membership"]
+
+
+def test_lb_closed_form_counts_a_vanishing_q(monkeypatch):
+    # where Q = a - sigma (b^2 + c^2) is under the singular-metric tolerance
+    # the closed form does not exist: the claims count the vertex, and the
+    # scalar API reports no closed form there but keeps the corollary
+    monkeypatch.setattr(typedclaims, "SINGULAR_METRIC_TOL", math.inf)
+    session = check._Session(shipped("exampleE1.json"))
+    claims = {c.name: c for c in typedclaims.claims(session)}
+    for name in ("lb_closed_form", "lb_closed_form_weights"):
+        assert claims[name].verdict == "inconclusive"
+        assert claims[name].details["points_without_closed_form"] == 27
+    h, (x, y, z) = session.surface, session.graded[0].params
+    rep = curvature_report(h, x, y, z)
+    assert rep.laplacian_closed is None
+    assert rep.minimality_orthogonal is not None
+    with pytest.raises(SingularMetric):
+        lb_closed_orthogonal(h, x, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ruled4.check import check_scene, report_document
 from ruled4.cli import main
 from ruled4.mesh import mesh_document, sample_grid
 from ruled4.scene import build_hypersurface, load_scene
+from support import FIXED_SCENES, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -26,11 +27,6 @@ CHILD_ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC,
 
 def scene(name):
     return str(resources.files("ruled4.scenes") / name)
-
-
-def run_cli(args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "ruled4.cli", *args],
-                          capture_output=True, text=True, **kwargs)
 
 
 def test_check_example1_exits_zero():
@@ -350,24 +346,17 @@ def test_overflowing_curve_flags_vertices(tmp_path):
     assert flatness["details"]["points_degenerate"] == 16
 
 
-@pytest.mark.parametrize("curves, y, flagged, placed, check_exit", [
+@pytest.mark.parametrize("name, flagged, placed, check_exit", [
     # the ruling normal overflows at both x samples, where _Slice keeps no
     # normal table; every vertex still has its position, and check grades
     # over no vertex
-    ({"alpha": ["0", "1e145*sin(1e8*t)", "0", "0"]}, [-1.0, 1.0], 18, True,
-     1),
+    ("ruling_normal_overflow", 18, True, 1),
     # y * beta overflows where |y| = 8e307, so no position exists there
-    ({"beta": ["0", "10", "0", "0"]}, [-8e307, 8e307], 12, False, 0),
+    ("position_overflow", 12, False, 0),
 ], ids=["ruling-normal", "position"])
-def test_kernel_overflow_becomes_a_flag(tmp_path, curves, y, flagged,
-                                        placed, check_exit):
-    doc = json.loads(Path(scene("example1.json")).read_text())
-    doc["curves"].update(curves)
-    doc["intervals"]["y"] = y
-    doc["resolution"] = [2, 3, 3]
-    doc["strict"] = False
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(doc))
+def test_kernel_overflow_becomes_a_flag(tmp_path, name, flagged, placed,
+                                        check_exit):
+    path = FIXED_SCENES / f"{name}.json"
     cfg = load_scene(str(path))
     bad = [v for v in sample_grid(build_hypersurface(cfg), cfg).vertices
            if v.flags]

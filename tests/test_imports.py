@@ -162,10 +162,10 @@ print(nodes[0])
 """
 
 NODE_BOUNDS = {
-    ("setup", "exampleE1"): 9472, ("setup", "exampleEx3"): 11057,
-    ("check", "exampleE1"): 18508, ("check", "exampleEx3"): 20173,
-    ("report", "exampleE1"): 19711, ("report", "exampleEx3"): 21376,
-    ("mesh", "exampleE1"): 15165, ("mesh", "exampleEx3"): 16750,
+    ("setup", "exampleE1"): 9472, ("setup", "exampleEx3"): 11054,
+    ("check", "exampleE1"): 18482, ("check", "exampleEx3"): 20078,
+    ("report", "exampleE1"): 19685, ("report", "exampleEx3"): 21281,
+    ("mesh", "exampleE1"): 15048, ("mesh", "exampleEx3"): 16630,
 }
 SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
 
