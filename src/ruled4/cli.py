@@ -1,21 +1,20 @@
 """Command-line interface.
 
-    ruled4 check <scene.json> [--out report.json] [overrides]
-    ruled4 mesh <scene.json> --format obj --project 0 --out mesh.obj [overrides]
-    ruled4 report <scene.json> [--out report.json] [overrides]
+    ruled4 check <scene.json> [--out report.json]
+    ruled4 mesh <scene.json> --out mesh.obj [--format obj|csv|json]
+    ruled4 report <scene.json> [--out report.json]
     ruled4 octtable --out table.csv [--seed 1,2,4]
 
-Overrides (--strict/--no-strict, --dual-norm, --i-vector) replace the
-scene file's options for one invocation.  `check` and `report` exit 1
-when an internal-consistency claim fails or a claim is inconclusive (graded
-over zero evaluable points), else 0; claim discrepancies against
-published statements are findings, not failures.  `report` grades its
-claims and writes its vertex table from one serial walk of the grid; a
-failing vertex is flagged (DegenerateNormal, SingularMetric, DomainError,
-NonFiniteValue), never fatal.  RULED4_THREADS is accepted and ignored.
-Each command imports only the modules it runs.  `python -m ruled4.cli` and
-the `ruled4` script freeze the import-time heap before main() runs (see
-_entry); main() itself leaves the garbage collector alone.
+The scene file holds every setting of a run; an OBJ mesh drops its
+projection_axis.  `check` and `report` exit 1 when an internal-consistency
+claim fails or a claim is inconclusive (graded over zero evaluable points),
+else 0; claim discrepancies against published statements are findings, not
+failures.  `report` grades its claims and writes its vertex table from one
+serial walk of the grid; a failing vertex is flagged (DegenerateNormal,
+SingularMetric, DomainError, NonFiniteValue), never fatal.  RULED4_THREADS is
+accepted and ignored.  Each command imports only the modules it runs.  The
+`ruled4` script and `python -m ruled4.cli` freeze the import-time heap before
+main() runs (see _entry); main() itself leaves the garbage collector alone.
 """
 
 from __future__ import annotations
@@ -23,29 +22,14 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import Ruled4Error
-from .lorentz import Vec4
-
-if TYPE_CHECKING:
-    from .scene import SceneConfig
 
 __all__ = ["main"]
 
 # A message may echo megabytes of input; its tail has the offset or pointer.
 _MAX_MESSAGE = 200
-
-
-def _parse_vec4(text: str) -> Vec4:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected 4 comma-separated numbers, got {text!r}")
-    try:
-        return Vec4(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_seed(text: str) -> tuple[int, int, int]:
@@ -59,19 +43,6 @@ def _parse_seed(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_scene_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("scene", help="path to a scene JSON file")
-    sub.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                     default=None,
-                     help="override the scene's strict flag")
-    sub.add_argument("--dual-norm", choices=("lorentz", "euclid"),
-                     default=None, dest="dual_norm",
-                     help="override the product used for advisory checks")
-    sub.add_argument("--i-vector", type=_parse_vec4, default=None,
-                     dest="i_vector", metavar="A,B,C,D",
-                     help="override the ternary-product reference vector")
-
-
 def _bounded(exc: Exception) -> str:
     """str(exc), its middle elided if it is longer than _MAX_MESSAGE."""
     text = str(exc)
@@ -79,13 +50,6 @@ def _bounded(exc: Exception) -> str:
         return text
     keep = (_MAX_MESSAGE - 3) // 2
     return f"{text[:keep]}...{text[-keep:]}"
-
-
-def _load(args: argparse.Namespace) -> SceneConfig:
-    from .scene import load_scene
-    cfg = load_scene(args.scene)
-    return cfg.with_overrides(strict=args.strict, dual_norm=args.dual_norm,
-                              i_vec=args.i_vector)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -100,21 +64,19 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .check import check_scene
-    cfg = _load(args)
-    report = check_scene(cfg)
+    from .scene import load_scene
+    report = check_scene(load_scene(args.scene))
     _emit(report.to_json(), args.out)
     return report.exit_code
 
 
 def _cmd_mesh(args: argparse.Namespace) -> int:
     from .mesh import export_csv, export_json, export_obj, sample_grid
-    from .scene import build_hypersurface
-    cfg = _load(args)
-    surface = build_hypersurface(cfg)
-    mesh = sample_grid(surface, cfg)
-    projection = cfg.projection_axis if args.project is None else args.project
+    from .scene import build_hypersurface, load_scene
+    cfg = load_scene(args.scene)
+    mesh = sample_grid(build_hypersurface(cfg), cfg)
     if args.format == "obj":
-        export_obj(mesh, projection, args.out)
+        export_obj(mesh, cfg.projection_axis, args.out)
     elif args.format == "csv":
         export_csv(mesh, args.out)
     else:
@@ -124,9 +86,8 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .check import report_document
-    from .scene import _dumps
-    cfg = _load(args)
-    doc = report_document(cfg)
+    from .scene import _dumps, load_scene
+    doc = report_document(load_scene(args.scene))
     _emit(_dumps(doc), args.out)
     return 0 if doc["exit_code"] == 0 else 1
 
@@ -147,17 +108,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_check = subs.add_parser("check", help="grade a scene's claims")
-    _add_scene_options(p_check)
+    p_check.add_argument("scene", help="path to a scene JSON file")
     p_check.add_argument("--out", default=None,
                          help="write the JSON report here instead of stdout")
     p_check.set_defaults(func=_cmd_check)
 
     p_mesh = subs.add_parser("mesh", help="sample a scene and export geometry")
-    _add_scene_options(p_mesh)
-    p_mesh.add_argument("--project", type=int, choices=(0, 1, 2, 3),
-                        default=None,
-                        help="coordinate to drop for OBJ projection "
-                             "(default: the scene's projection_axis)")
+    p_mesh.add_argument("scene", help="path to a scene JSON file")
     p_mesh.add_argument("--format", choices=("obj", "csv", "json"),
                         default="obj")
     p_mesh.add_argument("--out", required=True)
@@ -165,7 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_report = subs.add_parser("report",
                                help="claims plus per-vertex curvature table")
-    _add_scene_options(p_report)
+    p_report.add_argument("scene", help="path to a scene JSON file")
     p_report.add_argument("--out", default=None)
     p_report.set_defaults(func=_cmd_report)
 

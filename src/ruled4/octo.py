@@ -177,18 +177,8 @@ def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,
     from .octonion import ParticularOctonion
     pu, pv, pw = (_position(c, t) for c in (u, v, w))
     _require_axis(i_vec)
-    return ParticularOctonion(*_star(pu, pv, pw, y, z, i_vec))
-
-
-def _star(pu: Vec4, pv: Vec4, pw: Vec4, y: float, z: float,
-          i: Vec4) -> tuple[float, Vec4]:
-    """star_point's (scalar, vector) from the positions of u, v, w at t.
-
-    The axis i is taken as unit; star_point checks it.
-    """
-    s1, v1 = _star_product(float(y), pu, 0.0, pw, i)
-    s2, v2 = _star_product(float(z), pu, 0.0, pv, i)
-    return s1 + s2, v1 + v2
+    return ParticularOctonion(*_star_sum((float(y), pu, 0.0, pw),
+                                         (float(z), pu, 0.0, pv), i_vec))
 
 
 def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
@@ -203,26 +193,24 @@ def star_point_dual(a: Curve, a_star: Curve, b: Curve, b_star: Curve,
     from .octonion import ParticularOctonion
     pa, pas, pb, pbs = (_position(c, t) for c in (a, a_star, b, b_star))
     _require_axis(i_vec)
-    return ParticularOctonion(*_star_dual(pa, pas, pb, pbs, y, z, i_vec))
+    return ParticularOctonion(*_star_sum((0.0, pa, float(y), pas),
+                                         (0.0, pb, float(z), pbs), i_vec))
 
 
-def _star_dual(pa: Vec4, pas: Vec4, pb: Vec4, pbs: Vec4, y: float,
-               z: float, i: Vec4) -> tuple[float, Vec4]:
-    """star_point_dual's (scalar, vector) from the positions at t.
-
-    The axis i is taken as unit; star_point_dual checks it.
-    """
-    s1, v1 = _star_product(0.0, pa, float(y), pas, i)
-    s2, v2 = _star_product(0.0, pb, float(z), pbs, i)
-    return s1 + s2, v1 + v2
+def _star_sum(first: tuple, second: tuple, i: Vec4) -> tuple[float, Vec4]:
+    """_star_product(*first, i) + _star_product(*second, i), in that order;
+    a scalar sum that is not finite raises NonFiniteValue, as a vector
+    part's Vec4 does.  The axis i is taken as unit; the callers check it."""
+    s1, v1 = _star_product(*first, i)
+    s2, v2 = _star_product(*second, i)
+    scalar = s1 + s2
+    if scalar * 0.0 != 0.0:  # x * 0.0 is a signed zero for finite x
+        raise NonFiniteValue("star product scalar part is not finite")
+    return scalar, v1 + v2
 
 
 def _star_product(qs: float, qv: Vec4, ps: float, pv: Vec4, i: Vec4
                   ) -> tuple[float, Vec4]:
     """octonion.particular_product on the scalar and vector parts, with no
-    axis check; a scalar part that is not finite raises NonFiniteValue, as
-    the vector part's Vec4 does."""
-    scalar = qs * ps - lorentz_dot(qv, pv)
-    if scalar * 0.0 != 0.0:  # x * 0.0 is a signed zero for finite x
-        raise NonFiniteValue("star product scalar part is not finite")
-    return scalar, pv * qs + qv * ps + cross4(qv, pv, i)
+    axis check and no screen on the scalar part."""
+    return qs * ps - lorentz_dot(qv, pv), pv * qs + qv * ps + cross4(qv, pv, i)

@@ -35,10 +35,11 @@ def _claim_construction_hypotheses(s) -> ClaimResult:
 
 
 def _claim_construction_equivalence(s, positions) -> ClaimResult:
-    from .octo import _star, _star_dual
-    # the star sum at (y, z) is its value at (0, 0) plus y w + z v (y a + z b)
-    star, rulings = ((_star, (2, 1)) if s.cfg.mode == "octonion"
-                     else (_star_dual, (0, 2)))
+    from .octo import _star_sum
+    # the star sum at (y, z) is its value at (0, 0) plus y w + z v (y a + z b);
+    # at (0, 0) it is u * w + u * v (a * a* + b * b*), by position index
+    products, rulings = ((((0, 2), (0, 1)), (2, 1)) if s.cfg.mode == "octonion"
+                         else (((0, 1), (2, 3)), (0, 2)))
     _require_axis(s.cfg.i_vec)
     worst_vec = 0.0
     worst_scalar = 0.0
@@ -47,14 +48,16 @@ def _claim_construction_equivalence(s, positions) -> ClaimResult:
         placed = [pt for pt in points if pt.position is not None]
         if not placed:
             continue
+        at = positions[x]
         try:
-            scalar, vector = star(*positions[x], 0.0, 0.0, s.cfg.i_vec)
+            scalar, vector = _star_sum(*[(0.0, at[j], 0.0, at[k])
+                                         for j, k in products], s.cfg.i_vec)
         except NonFiniteValue:
             skipped += 1
             continue
         worst_scalar = max(worst_scalar, abs(scalar))
         c0, c1, c2, c3 = vector.components()
-        (w0, w1, w2, w3), (v0, v1, v2, v3) = [positions[x][k].components()
+        (w0, w1, w2, w3), (v0, v1, v2, v3) = [at[k].components()
                                               for k in rulings]
         for pt in placed:
             _, y, z = pt.params

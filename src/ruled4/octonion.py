@@ -24,7 +24,7 @@ import math
 from typing import Iterable, Mapping, NamedTuple
 
 from ._frozen import Frozen, _set
-from .errors import InconsistentSeed
+from .errors import InconsistentSeed, NonFiniteValue
 from .lorentz import DEFAULT_I, Vec4, _require_axis
 
 __all__ = [
@@ -252,5 +252,8 @@ def particular_product(q: ParticularOctonion, p: ParticularOctonion,
     """
     from .octo import _star_product  # here, so that octtable never loads it
     _require_axis(i_vec)
-    return ParticularOctonion(*_star_product(q.scalar, q.vector, p.scalar,
-                                             p.vector, i_vec))
+    scalar, vector = _star_product(q.scalar, q.vector, p.scalar, p.vector,
+                                   i_vec)
+    if scalar * 0.0 != 0.0:  # x * 0.0 is a signed zero for finite x
+        raise NonFiniteValue("star product scalar part is not finite")
+    return ParticularOctonion(scalar, vector)

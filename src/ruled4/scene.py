@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, NoReturn, Optional
+from dataclasses import dataclass
+from typing import Mapping, NoReturn
 
 from .errors import ExprSyntaxError, SceneSchemaError
 from .expr import CurveSpec
@@ -71,12 +71,6 @@ class SceneConfig:
     projection_axis: int
     claims: Mapping[str, bool]
     reference: Mapping[str, CurveSpec]
-
-    def with_overrides(self, *, strict: Optional[bool] = None,
-                       dual_norm: Optional[str] = None,
-                       i_vec: Optional[Vec4] = None) -> "SceneConfig":
-        given = dict(strict=strict, dual_norm=dual_norm, i_vec=i_vec)
-        return replace(self, **{k: v for k, v in given.items() if v is not None})
 
 
 def _fail(message: str, *path) -> NoReturn:
@@ -244,7 +238,8 @@ def load_scene(path: str) -> SceneConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an overlong integer
+        # JSONDecodeError, an overlong integer, or nesting past the stack
+        except (ValueError, RecursionError) as exc:
             raise SceneSchemaError(f"not valid JSON: {exc}", "/") from exc
     return scene_from_dict(raw)
 

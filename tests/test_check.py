@@ -126,10 +126,13 @@ def test_e1_closed_form_weights_discrepancy(e1_report):
     assert weights.details["half_weight_gap"] <= 1e-8
 
 
-def test_e1_strict_override_raises(e1_report):
-    cfg = shipped("exampleE1.json").with_overrides(strict=True)
+def test_e1_strict_override_raises():
+    # exampleE1's directors leave their model spaces, which a strict scene
+    # refuses
+    path = resources.files("ruled4.scenes") / "exampleE1.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
     with pytest.raises(DirectorConstraintViolated):
-        check_scene(cfg)
+        check_scene(scene_from_dict({**raw, "strict": True}))
 
 
 def test_ex3_reference_and_probe(ex3_report):

@@ -46,8 +46,16 @@ def test_check_e1_reports_discrepancies_but_exits_zero():
     assert verdicts["laplace_beltrami_zero"] == "discrepancy"
 
 
-def test_check_strict_override_turns_into_error():
-    proc = run_cli(["check", scene("exampleE1.json"), "--strict"])
+def with_fields(path, name, **fields):
+    """path, written as shipped scene `name` with `fields` set."""
+    raw = json.loads(Path(scene(name)).read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**raw, **fields}), encoding="utf-8")
+    return str(path)
+
+
+def test_check_strict_override_turns_into_error(tmp_path):
+    proc = run_cli(["check", with_fields(tmp_path / "strict.json",
+                                         "exampleE1.json", strict=True)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("ruled4: error:")
     assert proc.stdout == ""
@@ -98,6 +106,36 @@ def test_non_finite_interval_is_one_error_line(tmp_path, command, bounds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "mesh", "report"])
+@pytest.mark.parametrize("head", ["", '{"name": "deep", "mode": "type1", '
+                                      '"curves": '], ids=["top", "curves"])
+def test_deeply_nested_scene_is_one_error_line(tmp_path, command, head):
+    path = tmp_path / "deep.json"
+    path.write_text(head + "[" * 100_000)
+    out = tmp_path / "out"
+    proc = run_cli([command, str(path), "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("ruled4: error: not valid JSON:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "mesh", "report"])
+@pytest.mark.parametrize("option", [["--strict"], ["--no-strict"],
+                                    ["--dual-norm", "euclid"],
+                                    ["--i-vector", "1,0,0,0"],
+                                    ["--project", "3"]],
+                         ids=["strict", "no-strict", "dual-norm", "i-vector",
+                              "project"])
+def test_scene_settings_are_no_options(tmp_path, capsys, command, option):
+    # the scene file is a run's only configuration
+    with pytest.raises(SystemExit) as exc:
+        main([command, scene("example1.json"), *option,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 CURVES = {"alpha": ["t", "t", "0", "0"], "beta": ["0", "0", "1", "0"],
           "gamma": ["0", "0", "0", "1"]}
 
@@ -134,12 +172,13 @@ def test_mesh_obj_csv_json(tmp_path):
         assert out.read_text().startswith(probe)
 
 
-def test_mesh_project_flag_changes_projection(tmp_path):
+def test_mesh_projection_axis_changes_projection(tmp_path):
     a = tmp_path / "a.obj"
     b = tmp_path / "b.obj"
-    run_cli(["mesh", scene("example1.json"), "--out", str(a)])
-    run_cli(["mesh", scene("example1.json"), "--project", "3",
-             "--out", str(b)])
+    for axis, out in ((0, a), (3, b)):
+        path = with_fields(tmp_path / f"axis{axis}.json", "example1.json",
+                           projection_axis=axis)
+        assert run_cli(["mesh", path, "--out", str(out)]).returncode == 0
     assert a.read_text() != b.read_text()
 
 

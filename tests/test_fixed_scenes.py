@@ -14,7 +14,7 @@ import pytest
 from ruled4 import check
 from ruled4.errors import NonFiniteValue, Ruled4Error
 from ruled4.expr import CurveSpec
-from ruled4.octo import star_point
+from ruled4.octo import star_point, star_point_dual
 from ruled4.pointwise import curvature_report, lb_closed_orthogonal
 from ruled4.scene import load_scene
 from support import FIXED_SCENES, run_cli
@@ -97,6 +97,25 @@ def test_an_overflowing_star_product_skips_its_slice(tmp_path):
         ["1e200", "0", "0", "0"]))
     with pytest.raises(NonFiniteValue):
         star_point(u, v, w, 0.5, 0.0, 0.0)
+    claims = {c["name"]: c
+              for c in json.loads(commands(path, tmp_path)["check"])["claims"]}
+    equivalence = claims["construction_equivalence"]
+    assert equivalence["verdict"] == "inconclusive"
+    assert equivalence["details"]["slices_without_star_product"] == 3
+
+
+@pytest.mark.parametrize("name, star", [
+    ("star_sum_overflow", star_point),
+    ("star_sum_overflow_dual", star_point_dual),
+])
+def test_an_overflowing_star_sum_skips_its_slice(tmp_path, name, star):
+    # each star product's scalar part is finite, near 1.5e308, but their
+    # sum overflows on every slice
+    path = FIXED_SCENES / f"{name}.json"
+    cfg = load_scene(str(path))
+    for t in (0.0, 0.5, 1.0):
+        with pytest.raises(NonFiniteValue):
+            star(*cfg.curves.values(), t, 0.0, 0.0)
     claims = {c["name"]: c
               for c in json.loads(commands(path, tmp_path)["check"])["claims"]}
     equivalence = claims["construction_equivalence"]

@@ -162,10 +162,10 @@ print(nodes[0])
 """
 
 NODE_BOUNDS = {
-    ("setup", "exampleE1"): 9472, ("setup", "exampleEx3"): 11054,
-    ("check", "exampleE1"): 18482, ("check", "exampleEx3"): 20078,
-    ("report", "exampleE1"): 19685, ("report", "exampleEx3"): 21281,
-    ("mesh", "exampleE1"): 15048, ("mesh", "exampleEx3"): 16630,
+    ("setup", "exampleE1"): 9402, ("setup", "exampleEx3"): 10895,
+    ("check", "exampleE1"): 18189, ("check", "exampleEx3"): 19734,
+    ("report", "exampleE1"): 19392, ("report", "exampleEx3"): 20937,
+    ("mesh", "exampleE1"): 14755, ("mesh", "exampleEx3"): 16248,
 }
 SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
 

@@ -187,16 +187,6 @@ def test_load_scene_missing_file_raises_oserror(tmp_path):
         load_scene(str(tmp_path / "nope.json"))
 
 
-def test_with_overrides():
-    cfg = scene_from_dict(minimal_raw())
-    out = cfg.with_overrides(strict=True, dual_norm="euclid",
-                             i_vec=Vec4(1.0, 0.0, 0.0, 0.0))
-    assert out.strict and out.dual_norm == "euclid"
-    assert out.i_vec == Vec4(1.0, 0.0, 0.0, 0.0)
-    assert cfg.strict is False  # original untouched
-    assert cfg.with_overrides() == cfg
-
-
 def test_build_hypersurface_modes():
     cfg1 = scene_from_dict(minimal_raw())
     assert build_hypersurface(cfg1).kind is SurfaceKind.TYPE1
