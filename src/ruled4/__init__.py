@@ -23,7 +23,7 @@ _EXPORTS = {
         "SceneSchemaError"),
     "lorentz": (
         "Vec4", "CausalCharacter", "ModelSpace", "Characterization",
-        "lorentz_dot", "euclid_dot", "lorentz_norm", "cross4",
+        "lorentz_dot", "lorentz_norm", "cross4",
         "characterize", "DEFAULT_I"),
     "dual": ("Jet2",),
     "expr": (

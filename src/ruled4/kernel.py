@@ -228,9 +228,15 @@ class _Slice:
         gauss = _det3(h11, h12, h13, h12, 0.0, 0.0, h13, 0.0, 0.0) / detg + 0.0
         # the trace of ginv . h, whose rows 2 and 3 hold h12 and h13 alone
         mean = (i00 * h11 + i01 * h12 + i02 * h13 + i01 * h12 + i02 * h13) / 3.0
+        residual = _residual(adj, rn)
+        lap = self.laplacian(y, z, m, grads)
+        # x * 0.0 is nan unless x is finite, as in Vec4; the sum is the
+        # square of the lb_norm that mesh writes
+        if (mag * 0.0 + gauss * 0.0 + mean * 0.0 + residual * 0.0
+                + sum(c * c for c in lap.components()) * 0.0 != 0.0):
+            raise NonFiniteValue(f"curvature overflows at x={self.x}")
         return GridPoint((self.x, y, z), position, (), n_raw, unit, mag,
-                         character, *m, gauss, mean, rn, _residual(adj, rn),
-                         grads, self.laplacian(y, z, m, grads))
+                         character, *m, gauss, mean, rn, residual, grads, lap)
 
 
 def _products(u, v) -> tuple[float, ...]:

@@ -34,7 +34,6 @@ __all__ = [
     "Characterization",
     "MEMBERSHIP_TOL",
     "lorentz_dot",
-    "euclid_dot",
     "lorentz_norm",
     "cross4",
     "characterize",
@@ -133,11 +132,6 @@ class Characterization(NamedTuple):
 def lorentz_dot(x: Vec4, y: Vec4) -> float:
     """Scalar product of signature (-,+,+,+)."""
     return -x.c0 * y.c0 + x.c1 * y.c1 + x.c2 * y.c2 + x.c3 * y.c3
-
-
-def euclid_dot(x: Vec4, y: Vec4) -> float:
-    """Auxiliary positive-definite product (used by the `euclid` norm mode)."""
-    return x.c0 * y.c0 + x.c1 * y.c1 + x.c2 * y.c2 + x.c3 * y.c3
 
 
 def lorentz_norm(x: Vec4) -> float:

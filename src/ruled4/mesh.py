@@ -22,7 +22,7 @@ import math
 from typing import Iterable, NamedTuple, Optional
 
 from .hypersurface import RuledHypersurface
-from .kernel import GridPoint, _axes, _walk_slices
+from .kernel import GridPoint, _walk_slices
 from .lorentz import Vec4
 from .scene import SceneConfig, _dumps
 
@@ -37,7 +37,6 @@ class Mesh(NamedTuple):
     scene_name: str
     mode: str
     resolution: tuple[int, int, int]
-    axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     vertices: tuple[GridPoint, ...]
     warnings: tuple[str, ...]
 
@@ -45,7 +44,7 @@ class Mesh(NamedTuple):
 def grid_mesh(h: RuledHypersurface, cfg: SceneConfig,
               slices: Iterable[tuple]) -> Mesh:
     """The Mesh of the slices that kernel._walk_slices(h, cfg) yields."""
-    return Mesh(cfg.name, cfg.mode, tuple(cfg.resolution), _axes(cfg),
+    return Mesh(cfg.name, cfg.mode, tuple(cfg.resolution),
                 tuple([pt for _, _, points in slices for pt in points]),
                 h.warnings)
 

@@ -28,8 +28,7 @@ from typing import NamedTuple
 from .errors import NonFiniteValue
 from .hypersurface import (Curve, RuledHypersurface, SurfaceKind, _position,
                            _sample, make_ruled)
-from .lorentz import (DEFAULT_I, Vec4, _require_axis, cross4, euclid_dot,
-                      lorentz_dot)
+from .lorentz import DEFAULT_I, Vec4, _require_axis, cross4, lorentz_dot
 
 # star_point and star_point_dual import ruled4.octonion themselves, so that
 # building a surface or grading its claims does not load the algebra.
@@ -81,35 +80,33 @@ def _advisory_checks(curves: dict[str, Curve],
                      units: list[str],
                      ortho_pairs: list[tuple[str, str]],
                      dual_pairs: list[tuple[str, str]],
-                     rulings: tuple[str, str],
-                     dual_norm: str) -> tuple[str, ...]:
-    """The advisories under the `dual_norm` product, over the samples that
+                     rulings: tuple[str, str]) -> tuple[str, ...]:
+    """The advisories under the Lorentz product, over the samples that
     hypersurface._sample keeps, then whether the rulings coincide up to
     sign.  A dual curve a + eps a* is on the dual unit sphere when a is
     unit and 2<a, a*> = 0."""
     warnings: list[str] = []
     rows = _sample(curves.values(), x_interval, warnings)
     pos = {name: [row[k] for _, row in rows] for k, name in enumerate(curves)}
-    dot = lorentz_dot if dual_norm == "lorentz" else euclid_dot
     for name in units:
         worst = 0.0
         for p in pos[name]:
-            worst = max(worst, abs(abs(dot(p, p)) - 1.0))
+            worst = max(worst, abs(abs(lorentz_dot(p, p)) - 1.0))
         if worst > ADVISORY_TOL:
-            warnings.append(f"curve {name} is not unit under the {dual_norm} "
+            warnings.append(f"curve {name} is not unit under the lorentz "
                             f"product: max deviation {worst:.6g}")
     for name_a, name_b in ortho_pairs:
         worst = 0.0
         for pa, pb in zip(pos[name_a], pos[name_b]):
-            worst = max(worst, abs(dot(pa, pb)))
+            worst = max(worst, abs(lorentz_dot(pa, pb)))
         if worst > ADVISORY_TOL:
             warnings.append(f"curves {name_a} and {name_b} are not orthogonal "
-                            f"under the {dual_norm} product: max product "
+                            "under the lorentz product: max product "
                             f"{worst:.6g}")
     for name, star in dual_pairs:
         worst = 0.0
         for pr, pe in zip(pos[name], pos[star]):
-            worst = max(worst, abs(2.0 * dot(pr, pe)))
+            worst = max(worst, abs(2.0 * lorentz_dot(pr, pe)))
         if worst > ADVISORY_TOL:
             warnings.append(f"dual curve {name} leaves the dual unit sphere: "
                             f"max dual-part norm deviation {worst:.6g}")
@@ -129,7 +126,6 @@ def _advisory_checks(curves: dict[str, Curve],
 def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                              *,
                              i_vec: Vec4 = DEFAULT_I,
-                             dual_norm: str = "lorentz",
                              x_interval: tuple[float, float] = (-1.0, 1.0),
                              ) -> RuledHypersurface:
     """Surface alpha(t) + y*w(t) + z*v(t) with alpha = u x v + u x w."""
@@ -138,21 +134,20 @@ def construct_from_octonions(u: Curve, v: Curve, w: Curve,
                       SurfaceKind.UNCONSTRAINED, x_interval=x_interval)
     return base._replace(warnings=base.warnings + _advisory_checks(
         {"u": u, "v": v, "w": w}, x_interval, ["u", "v", "w"],
-        [("u", "v"), ("u", "w")], [], ("v", "w"), dual_norm))
+        [("u", "v"), ("u", "w")], [], ("v", "w")))
 
 
 def construct_from_dual_curves(a: Curve, a_star: Curve,
                                b: Curve, b_star: Curve,
                                *,
                                i_vec: Vec4 = DEFAULT_I,
-                               dual_norm: str = "lorentz",
                                x_interval: tuple[float, float] = (-1.0, 1.0),
                                ) -> RuledHypersurface:
     """Surface from two dual-number curves a + eps a*, b + eps b*.
 
     The base curve is a x a* + b x b* and the ruling directions are the
     real parts a and b.  Advisory checks ask each dual curve to be a dual
-    unit vector under the chosen product: real norm 1 and real-dual
+    unit vector under the Lorentz product: real norm 1 and real-dual
     product 0.
     """
     _require_axis(i_vec)
@@ -160,8 +155,7 @@ def construct_from_dual_curves(a: Curve, a_star: Curve,
                       b, SurfaceKind.UNCONSTRAINED, x_interval=x_interval)
     return base._replace(warnings=base.warnings + _advisory_checks(
         {"a": a, "a_star": a_star, "b": b, "b_star": b_star}, x_interval,
-        ["a", "b"], [], [("a", "a_star"), ("b", "b_star")], ("a", "b"),
-        dual_norm))
+        ["a", "b"], [], [("a", "a_star"), ("b", "b_star")], ("a", "b")))
 
 
 def star_point(u: Curve, v: Curve, w: Curve, t: float, y: float, z: float,

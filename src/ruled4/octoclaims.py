@@ -26,7 +26,7 @@ def _claim_construction_hypotheses(s) -> ClaimResult:
     return ClaimResult(
         "construction_hypotheses",
         "the generating curves are unit and mutually orthogonal "
-        f"(checked under the {s.cfg.dual_norm} product)",
+        "(checked under the lorentz product)",
         f"{len(advisories)} hypothesis violations" if advisories
         else "hypotheses hold" if checked
         else "no advisory sample could be evaluated",

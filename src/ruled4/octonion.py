@@ -49,7 +49,6 @@ class MulTable(NamedTuple):
     stands for the real unit (the diagonal ei*ei = -1).
     """
 
-    seed: tuple[int, int, int]
     entries: Mapping[tuple[int, int], tuple[int, int]]
 
     def product(self, i: int, j: int) -> tuple[int, int]:
@@ -106,7 +105,7 @@ def build_mul_table(seed: tuple[int, int, int] = (1, 2, 4)) -> MulTable:
                     f"seed {seed} is not a quaternionic triple: "
                     f"e{i}*(e{i}*e{j}) != -e{j}")
 
-    return MulTable((i0, j0, k0), dict(sorted(known.items())))
+    return MulTable(dict(sorted(known.items())))
 
 
 _DEFAULT_TABLE: MulTable | None = None
@@ -182,10 +181,10 @@ class Octonion(Frozen):
         return math.sqrt(total)
 
 
-def oct_mul(p: Octonion, q: Octonion, table: MulTable | None = None) -> Octonion:
-    """Bilinear product over the unit table; deterministic accumulation order."""
-    if table is None:
-        table = default_table()
+def oct_mul(p: Octonion, q: Octonion) -> Octonion:
+    """Bilinear product over default_table(); deterministic accumulation
+    order."""
+    table = default_table()
     out = [0.0] * 8
     a = p.coeffs
     b = q.coeffs

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .crosscheck import _detg_closed
-from .hypersurface import Mat3, RuledHypersurface, SurfaceKind
+from .hypersurface import Mat3, RuledHypersurface
 from .kernel import _jets, _regular, _residual, _second, _Slice
 from .lorentz import CausalCharacter, Vec4
 
@@ -53,10 +53,9 @@ class MetricData(NamedTuple):
     m33) is the constraint value; otherwise the actual director norms.
     adj holds the adjugate entries (a11, a12, a13, a22, a23, a33); detg is
     its cofactor expansion along the first row; detg_closed is the
-    polynomial closed form available for the constrained kinds.
+    polynomial closed form of a constrained kind, None otherwise.
     """
 
-    kind: SurfaceKind
     a: float
     b: float
     c: float
@@ -85,7 +84,6 @@ class CurvatureReport(NamedTuple):
     minimality_orthogonal: Optional[float]
     laplacian: Vec4
     laplacian_closed: Optional[Vec4]
-    flags: tuple[str, ...]
 
 
 def _at(h: RuledHypersurface, x: float, y: float, z: float,
@@ -126,7 +124,7 @@ def gauss_map(h: RuledHypersurface, x: float, y: float, z: float,
 def first_form(h: RuledHypersurface, x: float, y: float, z: float,
                fr: Optional[Frame] = None) -> MetricData:
     s, y, z = _at(h, x, y, z, fr)
-    return _metric(h.kind, s, s.forms(y, z)[0])
+    return _metric(s, s.forms(y, z)[0])
 
 
 def inverse_metric(md: MetricData) -> Mat3:
@@ -220,15 +218,15 @@ def curvature_report(h: RuledHypersurface, x: float, y: float, z: float) -> Curv
         corollary, forms = orthogonal(s, pt, (0.5,))
         closed = forms and Vec4(*forms[0])
     return CurvatureReport(
-        pt.position, _metric(h.kind, s, pt[7:15]),
+        pt.position, _metric(s, pt[7:15]),
         GaussMapData(pt.n_raw, pt.unit, pt.magnitude, pt.character),
         _second(pt.rn, pt.magnitude), pt.gauss_k, pt.mean_h,
-        pt.minimality, corollary, pt.laplacian, closed, h.warnings)
+        pt.minimality, corollary, pt.laplacian, closed)
 
 
-def _metric(kind: SurfaceKind, s: _Slice, m: tuple) -> MetricData:
+def _metric(s: _Slice, m: tuple) -> MetricData:
     """The MetricData of m = (a, b, c, e, m22, m33, detg, adj), as the
     kernel slice s's forms give it and an unflagged GridPoint holds it."""
     a, b, c, e, m22, m33, detg, adj = m
     closed = None if s.sigma is None else _detg_closed(s.sigma, a, b, c, e)
-    return MetricData(kind, a, b, c, e, m22, m33, detg, closed, adj)
+    return MetricData(a, b, c, e, m22, m33, detg, closed, adj)

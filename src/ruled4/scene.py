@@ -47,8 +47,8 @@ _REFERENCE_ROLES = {
 _AXIS_ALIASES = (("x", "t"), ("y", "s"), ("z", "r"))
 _CLAIM_KEYS = ("flat", "minimal", "laplace_beltrami_zero")
 _OPTIONAL = {"intervals": {}, "resolution": [9, 5, 5], "strict": False,
-             "dual_norm": "lorentz", "i_vector": [0.0, 0.0, 0.0, 1.0],
-             "projection_axis": 0, "claims": {}, "reference": {}}
+             "i_vector": [0.0, 0.0, 0.0, 1.0], "projection_axis": 0,
+             "claims": {}, "reference": {}}
 
 # The most grid vertices (the product of `resolution`) a scene may ask for.
 # `report` on exampleEx3 (2-vCPU VM, Python 3.11.7, from source) peaks at
@@ -66,7 +66,6 @@ class SceneConfig:
     z_interval: tuple[float, float]
     resolution: tuple[int, int, int]
     strict: bool
-    dual_norm: str
     i_vec: Vec4
     projection_axis: int
     claims: Mapping[str, bool]
@@ -182,7 +181,6 @@ def _validate(raw) -> dict:
         _fail(f"resolution {raw['resolution']!r} makes {count} grid vertices,"
               f" more than the cap of {MAX_VERTICES}", "resolution")
     _check_type(raw["strict"], "boolean", "strict")
-    _check_enum(raw["dual_norm"], ("lorentz", "euclid"), "dual_norm")
     _check_array(raw["i_vector"], 4, "number", "i_vector")
     for k, v in enumerate(raw["i_vector"]):
         if not _finite(v):
@@ -219,7 +217,6 @@ def scene_from_dict(raw: dict) -> SceneConfig:
         **box,
         resolution=tuple(int(n) for n in raw["resolution"]),  # type: ignore[arg-type]
         strict=raw["strict"],
-        dual_norm=raw["dual_norm"],
         i_vec=Vec4(*raw["i_vector"]),
         projection_axis=int(raw["projection_axis"]),
         claims=dict(raw["claims"]),
@@ -254,12 +251,11 @@ def build_hypersurface(cfg: SceneConfig) -> RuledHypersurface:
     if cfg.mode == "octonion":
         return construct_from_octonions(
             cfg.curves["u"], cfg.curves["v"], cfg.curves["w"],
-            i_vec=cfg.i_vec, dual_norm=cfg.dual_norm,
-            x_interval=cfg.x_interval)
+            i_vec=cfg.i_vec, x_interval=cfg.x_interval)
     return construct_from_dual_curves(
         cfg.curves["a"], cfg.curves["a_star"],
         cfg.curves["b"], cfg.curves["b_star"],
-        i_vec=cfg.i_vec, dual_norm=cfg.dual_norm, x_interval=cfg.x_interval)
+        i_vec=cfg.i_vec, x_interval=cfg.x_interval)
 
 
 _encode = json.JSONEncoder(allow_nan=False).encode

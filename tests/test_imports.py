@@ -162,10 +162,10 @@ print(nodes[0])
 """
 
 NODE_BOUNDS = {
-    ("setup", "exampleE1"): 9402, ("setup", "exampleEx3"): 10895,
-    ("check", "exampleE1"): 18189, ("check", "exampleEx3"): 19734,
-    ("report", "exampleE1"): 19392, ("report", "exampleEx3"): 20937,
-    ("mesh", "exampleE1"): 14755, ("mesh", "exampleEx3"): 16248,
+    ("setup", "exampleE1"): 9304, ("setup", "exampleEx3"): 10760,
+    ("check", "exampleE1"): 18165, ("check", "exampleEx3"): 19664,
+    ("report", "exampleE1"): 19326, ("report", "exampleEx3"): 20825,
+    ("mesh", "exampleE1"): 14689, ("mesh", "exampleEx3"): 16145,
 }
 SCENE_FILES = {"exampleE1": TYPED, "exampleEx3": OCTONION}
 

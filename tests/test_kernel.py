@@ -97,12 +97,11 @@ def test_scalar_api_equals_the_grid_record(name):
     for pt in points[::5]:
         x, y, z = pt.params
         rep = curvature_report(h, x, y, z)
-        metric = _metric(h.kind, _Slice(h.kind, x, _jets(h, x)), pt[7:15])
+        metric = _metric(_Slice(h.kind, x, _jets(h, x)), pt[7:15])
         assert (rep.position, rep.metric, rep.gauss_curvature,
-                rep.mean_curvature, rep.minimality, rep.laplacian,
-                rep.flags) == (
+                rep.mean_curvature, rep.minimality, rep.laplacian) == (
             pt.position, metric, pt.gauss_k, pt.mean_h,
-            pt.minimality, pt.laplacian, h.warnings)
+            pt.minimality, pt.laplacian)
         assert gauss_map(h, x, y, z) == rep.normal == GaussMapData(
             pt.n_raw, pt.unit, pt.magnitude, pt.character)
         assert first_form(h, x, y, z) == metric

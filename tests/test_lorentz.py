@@ -16,7 +16,6 @@ from ruled4.lorentz import (
     Vec4,
     characterize,
     cross4,
-    euclid_dot,
     lorentz_dot,
     lorentz_norm,
 )
@@ -33,7 +32,6 @@ def test_signature_on_basis():
     assert lorentz_dot(e2, e2) == 1.0
     assert lorentz_dot(e3, e3) == 1.0
     assert lorentz_dot(e0, e1) == 0.0
-    assert euclid_dot(e0, e0) == 1.0
 
 
 @given(vec4s, vec4s)

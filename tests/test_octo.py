@@ -120,17 +120,13 @@ def test_advisory_nonunit_and_nonorthogonal():
     assert any("curves u and v are not orthogonal" in w for w in h2.warnings)
 
 
-def test_dual_norm_selects_the_advisory_product():
-    # unit timelike under the Lorentz product, not unit under the
-    # Euclidean one
+def test_advisories_grade_unit_length_under_the_lorentz_product():
+    # unit timelike under the Lorentz product, though its Euclidean length
+    # is cosh(1)^(1/2)
     boosted = curve(["sinh(1/2)", "cosh(1/2)", "0", "0"])
     lorentz = construct_from_octonions(boosted, curve(CLEAN_V),
-                                       curve(CLEAN_W), dual_norm="lorentz")
+                                       curve(CLEAN_W))
     assert not any("curve u is not unit" in w for w in lorentz.warnings)
-    euclid = construct_from_octonions(boosted, curve(CLEAN_V),
-                                      curve(CLEAN_W), dual_norm="euclid")
-    assert any("curve u is not unit under the euclid" in w
-               for w in euclid.warnings)
 
 
 @pytest.mark.parametrize("flip", [1.0, -1.0])

@@ -72,7 +72,6 @@ def test_scene_defaults():
     assert cfg.x_interval == (-1.0, 1.0)
     assert cfg.resolution == (9, 5, 5)
     assert cfg.strict is False
-    assert cfg.dual_norm == "lorentz"
     assert cfg.i_vec == Vec4(0.0, 0.0, 0.0, 1.0)
     assert cfg.projection_axis == 0
     assert cfg.claims == {}
@@ -115,7 +114,7 @@ def test_interval_aliases():
     (minimal_raw(resolution=[True, 5, 5]), "/resolution/0"),
     (minimal_raw(resolution=[5.5, 5, 5]), "/resolution/0"),
     (minimal_raw(strict="yes"), "/strict"),
-    (minimal_raw(dual_norm="taxicab"), "/dual_norm"),
+    (minimal_raw(dual_norm="lorentz"), "/"),                     # no field
     (minimal_raw(i_vector=[0, 0, 0, True]), "/i_vector/3"),
     (minimal_raw(i_vector=[0, 0, 1]), "/i_vector"),
     (minimal_raw(projection_axis=4), "/projection_axis"),
@@ -233,9 +232,8 @@ def test_sample_grid_order_and_axes():
     assert isinstance(mesh, Mesh)
     assert mesh.scene_name == "tiny-plane"
     assert mesh.resolution == (3, 2, 2)
-    assert mesh.axes[0] == (0.0, 0.5, 1.0)
-    assert mesh.axes[1] == (0.0, 1.0)
-    assert mesh.axes[2] == (0.0, 1.0)
+    assert [sorted({v.params[k] for v in mesh.vertices}) for k in range(3)] \
+        == [[0.0, 0.5, 1.0], [0.0, 1.0], [0.0, 1.0]]
     assert len(mesh.vertices) == 12
     # row-major: x slowest, z fastest
     assert mesh.vertices[0].params == (0.0, 0.0, 0.0)
@@ -243,7 +241,7 @@ def test_sample_grid_order_and_axes():
     assert mesh.vertices[2].params == (0.0, 1.0, 0.0)
     assert mesh.vertices[4].params == (0.5, 0.0, 0.0)
     # endpoint-exact axes
-    assert mesh.axes[0][-1] == 1.0
+    assert mesh.vertices[-1].params == (1.0, 1.0, 1.0)
     v = mesh.vertices[5]  # (0.5, 0.0, 1.0)
     assert v.position == Vec4(0.5, 0.0, 1.0, 0.0)
     assert v.flags == ()
@@ -304,8 +302,7 @@ def test_sample_grid_threaded_is_identical(monkeypatch):
     serial = sample_grid(h, cfg)
     monkeypatch.setenv("RULED4_THREADS", "4")
     threaded = sample_grid(h, cfg)
-    assert serial.vertices == threaded.vertices
-    assert serial.axes == threaded.axes
+    assert serial == threaded
 
 
 # ---------------------------------------------------------------------------
@@ -497,4 +494,4 @@ def test_dumps_writes_each_row_on_one_line():
 
 def test_empty_mesh_rejected():
     with pytest.raises(ValueError):
-        export_csv(Mesh("x", "type1", (0, 0, 0), ((), (), ()), (), ()), "/dev/null")
+        export_csv(Mesh("x", "type1", (0, 0, 0), (), ()), "/dev/null")

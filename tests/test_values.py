@@ -47,7 +47,7 @@ def records():
         (mesh, "vertices"), (mesh.vertices[0], "gauss_k"),
         (report, "claims"), (report.claims[0], "verdict"),
         (typed.director_reports[0], "passed"),
-        (default_table(), "seed"),
+        (default_table(), "entries"),
         (Jet2(1.0, 2.0, 3.0), "f"),
         (Octonion.one(), "coeffs"),
         (ParticularOctonion(1.0, Vec4.zero()), "scalar"),
